@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beamforming import capacity
-from .model import SystemParams, UserPosition, los_coefficient
+from .model import SystemParams, UserPosition, distance, free_space_coefficient
 from .reporting import CapacityReport
 
 
@@ -36,29 +36,41 @@ def fixed_array(params: SystemParams, n_elements: int | None = None) -> FixedArr
     return FixedArray(positions=positions, spacing_m=spacing)
 
 
+def baseline_snr(
+    params: SystemParams,
+    user_x,
+    user_y,
+    mode: str = "single",
+    n_elements: int | None = None,
+) -> np.ndarray:
+    """Received SNR of the fixed hybrid array for users at (user_x, user_y).
+
+    The user coordinates broadcast against each other; the result has their
+    shape.  ``mode='single'`` uses one RF chain (phase-aligned combining of
+    the per-element magnitudes); ``mode='multi'`` uses the matched filter.
+    """
+    if mode not in ("single", "multi"):
+        raise ValueError("mode must be 'single' or 'multi'")
+    if mode == "multi" and params.num_rf_chains < 2:
+        raise ValueError("matched-filter baseline needs at least 2 RF chains")
+    array = fixed_array(params, n_elements)
+    ex, ey, ez = array.positions.T
+    ux = np.expand_dims(user_x, -1)
+    uy = np.expand_dims(user_y, -1)
+    mags = np.abs(free_space_coefficient(params, distance(ex - ux, ey - uy, ez)))
+    if mode == "single":
+        return params.power_w / (ex.size * params.noise_w) * np.sum(mags, axis=-1) ** 2
+    return params.power_w / params.noise_w * np.sum(mags**2, axis=-1)
+
+
 def baseline_capacity(
     params: SystemParams,
     user: UserPosition,
     mode: str = "single",
     n_elements: int | None = None,
 ) -> CapacityReport:
-    """Capacity of the fixed hybrid array serving the given user.
-
-    ``mode='single'`` uses one RF chain (phase-aligned combining of the
-    per-element magnitudes); ``mode='multi'`` uses the matched filter.
-    """
-    array = fixed_array(params, n_elements)
-    h = los_coefficient(params, array.positions, user)
-    mags = np.abs(h)
-    m = mags.size
-    if mode == "single":
-        snr = params.power_w / (m * params.noise_w) * float(np.sum(mags)) ** 2
-    elif mode == "multi":
-        if params.num_rf_chains < 2:
-            raise ValueError("matched-filter baseline needs at least 2 RF chains")
-        snr = params.power_w / params.noise_w * float(np.sum(mags**2))
-    else:
-        raise ValueError("mode must be 'single' or 'multi'")
+    """Capacity of the fixed hybrid array serving the given user (see :func:`baseline_snr`)."""
+    snr = float(baseline_snr(params, user.x, user.y, mode, n_elements))
     return CapacityReport(
         scenario=f"baseline/user({user.x:.6g},{user.y:.6g})",
         mode=f"baseline_{mode}",

@@ -46,6 +46,25 @@ def capacity(snr: float) -> float:
     return math.log2(1.0 + snr)
 
 
+def single_rf_snr(inner: np.ndarray, params: SystemParams) -> np.ndarray:
+    """SNR of :func:`single_rf_solution` for effective rows ``inner`` (..., M).
+
+    Closed form P / (M sigma^2) (sum_m |c_m|)^2, one value per row.
+    """
+    m = inner.shape[-1]
+    return params.power_w / (m * params.noise_w) * np.sum(np.abs(inner), axis=-1) ** 2
+
+
+def multi_rf_snr(inner: np.ndarray, params: SystemParams) -> np.ndarray:
+    """SNR of :func:`multi_rf_solution` for effective rows ``inner`` (..., M).
+
+    Closed form P / sigma^2 sum_m |c_m|^2, one value per row.
+    """
+    if params.num_rf_chains < 2:
+        raise ValueError("matched-filter SNR needs at least 2 RF chains")
+    return params.power_w * np.sum(np.abs(inner) ** 2, axis=-1) / params.noise_w
+
+
 def single_rf_solution(effective: EffectiveChannel, params: SystemParams) -> BeamformerSolution:
     """Optimal beamformer when only one RF chain feeds the analog stage."""
     inner = effective.inner

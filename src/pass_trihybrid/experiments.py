@@ -12,25 +12,17 @@ import math
 
 import numpy as np
 
-from . import analysis, baseline, beamforming, oracle, placement
-from .config import SCHEMA_VERSION, ExperimentConfig
+from . import analysis, baseline, beamforming, oracle, placement, sampler
+from .config import SCHEMA_VERSION, ConfigError, ExperimentConfig
 from .model import (
     FeasibilityError,
     SystemParams,
     UserPosition,
     WaveguideLayout,
     effective_channel,
+    pa_terms,
 )
 from .reporting import CapacityReport
-
-
-def _draw_units(seed: int, draws: int) -> np.ndarray:
-    """Unit-square user samples, one RNG stream per draw index."""
-    units = np.empty((draws, 2))
-    for i in range(draws):
-        rng = np.random.default_rng((seed, i))
-        units[i] = rng.random(2)
-    return units
 
 
 def _baseline_mode(params: SystemParams) -> str:
@@ -98,45 +90,92 @@ def _fixed_point_reports(
     return reports
 
 
+def _scalar_tri_snrs(
+    params: SystemParams, layout: WaveguideLayout, user: UserPosition, modes
+) -> dict[str, float] | None:
+    """Tri-hybrid SNRs of one draw through the scalar path; None if infeasible."""
+    try:
+        pin, _ = placement.refine_all(params, layout, user)
+    except FeasibilityError:
+        return None
+    eff = effective_channel(params, layout, pin, user)
+    return {mode: _tri_snr(eff, params, mode) for mode in modes}
+
+
+_BATCH_SNR = {"single": beamforming.single_rf_snr, "multi": beamforming.multi_rf_snr}
+
+
+def draw_snrs(
+    params: SystemParams,
+    layout: WaveguideLayout,
+    user_x: np.ndarray,
+    user_y: np.ndarray,
+    modes,
+    baseline_elements: int | None = None,
+) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """Per-draw SNR of every mode for D users; returns (snrs, feasible).
+
+    The batched engine: refinement runs one chain step at a time over a
+    (D, M) array, and each step's PA terms go straight into the (D, M)
+    effective rows, which the closed-form SNRs then read.  A draw whose
+    chain leaves its waveguide's range (it needs overflow redistribution, or
+    is infeasible) goes through the scalar refine_all -> effective_channel
+    -> beamformer path instead; ``feasible`` is False where that path
+    raised :class:`FeasibilityError`.  Baseline SNRs are batched for all.
+    """
+    feasible = np.ones(user_x.size, dtype=bool)
+    tri = [mode for mode in modes if mode != "baseline"]
+    snrs: dict[str, np.ndarray] = {}
+    if tri:
+        ux, uy = user_x[:, None], user_y[:, None]
+        wg_y, height, feed_x = (layout.field(k) for k in ("y", "height", "feed_x"))
+        fits = np.ones((user_x.size, len(layout)), dtype=bool)
+        inner = np.zeros(fits.shape, dtype=complex)
+        for xs in placement.refine_batch(params, layout, ux, uy, fits):
+            channel, guide = pa_terms(params, xs, wg_y, height, feed_x, ux, uy, params.num_pas)
+            inner += channel * guide
+        for mode in tri:
+            snrs[mode] = _BATCH_SNR[mode](inner, params)
+        for d in np.flatnonzero(~fits.all(axis=1)):
+            scalar = _scalar_tri_snrs(params, layout, UserPosition(user_x[d], user_y[d]), tri)
+            if scalar is None:
+                feasible[d] = False
+                continue
+            for mode in tri:
+                snrs[mode][d] = scalar[mode]
+    if "baseline" in modes:
+        snrs["baseline"] = baseline.baseline_snr(
+            params, user_x, user_y, _baseline_mode(params), baseline_elements
+        )
+    return snrs, feasible
+
+
+def _mean(values: np.ndarray) -> float:
+    """Mean summed in draw order, as a running ``+=`` would (np.sum pairs up)."""
+    return float(np.cumsum(values)[-1] / values.size) if values.size else math.nan
+
+
 def _monte_carlo_reports(
     config: ExperimentConfig, value: float, scenario: str, units: np.ndarray
 ) -> list[CapacityReport]:
     params = config.params_for_case(value)
     layout = WaveguideLayout.from_params(params)
-    need_tri = bool({"single", "multi"} & set(config.modes))
-    base_mode = _baseline_mode(params)
-
-    sums = {mode: np.zeros(2) for mode in config.modes}  # [snr, capacity]
-    counted = 0
-    infeasible = 0
-    for ux, uy in units:
-        user = UserPosition((ux - 0.5) * params.dx_m, (uy - 0.5) * params.dy_m)
-        if need_tri:
-            try:
-                pin, _ = placement.refine_all(params, layout, user)
-            except FeasibilityError:
-                infeasible += 1
-                continue
-            eff = effective_channel(params, layout, pin, user)
-        counted += 1
-        for mode in config.modes:
-            if mode == "baseline":
-                rep = baseline.baseline_capacity(params, user, base_mode, config.baseline_elements)
-                sums[mode] += (rep.snr, rep.capacity_bits)
-            else:
-                snr = _tri_snr(eff, params, mode)
-                sums[mode] += (snr, beamforming.capacity(snr))
-
+    user_x = (units[:, 0] - 0.5) * params.dx_m
+    user_y = (units[:, 1] - 0.5) * params.dy_m
+    snrs, feasible = draw_snrs(
+        params, layout, user_x, user_y, config.modes, config.baseline_elements
+    )
+    infeasible = int(np.count_nonzero(~feasible))
     reports = []
     for mode in config.modes:
-        snr, cap = (sums[mode] / counted) if counted else (math.nan, math.nan)
+        snr = snrs[mode][feasible]
         reports.append(
             CapacityReport(
                 scenario=scenario,
-                mode=f"baseline_{base_mode}" if mode == "baseline" else mode,
+                mode=f"baseline_{_baseline_mode(params)}" if mode == "baseline" else mode,
                 case=config.case,
-                snr=float(snr),
-                capacity_bits=float(cap),
+                snr=_mean(snr),
+                capacity_bits=_mean(np.log2(1.0 + snr)),
                 draws=len(units),
                 infeasible_draws=infeasible,
             )
@@ -146,7 +185,12 @@ def _monte_carlo_reports(
 
 def run_sweep(config: ExperimentConfig) -> list[CapacityReport]:
     """Evaluate every sweep point; one report per (sweep value, mode)."""
-    units = _draw_units(config.seed, config.draws) if config.user == "uniform" else None
+    if "multi" in config.modes and config.num_rf_chains < 2:
+        raise ConfigError(
+            "mode 'multi' needs at least 2 RF chains; "
+            f"num_rf_chains = {config.num_rf_chains}"
+        )
+    units = sampler.uniform_pairs(config.seed, config.draws) if config.user == "uniform" else None
     reports: list[CapacityReport] = []
     for value in config.sweep_values:
         scenario = f"{config.sweep}={value:g}"
@@ -333,5 +377,28 @@ def selftest(config: ExperimentConfig | None = None) -> tuple[bool, list[str]]:
     csv_a = render_sweep_csv(mini, run_sweep(mini))
     csv_b = render_sweep_csv(mini, run_sweep(mini))
     check("seeded sweep reproduces byte-identical CSV", csv_a == csv_b)
+
+    # Batched Monte Carlo engine against the scalar draw path.
+    params = config.params_for_case()
+    layout = WaveguideLayout.from_params(params)
+    units = sampler.uniform_pairs(config.seed, 200)
+    user_x = (units[:, 0] - 0.5) * params.dx_m
+    user_y = (units[:, 1] - 0.5) * params.dy_m
+    tri = ("single", "multi") if params.num_rf_chains >= 2 else ("single",)
+    snrs, feasible = draw_snrs(
+        params, layout, user_x, user_y, tri + ("baseline",), config.baseline_elements
+    )
+    ok = True
+    for d in range(units.shape[0]):
+        user = UserPosition(user_x[d], user_y[d])
+        ref = _scalar_tri_snrs(params, layout, user, tri)
+        ok &= feasible[d] == (ref is not None)
+        if ref is None:
+            continue
+        ref["baseline"] = baseline.baseline_capacity(
+            params, user, _baseline_mode(params), config.baseline_elements
+        ).snr
+        ok &= all(abs(snrs[mode][d] - snr) <= 1e-12 * snr for mode, snr in ref.items())
+    check("batched Monte Carlo draws match the scalar draw path on 200 users", bool(ok))
 
     return all_ok, lines

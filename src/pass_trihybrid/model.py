@@ -158,6 +158,10 @@ class WaveguideLayout:
     def elevations(self, user: UserPosition) -> np.ndarray:
         return np.array([w.effective_elevation(user) for w in self.waveguides])
 
+    def field(self, name: str) -> np.ndarray:
+        """One :class:`Waveguide` attribute of every waveguide, shape (M,)."""
+        return np.array([getattr(w, name) for w in self.waveguides], dtype=float)
+
 
 @dataclass(frozen=True)
 class PinchingConfig:
@@ -165,13 +169,14 @@ class PinchingConfig:
 
     Construction validates the pairwise spacing and deployment-range
     constraints; a small float slack absorbs rounding in positions that were
-    built to sit exactly on a constraint boundary.
+    built to sit exactly on a constraint boundary.  ``feed_x`` and ``max_x``
+    are either one range shared by every row or one value per row.
     """
 
     positions: np.ndarray  # (M, N)
     min_spacing_m: float
-    feed_x: float
-    max_x: float
+    feed_x: float | np.ndarray
+    max_x: float | np.ndarray
 
     _SLACK = 1e-9
 
@@ -180,17 +185,23 @@ class PinchingConfig:
         if pos.ndim != 2:
             raise ValueError("positions must be an M x N matrix")
         object.__setattr__(self, "positions", pos)
-        if np.any(pos < self.feed_x - self._SLACK) or np.any(pos > self.max_x + self._SLACK):
+        lo = np.reshape(self.feed_x, (-1, 1)) - self._SLACK
+        hi = np.reshape(self.max_x, (-1, 1)) + self._SLACK
+        outside = (pos < lo) | (pos > hi)
+        if outside.any():
+            m = int(np.argmax(outside.any(axis=1)))
+            k = m if lo.size > 1 else 0  # one shared range or one per row
             raise FeasibilityError(
-                f"PA positions outside deployment range [{self.feed_x}, {self.max_x}]"
+                f"waveguide {m}: PA positions outside its deployment range "
+                f"[{np.ravel(self.feed_x)[k]}, {np.ravel(self.max_x)[k]}]"
             )
-        for m, row in enumerate(pos):
-            gaps = np.diff(np.sort(row))
-            if len(gaps) and gaps.min() < self.min_spacing_m - self._SLACK:
-                raise FeasibilityError(
-                    f"waveguide {m}: PA spacing {gaps.min():.6g} m below the "
-                    f"{self.min_spacing_m:.6g} m minimum"
-                )
+        gaps = np.diff(np.sort(pos, axis=1), axis=1)
+        if gaps.size and gaps.min() < self.min_spacing_m - self._SLACK:
+            m = int(np.argmin(gaps.min(axis=1)))
+            raise FeasibilityError(
+                f"waveguide {m}: PA spacing {gaps[m].min():.6g} m below the "
+                f"{self.min_spacing_m:.6g} m minimum"
+            )
 
     @property
     def num_waveguides(self) -> int:
@@ -220,6 +231,25 @@ class EffectiveChannel:
         return np.abs(self.inner)
 
 
+def distance(dx, dy, dz):
+    """Euclidean length of (dx, dy, dz), arrays broadcast.
+
+    Same operations, in the same order, as ``np.linalg.norm(v, axis=-1)`` on
+    stacked 3-vectors, so both give identical bits.
+    """
+    return np.sqrt(dx * dx + dy * dy + dz * dz)
+
+
+def free_space_coefficient(params: SystemParams, r):
+    """Line-of-sight coefficient sqrt(eta) e^{-j 2 pi r / lambda} / r at distance r."""
+    return np.sqrt(params.eta_m2) * np.exp(-2j * np.pi / params.wavelength_m * r) / r
+
+
+def _in_waveguide(params: SystemParams, run, num_pas: int):
+    alpha = 10.0 ** (-params.kappa_db_per_m * run / 10.0) / num_pas
+    return np.sqrt(alpha) * np.exp(-2j * np.pi / params.guided_wavelength_m * run)
+
+
 def los_coefficient(
     params: SystemParams, pa_position: np.ndarray, user: UserPosition
 ) -> complex | np.ndarray:
@@ -234,7 +264,7 @@ def los_coefficient(
     r = np.linalg.norm(pos - ref, axis=-1)
     if np.any(r <= 0):
         raise ValueError("PA/user distance must be positive")
-    out = np.sqrt(params.eta_m2) * np.exp(-2j * np.pi / params.wavelength_m * r) / r
+    out = free_space_coefficient(params, r)
     return complex(out) if out.ndim == 0 else out
 
 
@@ -251,9 +281,22 @@ def waveguide_vector(
     run = xs - waveguide.feed_x
     if np.any(run < -PinchingConfig._SLACK):
         raise FeasibilityError("PA positions must not precede the waveguide feed point")
-    run = np.maximum(run, 0.0)
-    alpha = 10.0 ** (-params.kappa_db_per_m * run / 10.0) / xs.size
-    return np.sqrt(alpha) * np.exp(-2j * np.pi / params.guided_wavelength_m * run)
+    return _in_waveguide(params, np.maximum(run, 0.0), xs.size)
+
+
+def pa_terms(params: SystemParams, xs, wg_y, wg_height, feed_x, user_x, user_y, num_pas: int):
+    """Free-space coefficients and in-waveguide factors of PAs at x = ``xs``.
+
+    The per-PA channel kernel shared by :func:`effective_channel` and the
+    batched Monte Carlo engine.  Every argument but ``params`` and
+    ``num_pas`` (PAs sharing the waveguide's feed power) broadcasts, so one
+    call covers a whole (M, N) placement or one PA per waveguide of D draws.
+    Returns (channel, guide); their product is each PA's term of the
+    waveguide's inner product.
+    """
+    r = distance(xs - user_x, wg_y - user_y, wg_height)
+    run = np.maximum(xs - feed_x, 0.0)
+    return free_space_coefficient(params, r), _in_waveguide(params, run, num_pas)
 
 
 def effective_channel(
@@ -263,15 +306,12 @@ def effective_channel(
     user: UserPosition,
 ) -> EffectiveChannel:
     """Assemble the full channel state for one placement and user."""
-    m_count, n_count = pinching.positions.shape
-    if m_count != len(layout):
+    pos = pinching.positions
+    if pos.shape[0] != len(layout):
         raise ValueError("pinching matrix row count must match the waveguide count")
-    channel = np.empty((m_count, n_count), dtype=complex)
-    guide = np.empty((m_count, n_count), dtype=complex)
-    for m, wg in enumerate(layout.waveguides):
-        xs = pinching.positions[m]
-        pa_xyz = np.stack([xs, np.full_like(xs, wg.y), np.full_like(xs, wg.height)], axis=-1)
-        channel[m] = los_coefficient(params, pa_xyz, user)
-        guide[m] = waveguide_vector(params, wg, xs)
+    wg_y, height, feed_x = (layout.field(k)[:, None] for k in ("y", "height", "feed_x"))
+    if np.any(pos - feed_x < -PinchingConfig._SLACK):
+        raise FeasibilityError("PA positions must not precede the waveguide feed point")
+    channel, guide = pa_terms(params, pos, wg_y, height, feed_x, user.x, user.y, pos.shape[1])
     inner = np.sum(channel * guide, axis=1)
     return EffectiveChannel(channel=channel, guide=guide, inner=inner)

@@ -19,6 +19,7 @@ independently of the others.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,14 +116,16 @@ def _chain(
     min_spacing: float,
     start_delta: float,
     quota: int,
-    room: float,
+    bounds: tuple[float, float],
     outward: bool,
 ) -> tuple[list[float], list[float]]:
     """Walk one side's recursion, stopping early when the range limit is hit.
 
     Returns (offsets from the user, shifts), with at most ``quota`` antennas
-    whose final offsets stay within ``room``.
+    whose final offsets stay within ``bounds`` (the waveguide's deployment
+    range, as offsets from the user on this side).
     """
+    lo, hi = bounds
     offsets: list[float] = []
     shifts: list[float] = []
     delta = start_delta
@@ -130,7 +133,7 @@ def _chain(
     for _ in range(quota):
         v = solve(h_eff, delta, n_eff, wavelength)
         final = delta + v
-        if final > room:
+        if not lo <= final <= hi:
             break
         offsets.append(final)
         shifts.append(v)
@@ -169,22 +172,25 @@ def refine_waveguide(
     lam = params.wavelength_m
     half = params.min_spacing_m / 2.0
 
-    room_right = waveguide.max_x - user.x
-    room_left = user.x - waveguide.feed_x
+    # Both chains stay inside this waveguide's [feed_x, max_x].
+    right_bounds = (waveguide.feed_x - user.x, waveguide.max_x - user.x)
+    left_bounds = (user.x - waveguide.max_x, user.x - waveguide.feed_x)
 
     right, v_right = _chain(
-        h_eff, params.n_eff, lam, params.min_spacing_m, half, n // 2, room_right, outward=False
+        h_eff, params.n_eff, lam, params.min_spacing_m, half, n // 2, right_bounds, outward=False
     )
     short = n // 2 - len(right)
     left, v_left = _chain(
-        h_eff, params.n_eff, lam, params.min_spacing_m, half, n // 2 + short, room_left, outward=True
+        h_eff, params.n_eff, lam, params.min_spacing_m, half, n // 2 + short, left_bounds,
+        outward=True,
     )
     short = n - len(right) - len(left)
     if short > 0 and len(right) == n // 2:
         # Left side hit the feed; push the remainder onto the right chain.
         delta = right[-1] + params.min_spacing_m
         extra, v_extra = _chain(
-            h_eff, params.n_eff, lam, params.min_spacing_m, delta, short, room_right, outward=False
+            h_eff, params.n_eff, lam, params.min_spacing_m, delta, short, right_bounds,
+            outward=False,
         )
         right += extra
         v_right += v_extra
@@ -223,7 +229,67 @@ def refine_all(
     config = PinchingConfig(
         positions=positions,
         min_spacing_m=params.min_spacing_m,
-        feed_x=layout[0].feed_x,
-        max_x=layout[0].max_x,
+        feed_x=layout.field("feed_x"),
+        max_x=layout.field("max_x"),
     )
     return config, results
+
+
+def _shift_batch(
+    h_eff: np.ndarray, delta: np.ndarray, n_eff: float, wavelength: float, outward: bool
+) -> np.ndarray:
+    """Array form of :func:`refine_shift` / :func:`refine_shift_outward`.
+
+    Same formulas in the same order, with numpy in place of ``math``; NaN
+    where the feed side has no reachable alignment point (n_eff = 1).
+    """
+    if outward:
+        path = np.hypot(h_eff, delta) - n_eff * delta
+        target = wavelength * np.floor(path / wavelength + _GRID_EPS)
+    else:
+        path = np.hypot(h_eff, delta) + n_eff * delta
+        target = wavelength * np.ceil(path / wavelength - _GRID_EPS)
+    if n_eff == 1.0:
+        if outward:
+            target = np.where(target > 0, target, np.nan)
+            d = (h_eff * h_eff - target * target) / (2.0 * target)
+        else:
+            d = (target * target - h_eff * h_eff) / (2.0 * target)
+    else:
+        s = n_eff * n_eff - 1.0
+        root = np.sqrt(target * target + h_eff * h_eff * s)
+        d = (root - target * n_eff) / s if outward else (target * n_eff - root) / s
+    return np.maximum(d - delta, 0.0)
+
+
+def refine_batch(
+    params: SystemParams,
+    layout: WaveguideLayout,
+    user_x: np.ndarray,
+    user_y: np.ndarray,
+    fits: np.ndarray,
+) -> Iterator[np.ndarray]:
+    """:func:`refine_all` for D users at once, minus the overflow redistribution.
+
+    ``user_x`` / ``user_y`` have shape (D, 1).  Yields the x-coordinates of
+    one PA on every waveguide of every draw, shape (D, M), one chain step at
+    a time: the N/2 steps right of the user, then the N/2 steps left of it,
+    so a caller can fold each PA into its channel and drop it.  Where a PA
+    leaves its waveguide's [feed_x, max_x] or has no alignment point,
+    ``fits`` (shape (D, M)) is cleared; such a waveguide's yielded positions
+    mean nothing, and its draw needs :func:`refine_all`, which redistributes
+    the PAs across sides or raises :class:`FeasibilityError`.
+    """
+    feed_x, max_x = layout.field("feed_x"), layout.field("max_x")
+    h_eff = np.hypot(layout.field("y") - user_y, layout.field("height"))
+    lam = params.wavelength_m
+    for outward, lo, hi in (
+        (False, feed_x - user_x, max_x - user_x),
+        (True, user_x - max_x, user_x - feed_x),
+    ):
+        delta = np.full_like(h_eff, params.min_spacing_m / 2.0)
+        for _ in range(params.num_pas // 2):
+            final = delta + _shift_batch(h_eff, delta, params.n_eff, lam, outward)
+            fits &= (lo <= final) & (final <= hi)
+            yield user_x - final if outward else user_x + final
+            delta = final + params.min_spacing_m

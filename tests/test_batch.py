@@ -1,0 +1,212 @@
+"""Batched Monte Carlo engine against the per-draw scalar path.
+
+The references here are the per-draw loops the engine replaced: one
+``default_rng((seed, i))`` per draw, then refine_all -> effective_channel ->
+beamformer and ``baseline_capacity`` for each user, means summed with ``+=``.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from pass_trihybrid import (
+    CapacityReport,
+    ExperimentConfig,
+    FeasibilityError,
+    SystemParams,
+    UserPosition,
+    Waveguide,
+    WaveguideLayout,
+    baseline_capacity,
+    effective_channel,
+    multi_rf_solution,
+    refine_all,
+    render_sweep_csv,
+    run_sweep,
+    single_rf_solution,
+)
+from pass_trihybrid import beamforming, experiments, placement
+from pass_trihybrid.sampler import uniform_pairs
+
+ALL_MODES = ("single", "multi", "baseline")
+
+
+def reference_units(seed, draws):
+    return np.array([np.random.default_rng((seed, i)).random(2) for i in range(draws)])
+
+
+def reference_snrs(params, layout, user, modes, baseline_elements=None):
+    """Per-mode SNR of one draw through the scalar path; None if infeasible."""
+    out = {}
+    if any(mode != "baseline" for mode in modes):
+        try:
+            pin, _ = refine_all(params, layout, user)
+        except FeasibilityError:
+            return None
+        eff = effective_channel(params, layout, pin, user)
+    for mode in modes:
+        if mode == "single":
+            out[mode] = single_rf_solution(eff, params).snr
+        elif mode == "multi":
+            out[mode] = multi_rf_solution(eff, params).snr
+        else:
+            base_mode = "multi" if params.num_rf_chains >= 2 else "single"
+            out[mode] = baseline_capacity(params, user, base_mode, baseline_elements).snr
+    return out
+
+
+def users(params, seed, draws):
+    units = uniform_pairs(seed, draws)
+    return (units[:, 0] - 0.5) * params.dx_m, (units[:, 1] - 0.5) * params.dy_m
+
+
+def assert_engine_matches_scalar(params, layout=None, modes=ALL_MODES, draws=120, seed=3, **kw):
+    """Compare every draw; returns (number of feasible draws, refine_all calls)."""
+    layout = WaveguideLayout.from_params(params) if layout is None else layout
+    ux, uy = users(params, seed, draws)
+    calls = []
+    original = placement.refine_all
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    placement.refine_all = counting
+    try:
+        snrs, feasible = experiments.draw_snrs(params, layout, ux, uy, modes, **kw)
+    finally:
+        placement.refine_all = original
+    assert set(snrs) == set(modes)
+    for d in range(draws):
+        ref = reference_snrs(params, layout, UserPosition(ux[d], uy[d]), modes, **kw)
+        assert feasible[d] == (ref is not None), d
+        if ref is None:
+            continue
+        for mode, snr in ref.items():
+            assert abs(snrs[mode][d] - snr) <= 1e-12 * snr, (d, mode)
+    return int(feasible.sum()), len(calls)
+
+
+class TestSampler:
+    @pytest.mark.parametrize("seed", [0, 1, 424242, 2**32 - 1, 2**32, 2**64 - 1])
+    def test_rows_equal_default_rng(self, seed):
+        draws = 10_000 if seed == 424242 else 1_000
+        assert np.array_equal(uniform_pairs(seed, draws), reference_units(seed, draws))
+
+    def test_prefix_is_independent_of_count(self):
+        assert np.array_equal(uniform_pairs(7, 5), uniform_pairs(7, 50)[:5])
+        assert uniform_pairs(7, 0).shape == (0, 2)
+
+    def test_out_of_range_seed(self):
+        with pytest.raises(ValueError):
+            uniform_pairs(2**64, 3)
+        with pytest.raises(ValueError):
+            uniform_pairs(-1, 3)
+
+
+class TestEngineAgainstScalar:
+    def test_default_geometry(self):
+        feasible, calls = assert_engine_matches_scalar(SystemParams())
+        assert feasible == 120
+        assert calls < 120  # the scalar path only takes the fallback draws
+
+    def test_overflow_redistribution(self):
+        # a 4 m region with 64 PAs: many chains run out of room on one side
+        params = SystemParams(dx_m=4.0, num_pas=64)
+        feasible, calls = assert_engine_matches_scalar(params, draws=60)
+        assert feasible == 60
+        assert 0 < calls < 60
+
+    def test_all_infeasible(self):
+        params = SystemParams(dx_m=0.2, dy_m=2.0, num_pas=64)
+        feasible, calls = assert_engine_matches_scalar(params, draws=25)
+        assert feasible == 0
+        assert calls == 25
+
+    def test_single_waveguide(self):
+        assert_engine_matches_scalar(SystemParams(num_waveguides=1))
+
+    def test_one_rf_chain(self):
+        assert_engine_matches_scalar(SystemParams(num_rf_chains=1), modes=("single", "baseline"))
+
+    def test_nine_baseline_elements(self):
+        assert_engine_matches_scalar(SystemParams(), baseline_elements=9)
+
+    @pytest.mark.parametrize("spacing", [0.002, 0.02])
+    def test_min_spacing_values(self, spacing):
+        assert_engine_matches_scalar(SystemParams(min_spacing_m=spacing, num_pas=8))
+
+    @pytest.mark.parametrize("m", [2, 6, 8])
+    def test_waveguide_counts(self, m):
+        assert_engine_matches_scalar(SystemParams(num_waveguides=m))
+
+    def test_unit_refractive_index(self):
+        assert_engine_matches_scalar(SystemParams(n_eff=1.0, num_pas=16))
+
+    def test_ragged_layout(self):
+        params = SystemParams(kappa_db_per_m=0.0)
+        layout = WaveguideLayout(
+            (
+                Waveguide(-25.0, -10.0, 3.0, 25.0),
+                Waveguide(-5.0, -2.0, 2.5, 5.0),
+                Waveguide(-25.0, 4.0, 4.0, 10.0),
+            )
+        )
+        feasible, _ = assert_engine_matches_scalar(params, layout=layout, draws=200)
+        assert 0 < feasible < 200  # users beyond waveguide 1's range are infeasible
+
+    def test_multi_snr_needs_two_chains(self):
+        with pytest.raises(ValueError, match="2 RF chains"):
+            beamforming.multi_rf_snr(np.ones((3, 4), dtype=complex), SystemParams(num_rf_chains=1))
+
+
+def reference_sweep_csv(config):
+    """The per-draw Monte Carlo loop the batched engine replaced."""
+    units = reference_units(config.seed, config.draws)
+    reports = []
+    for value in config.sweep_values:
+        params = config.params_for_case(value)
+        layout = WaveguideLayout.from_params(params)
+        base_mode = "multi" if params.num_rf_chains >= 2 else "single"
+        sums = {mode: np.zeros(2) for mode in config.modes}
+        counted = infeasible = 0
+        for ux, uy in units:
+            user = UserPosition((ux - 0.5) * params.dx_m, (uy - 0.5) * params.dy_m)
+            snrs = reference_snrs(params, layout, user, config.modes, config.baseline_elements)
+            if snrs is None:
+                infeasible += 1
+                continue
+            counted += 1
+            for mode, snr in snrs.items():
+                sums[mode] += (snr, beamforming.capacity(snr))
+        for mode in config.modes:
+            snr, cap = (sums[mode] / counted) if counted else (math.nan, math.nan)
+            reports.append(
+                CapacityReport(
+                    scenario=f"{config.sweep}={value:g}",
+                    mode=f"baseline_{base_mode}" if mode == "baseline" else mode,
+                    case=config.case,
+                    snr=float(snr),
+                    capacity_bits=float(cap),
+                    draws=config.draws,
+                    infeasible_draws=infeasible,
+                )
+            )
+    return render_sweep_csv(config, reports)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        ExperimentConfig(sweep="Dx", sweep_values=(2.0, 10.0, 50.0), user="uniform", draws=80,
+                         case=2, modes=ALL_MODES, num_pas=16),
+        ExperimentConfig(sweep="M", sweep_values=(1, 3), user="uniform", draws=60,
+                         num_rf_chains=1, modes=("single", "baseline"), baseline_elements=9),
+        ExperimentConfig(sweep="N", sweep_values=(64,), user="uniform", draws=20, dx_m=0.2,
+                         dy_m=2.0, modes=ALL_MODES),
+    ],
+    ids=["Dx", "M-one-chain", "infeasible"],
+)
+def test_sweep_csv_bytes_match_per_draw_reference(config):
+    assert render_sweep_csv(config, run_sweep(config)) == reference_sweep_csv(config)

@@ -78,6 +78,17 @@ class TestErrors:
         assert main(["placement", "--config", str(cramped)]) == EXIT_INFEASIBLE
         assert "infeasible" in capsys.readouterr().err
 
+    def test_multi_mode_with_one_rf_chain(self, tmp_path, capsys):
+        one_chain = tmp_path / "one_chain.cfg"
+        one_chain.write_text("num_rf_chains = 1\n")  # default modes include multi
+        assert main(["sweep", "--config", str(one_chain)]) == EXIT_CONFIG
+        assert "2 RF chains" in capsys.readouterr().err
+        assert main(["sweep", "--config", str(one_chain), "--mode", "single"]) == EXIT_OK
+        # subcommands that compute no multi-RF SNR accept the same config
+        assert main(["placement", "--config", str(one_chain)]) == EXIT_OK
+        assert main(["bounds", "--config", str(one_chain)]) == EXIT_OK
+        capsys.readouterr()
+
     def test_invalid_flag_value(self):
         with pytest.raises(SystemExit):
             main(["sweep", "--case", "9"])

@@ -222,5 +222,5 @@ class TestSelftest:
     def test_all_checks_pass(self):
         ok, lines = selftest(ExperimentConfig(draws=30))
         assert ok
-        assert len(lines) == 6
+        assert len(lines) == 7
         assert all(line.startswith("[PASS]") for line in lines)

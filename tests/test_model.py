@@ -210,6 +210,23 @@ class TestEffectiveChannel:
         for w in (np.ones(m), rng.standard_normal(m) + 1j * rng.standard_normal(m)):
             assert_allclose(stacked @ w, eff.inner @ w, rtol=1e-13)
 
+    def test_matches_per_row_norm_assembly(self):
+        # the per-row np.linalg.norm / waveguide_vector assembly, bit for bit
+        rng = np.random.default_rng(5)
+        for m, n, kappa in ((1, 2, 0.0), (4, 4, 0.08), (3, 64, 0.08), (8, 10, 0.0)):
+            p = default_params(num_waveguides=m, num_pas=n, kappa_db_per_m=kappa)
+            layout = WaveguideLayout.from_params(p)
+            positions = np.sort(rng.uniform(-25, 25, (m, n)), axis=1)
+            pin = PinchingConfig(positions, 1e-12, p.feed_x_m, p.max_x_m)
+            user = UserPosition(rng.uniform(-25, 25), rng.uniform(-10, 10))
+            eff = effective_channel(p, layout, pin, user)
+            for i, wg in enumerate(layout.waveguides):
+                xs = positions[i]
+                pa = np.stack([xs, np.full_like(xs, wg.y), np.full_like(xs, wg.height)], axis=-1)
+                assert np.array_equal(eff.channel[i], los_coefficient(p, pa, user))
+                assert np.array_equal(eff.guide[i], waveguide_vector(p, wg, xs))
+            assert np.array_equal(eff.inner, np.sum(eff.channel * eff.guide, axis=1))
+
     def test_row_count_mismatch(self):
         p = default_params(num_waveguides=2)
         layout = WaveguideLayout.from_params(p)
@@ -226,6 +243,12 @@ class TestPinchingConfig:
     def test_range_violation(self):
         with pytest.raises(FeasibilityError):
             PinchingConfig(np.array([[0.0, 26.0]]), 5e-3, -25.0, 25.0)
+
+    def test_range_checked_per_row(self):
+        feed, top = np.array([-25.0, -5.0]), np.array([25.0, 5.0])
+        PinchingConfig(np.array([[10.0, 20.0], [-4.0, 4.0]]), 0.5, feed, top)
+        with pytest.raises(FeasibilityError, match="waveguide 1"):
+            PinchingConfig(np.array([[-4.0, 4.0], [10.0, 20.0]]), 0.5, feed, top)
 
     def test_valid_config(self):
         pin = PinchingConfig(np.array([[0.0, 1.0], [-1.0, 2.0]]), 0.5, -25.0, 25.0)

@@ -215,6 +215,17 @@ class TestRefineAll:
         assert np.argmin(elevations) == 1
         assert np.argmax(eff.gains) == 1
 
+    def test_ragged_layout_enforces_each_waveguide_range(self):
+        # waveguide 1 spans [-5, 5] m; a user at x = 20 m is beyond its reach
+        layout = WaveguideLayout(
+            (one_waveguide(LOSSLESS), Waveguide(-5.0, 5.0, LOSSLESS.height_m, 5.0))
+        )
+        with pytest.raises(FeasibilityError, match="only 0 of 4"):
+            refine_all(LOSSLESS, layout, UserPosition(20.0, 0.0))
+        pin, results = refine_all(LOSSLESS, layout, UserPosition(4.999, 0.0))
+        assert pin.positions[1].max() <= 5.0
+        assert results[1].n_left > results[1].n_right
+
     def test_user_outside_region(self):
         layout = WaveguideLayout.from_params(LOSSLESS)
         with pytest.raises(ValueError):
