@@ -30,7 +30,6 @@ from .model import (
     los_coefficient,
     waveguide_vector,
 )
-from .oracle import direct_phase_chain, grid_search_gain
 from .placement import (
     RefinementResult,
     refine_all,
@@ -41,6 +40,16 @@ from .placement import (
 from .reporting import CapacityReport
 
 __version__ = "0.1.0"
+
+def __getattr__(name: str):
+    # ``oracle`` is a brute-force verifier that needs mpmath; import it only
+    # when one of its functions is asked for (PEP 562).
+    if name in ("direct_phase_chain", "grid_search_gain"):
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "ApproximationWarning",

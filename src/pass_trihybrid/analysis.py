@@ -96,7 +96,7 @@ class BoundsReport:
     """Closed-form certificates for one (user, N) scenario.
 
     Single-RF quantities carry a 1/M power split; the multi-RF defaults keep
-    the full power budget, with ``snr2_*_alt`` giving the alternate
+    the full power budget, with ``snr2_upper_alt`` giving the alternate
     normalization that divides by the waveguide count (the two differ by a
     factor M; the default brackets the matched-filter simulation).
     ``max_spacing_is_surrogate`` marks reports built without a placement.
@@ -106,8 +106,6 @@ class BoundsReport:
     min_spacing_m: float
     max_spacing_m: np.ndarray
     max_spacing_is_surrogate: bool
-    gain_upper_per_wg: np.ndarray
-    gain_approx_per_wg: np.ndarray
     gain_lower_per_wg: np.ndarray
     snr1_upper: float | None = None
     snr1_lower: float | None = None
@@ -120,7 +118,6 @@ class BoundsReport:
     capacity2_upper: float | None = None
     capacity2_lower: float | None = None
     snr2_upper_alt: float | None = None
-    snr2_lower_alt: float | None = None
 
 
 def snr_bounds(
@@ -153,7 +150,6 @@ def snr_bounds(
         warnings.simplefilter("ignore", ApproximationWarning)
         ub = np.array([gain_approx(params, h[i], n, params.min_spacing_m) for i in range(m)])
         lb = np.array([gain_approx(params, h[i], n, dmax[i]) for i in range(m)])
-    sum_ub = np.array([gain_upper(params, h[i], n) for i in range(m)])
     lower_sum = np.array([gain_upper(params, h[i], n, dmax[i]) for i in range(m)])
 
     p, s2 = params.power_w, params.noise_w
@@ -162,8 +158,6 @@ def snr_bounds(
         "min_spacing_m": params.min_spacing_m,
         "max_spacing_m": dmax,
         "max_spacing_is_surrogate": surrogate,
-        "gain_upper_per_wg": sum_ub,
-        "gain_approx_per_wg": ub,
         "gain_lower_per_wg": lower_sum,
     }
     if mode in ("single", "both"):
@@ -186,7 +180,6 @@ def snr_bounds(
             capacity2_upper=capacity(up),
             capacity2_lower=capacity(lo),
             snr2_upper_alt=up / m,
-            snr2_lower_alt=lo / m,
         )
     return BoundsReport(**report)
 

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from . import analysis, baseline, beamforming, oracle, placement, sampler
+from . import analysis, baseline, beamforming, placement, sampler
 from .config import SCHEMA_VERSION, ConfigError, ExperimentConfig
 from .model import (
     FeasibilityError,
@@ -115,34 +115,33 @@ def draw_snrs(
 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """Per-draw SNR of every mode for D users; returns (snrs, feasible).
 
-    The batched engine: refinement runs one chain step at a time over a
-    (D, M) array, and each step's PA terms go straight into the (D, M)
-    effective rows, which the closed-form SNRs then read.  A draw whose
-    chain leaves its waveguide's range (it needs overflow redistribution, or
-    is infeasible) goes through the scalar refine_all -> effective_channel
-    -> beamformer path instead; ``feasible`` is False where that path
-    raised :class:`FeasibilityError`.  Baseline SNRs are batched for all.
+    The batched engine: refinement runs one chain step at a time over the
+    D·M (draw, waveguide) chains, overflow redistribution across sides
+    included, and each placed PA's terms go straight into the effective
+    rows, which the closed-form SNRs then read.  ``feasible`` is False where
+    a waveguide's PAs do not all fit, i.e. where :func:`placement.refine_all`
+    raises :class:`FeasibilityError`; those draws' SNRs mean nothing.
     """
     feasible = np.ones(user_x.size, dtype=bool)
     tri = [mode for mode in modes if mode != "baseline"]
     snrs: dict[str, np.ndarray] = {}
     if tri:
-        ux, uy = user_x[:, None], user_y[:, None]
-        wg_y, height, feed_x = (layout.field(k) for k in ("y", "height", "feed_x"))
-        fits = np.ones((user_x.size, len(layout)), dtype=bool)
-        inner = np.zeros(fits.shape, dtype=complex)
-        for xs in placement.refine_batch(params, layout, ux, uy, fits):
-            channel, guide = pa_terms(params, xs, wg_y, height, feed_x, ux, uy, params.num_pas)
-            inner += channel * guide
+        m = len(layout)
+        ux, uy = np.repeat(user_x, m), np.repeat(user_y, m)
+        wg_y, height, feed_x = (
+            np.tile(layout.field(k), user_x.size) for k in ("y", "height", "feed_x")
+        )
+        fits = np.ones(ux.size, dtype=bool)
+        inner = np.zeros(ux.size, dtype=complex)
+        for rows, xs, placed in placement.refine_batch(params, layout, user_x, user_y, fits):
+            channel, guide = pa_terms(
+                params, xs, wg_y[rows], height[rows], feed_x[rows], ux[rows], uy[rows],
+                params.num_pas,
+            )
+            inner[rows] += np.where(placed, channel * guide, 0.0)
+        feasible = fits.reshape(-1, m).all(axis=1)
         for mode in tri:
-            snrs[mode] = _BATCH_SNR[mode](inner, params)
-        for d in np.flatnonzero(~fits.all(axis=1)):
-            scalar = _scalar_tri_snrs(params, layout, UserPosition(user_x[d], user_y[d]), tri)
-            if scalar is None:
-                feasible[d] = False
-                continue
-            for mode in tri:
-                snrs[mode][d] = scalar[mode]
+            snrs[mode] = _BATCH_SNR[mode](inner.reshape(-1, m), params)
     if "baseline" in modes:
         snrs["baseline"] = baseline.baseline_snr(
             params, user_x, user_y, _baseline_mode(params), baseline_elements
@@ -295,6 +294,8 @@ def bounds_table(config: ExperimentConfig) -> str:
 
 def selftest(config: ExperimentConfig | None = None) -> tuple[bool, list[str]]:
     """Run the runtime invariant suite; returns (all passed, report lines)."""
+    from . import oracle  # brute-force verifier (mpmath); loaded only here
+
     if config is None:
         config = ExperimentConfig()
     lines: list[str] = []
@@ -378,27 +379,34 @@ def selftest(config: ExperimentConfig | None = None) -> tuple[bool, list[str]]:
     csv_b = render_sweep_csv(mini, run_sweep(mini))
     check("seeded sweep reproduces byte-identical CSV", csv_a == csv_b)
 
-    # Batched Monte Carlo engine against the scalar draw path.
-    params = config.params_for_case()
-    layout = WaveguideLayout.from_params(params)
-    units = sampler.uniform_pairs(config.seed, 200)
-    user_x = (units[:, 0] - 0.5) * params.dx_m
-    user_y = (units[:, 1] - 0.5) * params.dy_m
-    tri = ("single", "multi") if params.num_rf_chains >= 2 else ("single",)
-    snrs, feasible = draw_snrs(
-        params, layout, user_x, user_y, tri + ("baseline",), config.baseline_elements
-    )
+    # Batched Monte Carlo engine against the scalar draw path, on the default
+    # geometry and on a dense one (4 m wide, 64 PAs) where many draws need
+    # overflow redistribution across sides.
     ok = True
-    for d in range(units.shape[0]):
-        user = UserPosition(user_x[d], user_y[d])
-        ref = _scalar_tri_snrs(params, layout, user, tri)
-        ok &= feasible[d] == (ref is not None)
-        if ref is None:
-            continue
-        ref["baseline"] = baseline.baseline_capacity(
-            params, user, _baseline_mode(params), config.baseline_elements
-        ).snr
-        ok &= all(abs(snrs[mode][d] - snr) <= 1e-12 * snr for mode, snr in ref.items())
-    check("batched Monte Carlo draws match the scalar draw path on 200 users", bool(ok))
+    base = config.params_for_case()
+    tri = ("single", "multi") if base.num_rf_chains >= 2 else ("single",)
+    for params, draws in ((base, 200), (base.replace(dx_m=4.0, num_pas=64), 60)):
+        layout = WaveguideLayout.from_params(params)
+        units = sampler.uniform_pairs(config.seed, draws)
+        user_x = (units[:, 0] - 0.5) * params.dx_m
+        user_y = (units[:, 1] - 0.5) * params.dy_m
+        snrs, feasible = draw_snrs(
+            params, layout, user_x, user_y, tri + ("baseline",), config.baseline_elements
+        )
+        for d in range(draws):
+            user = UserPosition(user_x[d], user_y[d])
+            ref = _scalar_tri_snrs(params, layout, user, tri)
+            ok &= feasible[d] == (ref is not None)
+            if ref is None:
+                continue
+            ref["baseline"] = baseline.baseline_capacity(
+                params, user, _baseline_mode(params), config.baseline_elements
+            ).snr
+            ok &= all(abs(snrs[mode][d] - snr) <= 1e-12 * snr for mode, snr in ref.items())
+    check(
+        "batched Monte Carlo draws match the scalar draw path on 200 users "
+        "and on 60 dense (Dx = 4 m, N = 64) users",
+        bool(ok),
+    )
 
     return all_ok, lines

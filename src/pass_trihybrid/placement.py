@@ -13,13 +13,16 @@ with a sub-wavelength-scale shift and both sides end up on one common phase
 chain.
 
 The objective separates across waveguides, so each waveguide is refined
-independently of the others.
+independently of the others.  :func:`refine_all` refines one user's
+waveguides with the scalar ``math`` solvers; :func:`refine_batch` walks the
+same chains for many users at once as numpy array steps, with the same
+overflow redistribution across sides and the same infeasibility verdicts.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Generator, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -262,34 +265,97 @@ def _shift_batch(
     return np.maximum(d - delta, 0.0)
 
 
+def _walk(
+    params: SystemParams,
+    h_eff: np.ndarray,
+    user_x: np.ndarray,
+    bounds: tuple[np.ndarray, np.ndarray],
+    delta: np.ndarray,
+    quota: int | np.ndarray,
+    outward: bool,
+    rows: slice | np.ndarray,
+) -> Generator[tuple[slice | np.ndarray, np.ndarray, np.ndarray], None, tuple]:
+    """One side's chain steps for the chains ``rows``, as :func:`_chain` does them.
+
+    ``h_eff``, ``user_x``, the offset ``bounds`` (lo, hi) and the starting
+    offsets ``delta`` hold one value per chain of the whole batch; ``quota``
+    is an int or one value per chain in ``rows``.  Yields ``(rows, xs,
+    placed)`` per step: the step's PA positions and where the PA is part of
+    its chain, i.e. the chain has not yet hit its quota or left [lo, hi].
+    Returns (PAs placed, next offset, failed) for the chains in ``rows``,
+    ``failed`` marking chains that reached a feed-side step with no
+    alignment point (n_eff = 1), where :func:`refine_shift_outward` raises
+    :class:`FeasibilityError`.
+    """
+    h_eff, user_x, delta = h_eff[rows], user_x[rows], delta[rows]
+    lo, hi = bounds[0][rows], bounds[1][rows]
+    placed = np.zeros(h_eff.shape, dtype=int)
+    failed = np.zeros(h_eff.shape, dtype=bool)
+    alive = np.ones(h_eff.shape, dtype=bool)
+    for step in range(int(np.max(quota, initial=0))):
+        final = delta + _shift_batch(h_eff, delta, params.n_eff, params.wavelength_m, outward)
+        alive = alive & (step < quota)
+        if outward and params.n_eff == 1.0:
+            unreachable = np.isnan(final)
+            failed |= alive & unreachable
+            alive &= ~unreachable
+            final[unreachable] = 0.0  # a finite position for the PA not placed
+        alive &= (lo <= final) & (final <= hi)
+        placed += alive
+        yield rows, user_x - final if outward else user_x + final, alive
+        delta = final + params.min_spacing_m
+    return placed, delta, failed
+
+
 def refine_batch(
     params: SystemParams,
     layout: WaveguideLayout,
     user_x: np.ndarray,
     user_y: np.ndarray,
     fits: np.ndarray,
-) -> Iterator[np.ndarray]:
-    """:func:`refine_all` for D users at once, minus the overflow redistribution.
+) -> Iterator[tuple[slice | np.ndarray, np.ndarray, np.ndarray]]:
+    """:func:`refine_all` for D users at once, overflow redistribution included.
 
-    ``user_x`` / ``user_y`` have shape (D, 1).  Yields the x-coordinates of
-    one PA on every waveguide of every draw, shape (D, M), one chain step at
-    a time: the N/2 steps right of the user, then the N/2 steps left of it,
-    so a caller can fold each PA into its channel and drop it.  Where a PA
-    leaves its waveguide's [feed_x, max_x] or has no alignment point,
-    ``fits`` (shape (D, M)) is cleared; such a waveguide's yielded positions
-    mean nothing, and its draw needs :func:`refine_all`, which redistributes
-    the PAs across sides or raises :class:`FeasibilityError`.
+    ``user_x`` / ``user_y`` have shape (D,).  The D·M chains (draw d,
+    waveguide m) are flattened to index d·M + m.  Yields ``(rows, xs,
+    placed)`` one chain step at a time, so a caller can fold each PA into its
+    channel and drop it: ``rows`` selects chains of the flattened (D·M,)
+    arrays, ``xs`` holds one PA position per selected chain and ``placed``
+    marks where that PA is part of the placement.  The steps follow
+    :func:`refine_waveguide`: N/2 right of the user, then left of it up to
+    what the right chain did not place, then, where the right chain was full
+    and the left one fell short, the right chain again.  The first N/2 steps
+    per side run on every chain; the rest only on the chains that need them.
+    ``fits`` (shape (D·M,)) is cleared where the waveguide's N PAs do not all
+    fit, where :func:`refine_all` raises :class:`FeasibilityError`.
     """
-    feed_x, max_x = layout.field("feed_x"), layout.field("max_x")
-    h_eff = np.hypot(layout.field("y") - user_y, layout.field("height"))
-    lam = params.wavelength_m
-    for outward, lo, hi in (
-        (False, feed_x - user_x, max_x - user_x),
-        (True, user_x - max_x, user_x - feed_x),
-    ):
-        delta = np.full_like(h_eff, params.min_spacing_m / 2.0)
-        for _ in range(params.num_pas // 2):
-            final = delta + _shift_batch(h_eff, delta, params.n_eff, lam, outward)
-            fits &= (lo <= final) & (final <= hi)
-            yield user_x - final if outward else user_x + final
-            delta = final + params.min_spacing_m
+    m, n = len(layout), params.num_pas
+    half = n // 2
+    ux, uy = np.repeat(user_x, m), np.repeat(user_y, m)
+    wg_y, height, feed_x, max_x = (
+        np.tile(layout.field(k), user_x.size) for k in ("y", "height", "feed_x", "max_x")
+    )
+    h_eff = np.hypot(wg_y - uy, height)
+    right = (feed_x - ux, max_x - ux)
+    left = (ux - max_x, ux - feed_x)
+    start = np.full_like(h_eff, params.min_spacing_m / 2.0)
+    every = slice(None)
+    n_right, right_next, _ = yield from _walk(params, h_eff, ux, right, start, half, False, every)
+    n_left, left_next, failed = yield from _walk(params, h_eff, ux, left, start, half, True, every)
+
+    # Redistribution: the left chain takes what the right one could not place ...
+    rows = np.flatnonzero((n_right < half) & (n_left == half))
+    if rows.size:
+        more, _, bad = yield from _walk(
+            params, h_eff, ux, left, left_next, half - n_right[rows], True, rows
+        )
+        n_left[rows] += more
+        failed[rows] |= bad
+    # ... and a full right chain continues where the left one fell short.
+    rows = np.flatnonzero((n_right == half) & (n_left < half) & ~failed)
+    if rows.size:
+        more, _, _ = yield from _walk(
+            params, h_eff, ux, right, right_next, half - n_left[rows], False, rows
+        )
+        n_right[rows] += more
+    fits &= (n_right + n_left == n) & ~failed

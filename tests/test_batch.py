@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pass_trihybrid import (
     CapacityReport,
@@ -30,6 +32,14 @@ from pass_trihybrid import beamforming, experiments, placement
 from pass_trihybrid.sampler import uniform_pairs
 
 ALL_MODES = ("single", "multi", "baseline")
+# Waveguides with their own ranges; waveguide 1 covers only [-5, 5] m.
+RAGGED = WaveguideLayout(
+    (
+        Waveguide(-25.0, -10.0, 3.0, 25.0),
+        Waveguide(-5.0, -2.0, 2.5, 5.0),
+        Waveguide(-25.0, 4.0, 4.0, 10.0),
+    )
+)
 
 
 def reference_units(seed, draws):
@@ -61,10 +71,18 @@ def users(params, seed, draws):
     return (units[:, 0] - 0.5) * params.dx_m, (units[:, 1] - 0.5) * params.dy_m
 
 
-def assert_engine_matches_scalar(params, layout=None, modes=ALL_MODES, draws=120, seed=3, **kw):
-    """Compare every draw; returns (number of feasible draws, refine_all calls)."""
+def assert_engine_matches_scalar(
+    params, layout=None, modes=ALL_MODES, draws=120, seed=3, at=None, **kw
+):
+    """Compare every draw with the scalar path, which the engine must not call.
+
+    ``at`` gives the users' (x, y) arrays instead of seeded uniform ones.
+    Returns (feasible draws, draws whose scalar placement puts more PAs left
+    of the user than right on some waveguide, draws with more right than
+    left): the draws that need overflow redistribution, by direction.
+    """
     layout = WaveguideLayout.from_params(params) if layout is None else layout
-    ux, uy = users(params, seed, draws)
+    ux, uy = users(params, seed, draws) if at is None else at
     calls = []
     original = placement.refine_all
 
@@ -77,15 +95,21 @@ def assert_engine_matches_scalar(params, layout=None, modes=ALL_MODES, draws=120
         snrs, feasible = experiments.draw_snrs(params, layout, ux, uy, modes, **kw)
     finally:
         placement.refine_all = original
+    assert len(calls) == 0
     assert set(snrs) == set(modes)
-    for d in range(draws):
-        ref = reference_snrs(params, layout, UserPosition(ux[d], uy[d]), modes, **kw)
+    to_left = to_right = 0
+    for d in range(len(ux)):
+        user = UserPosition(ux[d], uy[d])
+        ref = reference_snrs(params, layout, user, modes, **kw)
         assert feasible[d] == (ref is not None), d
         if ref is None:
             continue
         for mode, snr in ref.items():
             assert abs(snrs[mode][d] - snr) <= 1e-12 * snr, (d, mode)
-    return int(feasible.sum()), len(calls)
+        _, results = refine_all(params, layout, user)
+        to_left += any(r.n_left > r.n_right for r in results)
+        to_right += any(r.n_right > r.n_left for r in results)
+    return int(feasible.sum()), to_left, to_right
 
 
 class TestSampler:
@@ -107,22 +131,42 @@ class TestSampler:
 
 class TestEngineAgainstScalar:
     def test_default_geometry(self):
-        feasible, calls = assert_engine_matches_scalar(SystemParams())
+        feasible, _, _ = assert_engine_matches_scalar(SystemParams())
         assert feasible == 120
-        assert calls < 120  # the scalar path only takes the fallback draws
 
     def test_overflow_redistribution(self):
         # a 4 m region with 64 PAs: many chains run out of room on one side
         params = SystemParams(dx_m=4.0, num_pas=64)
-        feasible, calls = assert_engine_matches_scalar(params, draws=60)
+        feasible, to_left, to_right = assert_engine_matches_scalar(params, draws=60)
         assert feasible == 60
-        assert 0 < calls < 60
+        assert to_left > 0 and to_right > 0
+
+    @pytest.mark.parametrize("edge", [1.0, -1.0], ids=["near-max_x", "near-feed_x"])
+    def test_overflow_to_the_other_side(self, edge):
+        # users within 0.2 m of one end of [-2, 2]: that side's chain runs out
+        # of room and every draw continues the other side's chain
+        params = SystemParams(dx_m=4.0, num_pas=64)
+        ux, uy = users(params, 5, 40)
+        at = (edge * (1.9 + ux / 20.0), uy)
+        feasible, to_left, to_right = assert_engine_matches_scalar(params, at=at)
+        assert feasible == 40
+        assert (to_left, to_right) == ((40, 0) if edge > 0 else (0, 40))
+
+    def test_unit_refractive_index_unreachable_feed_side(self):
+        # n_eff = 1 and h_eff ~ 5 cm: the feed-side path decays below one
+        # wavelength within 16 PAs, where the scalar solver raises.  The right
+        # chain has room for all of them, yet every draw is infeasible.
+        params = SystemParams(
+            n_eff=1.0, height_m=0.05, num_waveguides=1, dx_m=4.0, dy_m=0.02, num_pas=16
+        )
+        ux, uy = users(params, 7, 30)
+        feasible, _, _ = assert_engine_matches_scalar(params, at=(ux / 4.0, uy))
+        assert feasible == 0
 
     def test_all_infeasible(self):
         params = SystemParams(dx_m=0.2, dy_m=2.0, num_pas=64)
-        feasible, calls = assert_engine_matches_scalar(params, draws=25)
+        feasible, _, _ = assert_engine_matches_scalar(params, draws=25)
         assert feasible == 0
-        assert calls == 25
 
     def test_single_waveguide(self):
         assert_engine_matches_scalar(SystemParams(num_waveguides=1))
@@ -145,20 +189,43 @@ class TestEngineAgainstScalar:
         assert_engine_matches_scalar(SystemParams(n_eff=1.0, num_pas=16))
 
     def test_ragged_layout(self):
-        params = SystemParams(kappa_db_per_m=0.0)
-        layout = WaveguideLayout(
-            (
-                Waveguide(-25.0, -10.0, 3.0, 25.0),
-                Waveguide(-5.0, -2.0, 2.5, 5.0),
-                Waveguide(-25.0, 4.0, 4.0, 10.0),
-            )
+        feasible, _, _ = assert_engine_matches_scalar(
+            SystemParams(kappa_db_per_m=0.0), layout=RAGGED, draws=200
         )
-        feasible, _ = assert_engine_matches_scalar(params, layout=layout, draws=200)
         assert 0 < feasible < 200  # users beyond waveguide 1's range are infeasible
+
+    def test_ragged_layout_dense(self):
+        # 64 PAs and users on [-5.2, 5.2] m: near waveguide 1's ends [-5, 5] m
+        # its chains need redistribution, beyond them the draw is infeasible
+        params = SystemParams(kappa_db_per_m=0.0, num_pas=64)
+        ux, uy = users(params, 11, 100)
+        feasible, to_left, to_right = assert_engine_matches_scalar(
+            params, layout=RAGGED, at=(ux * 5.2 / 25.0, uy)
+        )
+        assert 0 < feasible < 100
+        assert to_left > 0 and to_right > 0
 
     def test_multi_snr_needs_two_chains(self):
         with pytest.raises(ValueError, match="2 RF chains"):
             beamforming.multi_rf_snr(np.ones((3, 4), dtype=complex), SystemParams(num_rf_chains=1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dx=st.floats(0.3, 60.0),
+    half=st.integers(1, 32),
+    m=st.integers(1, 6),
+    n_eff=st.sampled_from([1.0, 1.0 + 1e-6, 1.4, 2.0]),
+    spacing=st.floats(1e-3, 0.05),
+    height=st.floats(0.05, 5.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_engine_matches_scalar_over_system_params(dx, half, m, n_eff, spacing, height, seed):
+    params = SystemParams(
+        dx_m=dx, num_pas=2 * half, num_waveguides=m, n_eff=n_eff, min_spacing_m=spacing,
+        height_m=height,
+    )
+    assert_engine_matches_scalar(params, draws=12, seed=seed)
 
 
 def reference_sweep_csv(config):
