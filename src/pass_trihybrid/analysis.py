@@ -37,6 +37,26 @@ def _check_even(n: int) -> None:
         raise ValueError("PA count must be a positive even integer")
 
 
+def _upper_sum(params: SystemParams, h_eff, n: int, spacing):
+    """sum_k 2 sqrt(eta) / (sqrt(N) sqrt((k - 1/2)^2 s^2 + h_eff^2)), k = 1..N/2.
+
+    ``h_eff`` and ``spacing`` broadcast; the sum runs over a new last axis,
+    so (M, 1) columns give one sum per waveguide.
+    """
+    k = np.arange(1, n // 2 + 1)
+    terms = 2.0 * math.sqrt(params.eta_m2) / (
+        math.sqrt(n) * np.sqrt((k - 0.5) ** 2 * spacing * spacing + h_eff * h_eff)
+    )
+    return np.sum(terms, axis=-1)
+
+
+def _approx(params: SystemParams, h_eff, n: int, spacing):
+    """Integral form of :func:`_upper_sum`; ``h_eff`` and ``spacing`` broadcast."""
+    return 2.0 * math.sqrt(params.eta_m2) / (math.sqrt(n) * spacing) * gain_kernel(
+        n * spacing / (2.0 * h_eff)
+    )
+
+
 def gain_upper(
     params: SystemParams, h_eff: float, n: int, spacing: float | None = None
 ) -> float:
@@ -47,11 +67,7 @@ def gain_upper(
     s = params.min_spacing_m if spacing is None else spacing
     if s <= 0 or h_eff <= 0:
         raise ValueError("spacing and effective elevation must be positive")
-    k = np.arange(1, n // 2 + 1)
-    terms = 2.0 * math.sqrt(params.eta_m2) / (
-        math.sqrt(n) * np.sqrt((k - 0.5) ** 2 * s * s + h_eff * h_eff)
-    )
-    return float(np.sum(terms))
+    return float(_upper_sum(params, h_eff, n, s))
 
 
 def gain_lower(params: SystemParams, h_eff: float, n: int, max_spacing: float) -> float:
@@ -77,9 +93,7 @@ def gain_approx(
             ApproximationWarning,
             stacklevel=2,
         )
-    return float(
-        2.0 * math.sqrt(params.eta_m2) / (math.sqrt(n) * s) * gain_kernel(n * s / (2.0 * h_eff))
-    )
+    return float(_approx(params, h_eff, n, s))
 
 
 def surrogate_max_spacing(params: SystemParams) -> float:
@@ -145,12 +159,12 @@ def snr_bounds(
     if np.any(dmax < params.min_spacing_m):
         raise ValueError("largest realized spacing cannot be below the minimum spacing")
 
+    # One evaluation per bound over all M waveguides.  Unlike gain_approx,
+    # snr_bounds never warns about the spacing/elevation ratio.
     h = layout.elevations(user)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ApproximationWarning)
-        ub = np.array([gain_approx(params, h[i], n, params.min_spacing_m) for i in range(m)])
-        lb = np.array([gain_approx(params, h[i], n, dmax[i]) for i in range(m)])
-    lower_sum = np.array([gain_upper(params, h[i], n, dmax[i]) for i in range(m)])
+    ub = _approx(params, h, n, params.min_spacing_m)
+    lb = _approx(params, h, n, dmax)
+    lower_sum = _upper_sum(params, h[:, None], n, dmax[:, None])
 
     p, s2 = params.power_w, params.noise_w
     report = {
@@ -166,7 +180,7 @@ def snr_bounds(
         report.update(
             snr1_upper=up,
             snr1_lower=lo,
-            snr1_linear=snr_linear(params, layout, user, n, mode="single", warn=False),
+            snr1_linear=_linear_law(params, h, n, "single"),
             capacity1_upper=capacity(up),
             capacity1_lower=capacity(lo),
         )
@@ -176,12 +190,22 @@ def snr_bounds(
         report.update(
             snr2_upper=up,
             snr2_lower=lo,
-            snr2_linear=snr_linear(params, layout, user, n, mode="multi", warn=False),
+            snr2_linear=_linear_law(params, h, n, "multi"),
             capacity2_upper=capacity(up),
             capacity2_lower=capacity(lo),
             snr2_upper_alt=up / m,
         )
     return BoundsReport(**report)
+
+
+def _linear_law(params: SystemParams, h: np.ndarray, n: int, mode: str) -> float:
+    """:func:`snr_linear` at the waveguides' effective elevations ``h``."""
+    p, s2, eta = params.power_w, params.noise_w, params.eta_m2
+    if mode == "single":
+        return p * n * eta / (len(h) * s2) * float(np.sum(1.0 / h)) ** 2
+    if mode == "multi":
+        return p * n * eta / s2 * float(np.sum(1.0 / h**2))
+    raise ValueError("mode must be 'single' or 'multi'")
 
 
 def snr_linear(
@@ -207,12 +231,7 @@ def snr_linear(
             ApproximationWarning,
             stacklevel=2,
         )
-    p, s2, eta = params.power_w, params.noise_w, params.eta_m2
-    if mode == "single":
-        return p * n * eta / (len(layout) * s2) * float(np.sum(1.0 / h)) ** 2
-    if mode == "multi":
-        return p * n * eta / s2 * float(np.sum(1.0 / h**2))
-    raise ValueError("mode must be 'single' or 'multi'")
+    return _linear_law(params, h, n, mode)
 
 
 @dataclass(frozen=True)

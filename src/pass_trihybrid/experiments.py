@@ -19,6 +19,7 @@ from .model import (
     SystemParams,
     UserPosition,
     WaveguideLayout,
+    check_user_in_region,
     effective_channel,
     pa_terms,
 )
@@ -35,12 +36,23 @@ def _tri_snr(eff, params: SystemParams, mode: str) -> float:
     return beamforming.multi_rf_solution(eff, params).snr
 
 
+def _fixed_user(config: ExperimentConfig, params: SystemParams) -> UserPosition:
+    """The configured fixed user; a :class:`ConfigError` unless it stands in
+    the service region of ``params`` (a Dx sweep moves the region)."""
+    user = UserPosition(config.user_x, config.user_y)
+    try:
+        check_user_in_region(params, user)
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
+    return user
+
+
 def _fixed_point_reports(
     config: ExperimentConfig, value: float, scenario: str
 ) -> list[CapacityReport]:
     params = config.params_for_case(value)
     layout = WaveguideLayout.from_params(params)
-    user = UserPosition(config.user_x, config.user_y)
+    user = _fixed_user(config, params)
     pin, results = placement.refine_all(params, layout, user)
     eff = effective_channel(params, layout, pin, user)
     max_spacing = np.array([r.max_spacing_m for r in results])
@@ -240,7 +252,7 @@ def dump_placement(config: ExperimentConfig, user: UserPosition | None = None) -
     params = config.params_for_case()
     layout = WaveguideLayout.from_params(params)
     if user is None:
-        user = UserPosition(config.user_x, config.user_y)
+        user = _fixed_user(config, params)
     _, results = placement.refine_all(params, layout, user)
     lines = [
         f"# {SCHEMA_VERSION}, cfg={config.config_hash()}",
@@ -272,10 +284,10 @@ def bounds_table(config: ExperimentConfig) -> str:
         "capacity1_lower,capacity1_upper,snr2_lower,snr2_upper,snr2_linear,"
         "capacity2_lower,capacity2_upper",
     ]
-    user = UserPosition(config.user_x, config.user_y)
     for value in config.sweep_values:
         params = config.system_params(value)
         layout = WaveguideLayout.from_params(params)
+        user = _fixed_user(config, params)
         rep = analysis.snr_bounds(params, layout, user, params.num_pas)
         lines.append(
             ",".join(

@@ -14,7 +14,7 @@ chain.
 
 The objective separates across waveguides, so each waveguide is refined
 independently of the others.  :func:`refine_all` refines one user's
-waveguides with the scalar ``math`` solvers; :func:`refine_batch` walks the
+waveguides with the scalar chain :func:`_chain`; :func:`refine_batch` walks the
 same chains for many users at once as numpy array steps, with the same
 overflow redistribution across sides and the same infeasibility verdicts.
 """
@@ -40,52 +40,39 @@ from .model import (
 # Tolerance (in wavelength units) under which a path already on the grid is
 # treated as exact, so v = 0 instead of a full extra wavelength of shift.
 _GRID_EPS = 1e-12
+# Offset bounds of a single step, which never stops a chain.
+_ANYWHERE = (-math.inf, math.inf)
+
+
+def _check_step(h_eff: float, delta: float) -> None:
+    if h_eff <= 0:
+        raise ValueError("effective elevation must be positive")
+    if delta < 0:
+        raise ValueError("offset must be nonnegative")
 
 
 def refine_shift(h_eff: float, delta: float, n_eff: float, wavelength: float) -> float:
-    """Smallest shift v >= 0 aligning an antenna on the feed side of the user.
+    """Smallest shift v >= 0 aligning an antenna right of the user (away from the feed).
 
     Solves sqrt(h_eff^2 + (delta+v)^2) + n_eff (delta+v) = target, where
     target is the current path length rounded up to the next wavelength
     multiple.  ``delta`` is the antenna's offset from the user along x.
+    One validated step of :func:`_chain`, which holds the formulas.
     """
-    if h_eff <= 0:
-        raise ValueError("effective elevation must be positive")
-    if delta < 0:
-        raise ValueError("offset must be nonnegative")
-    path = math.hypot(h_eff, delta) + n_eff * delta
-    target = wavelength * math.ceil(path / wavelength - _GRID_EPS)
-    if n_eff == 1.0:
-        d = (target * target - h_eff * h_eff) / (2.0 * target)
-    else:
-        s = n_eff * n_eff - 1.0
-        d = (target * n_eff - math.sqrt(target * target + h_eff * h_eff * s)) / s
-    return max(d - delta, 0.0)
+    _check_step(h_eff, delta)
+    return _chain(h_eff, n_eff, wavelength, 0.0, delta, 1, _ANYWHERE, outward=False)[1][0]
 
 
 def refine_shift_outward(h_eff: float, delta: float, n_eff: float, wavelength: float) -> float:
-    """Left-of-user counterpart of :func:`refine_shift`.
+    """Left-of-user (feed-side) counterpart of :func:`refine_shift`.
 
     Here the total path sqrt(h_eff^2 + e^2) - n_eff e decreases as the
     antenna moves away from the user (toward the feed), so the target is the
-    path rounded *down* to the previous wavelength multiple.
+    path rounded *down* to the previous wavelength multiple.  Raises
+    :class:`FeasibilityError` for n_eff = 1 when that target is not positive.
     """
-    if h_eff <= 0:
-        raise ValueError("effective elevation must be positive")
-    if delta < 0:
-        raise ValueError("offset must be nonnegative")
-    path = math.hypot(h_eff, delta) - n_eff * delta
-    target = wavelength * math.floor(path / wavelength + _GRID_EPS)
-    if n_eff == 1.0:
-        if target <= 0:
-            # The path only decays asymptotically to zero for n_eff = 1, so a
-            # non-positive grid line can never be reached by shifting outward.
-            raise FeasibilityError("no reachable alignment point on the feed side")
-        e = (h_eff * h_eff - target * target) / (2.0 * target)
-    else:
-        s = n_eff * n_eff - 1.0
-        e = (math.sqrt(target * target + h_eff * h_eff * s) - target * n_eff) / s
-    return max(e - delta, 0.0)
+    _check_step(h_eff, delta)
+    return _chain(h_eff, n_eff, wavelength, 0.0, delta, 1, _ANYWHERE, outward=True)[1][0]
 
 
 @dataclass(frozen=True)
@@ -126,15 +113,43 @@ def _chain(
 
     Returns (offsets from the user, shifts), with at most ``quota`` antennas
     whose final offsets stay within ``bounds`` (the waveguide's deployment
-    range, as offsets from the user on this side).
+    range, as offsets from the user on this side).  Each step places the
+    antenna at ``delta`` plus the smallest shift that lands its path on the
+    wavelength grid (:func:`refine_shift`, :func:`refine_shift_outward`),
+    then moves ``min_spacing`` further out.
+
+    The only scalar copy of the shift formulas.  Both sides share one form:
+    with sign = +1 right of the user and -1 left of it, the target is
+    t = lambda * ceil((sign r + n_eff delta) / lambda - eps), which is the
+    right side's path rounded up and minus the left side's path rounded
+    down, and the aligned offset is (t n_eff - sign sqrt(t^2 + h^2 s)) / s
+    with s = n_eff^2 - 1, or (t^2 - h^2) / (2 t) for n_eff = 1.  These are
+    exact rewrites of the one-sided forms (negation and commutation only),
+    so both sides get the bits of the separate solvers.
     """
     lo, hi = bounds
+    sign = -1.0 if outward else 1.0
+    unit = n_eff == 1.0
+    h2 = h_eff * h_eff
+    s = n_eff * n_eff - 1.0
+    h2s = h2 * s
+    hypot, ceil, sqrt = math.hypot, math.ceil, math.sqrt
     offsets: list[float] = []
     shifts: list[float] = []
     delta = start_delta
-    solve = refine_shift_outward if outward else refine_shift
     for _ in range(quota):
-        v = solve(h_eff, delta, n_eff, wavelength)
+        t = wavelength * ceil((sign * hypot(h_eff, delta) + n_eff * delta) / wavelength - _GRID_EPS)
+        if unit:
+            if outward and t >= 0.0:
+                # The left side's target -t is not positive.  The path only decays
+                # asymptotically to zero for n_eff = 1, so a non-positive grid
+                # line can never be reached by shifting outward.
+                raise FeasibilityError("no reachable alignment point on the feed side")
+            v = (t * t - h2) / (2.0 * t) - delta
+        else:
+            v = (t * n_eff - sign * sqrt(t * t + h2s)) / s - delta
+        if v < 0.0:
+            v = 0.0
         final = delta + v
         if not lo <= final <= hi:
             break
@@ -144,14 +159,87 @@ def _chain(
     return offsets, shifts
 
 
-def _alignment_residual(
-    positions: np.ndarray, h_eff: float, n_eff: float, wavelength: float, user_x: float
-) -> float:
-    """Max circular deviation of (r + n_eff x) mod lambda across the antennas."""
-    r = np.sqrt((positions - user_x) ** 2 + h_eff**2)
-    res = np.mod(r + n_eff * positions, wavelength)
-    dev = np.abs(res - res[0])
-    return float(np.max(np.minimum(dev, wavelength - dev)))
+def _check_count(params: SystemParams, num_pas: int | None) -> int:
+    n = params.num_pas if num_pas is None else num_pas
+    if n < 2 or n % 2 != 0:
+        raise ValueError("number of PAs must be a positive even integer")
+    return n
+
+
+def _split(
+    params: SystemParams, waveguide: Waveguide, user: UserPosition, n: int, h_eff: float
+) -> tuple[list[float], list[float], list[float], list[float]]:
+    """One waveguide's chains, as :func:`refine_waveguide` describes them:
+    (left offsets, left shifts, right offsets, right shifts), each innermost first."""
+    lam, spacing, half = params.wavelength_m, params.min_spacing_m, params.min_spacing_m / 2.0
+    # Both chains stay inside this waveguide's [feed_x, max_x].
+    right_bounds = (waveguide.feed_x - user.x, waveguide.max_x - user.x)
+    left_bounds = (user.x - waveguide.max_x, user.x - waveguide.feed_x)
+
+    right, v_right = _chain(h_eff, params.n_eff, lam, spacing, half, n // 2, right_bounds, False)
+    short = n // 2 - len(right)
+    left, v_left = _chain(
+        h_eff, params.n_eff, lam, spacing, half, n // 2 + short, left_bounds, True
+    )
+    short = n - len(right) - len(left)
+    if short > 0 and len(right) == n // 2:
+        # Left side hit the feed; push the remainder onto the right chain.
+        extra, v_extra = _chain(
+            h_eff, params.n_eff, lam, spacing, right[-1] + spacing, short, right_bounds, False
+        )
+        right += extra
+        v_right += v_extra
+        short = n - len(right) - len(left)
+    if short > 0:
+        raise FeasibilityError(
+            f"waveguide at y={waveguide.y:+.3g}: only {n - short} of {n} PAs fit in "
+            f"[{waveguide.feed_x:.6g}, {waveguide.max_x:.6g}] around x_u={user.x:.6g}"
+        )
+    return left, v_left, right, v_right
+
+
+def _assemble(
+    params: SystemParams, user: UserPosition, h_effs: list[float], chains: list[tuple]
+) -> tuple[np.ndarray, list[RefinementResult]]:
+    """(M, N) positions and one :class:`RefinementResult` per waveguide.
+
+    Gaps, largest spacings and alignment residuals are computed over the
+    whole array at once; each result holds its row of the positions.
+    """
+    offsets, shifts = [], []
+    for left, v_left, right, v_right in chains:
+        offsets += left[::-1] + right
+        shifts += v_left[::-1] + v_right
+    m = len(chains)
+    offsets = np.array(offsets).reshape(m, -1)
+    shifts = np.array(shifts).reshape(m, -1)
+    n_left = [len(c[0]) for c in chains]
+    # Ascending positions: left offsets flip sign, outermost first.
+    feed_side = np.arange(offsets.shape[1]) < np.array(n_left)[:, None]
+    positions = np.where(feed_side, user.x - offsets, user.x + offsets)
+    max_spacing = np.diff(positions, axis=1).max(axis=1)
+
+    # Max circular deviation of (r + n_eff x) mod lambda across each row;
+    # h_eff**2 stays a Python float power, as in the one-waveguide form.
+    lam = params.wavelength_m
+    h2 = np.array([h**2 for h in h_effs])[:, None]
+    res = np.mod(np.sqrt((positions - user.x) ** 2 + h2) + params.n_eff * positions, lam)
+    dev = np.abs(res - res[:, :1])
+    residual = np.max(np.minimum(dev, lam - dev), axis=1)
+
+    results = [
+        RefinementResult(
+            positions=positions[i],
+            shifts=shifts[i],
+            max_spacing_m=float(max_spacing[i]),
+            alignment_residual_m=float(residual[i]),
+            n_left=n_left[i],
+            n_right=len(chains[i][2]),
+            h_eff_m=h_effs[i],
+        )
+        for i in range(m)
+    ]
+    return positions, results
 
 
 def refine_waveguide(
@@ -168,55 +256,10 @@ def refine_waveguide(
     side's recursion instead; only if both sides run out of room is the
     geometry infeasible.
     """
-    n = params.num_pas if num_pas is None else num_pas
-    if n < 2 or n % 2 != 0:
-        raise ValueError("number of PAs must be a positive even integer")
+    n = _check_count(params, num_pas)
     h_eff = waveguide.effective_elevation(user)
-    lam = params.wavelength_m
-    half = params.min_spacing_m / 2.0
-
-    # Both chains stay inside this waveguide's [feed_x, max_x].
-    right_bounds = (waveguide.feed_x - user.x, waveguide.max_x - user.x)
-    left_bounds = (user.x - waveguide.max_x, user.x - waveguide.feed_x)
-
-    right, v_right = _chain(
-        h_eff, params.n_eff, lam, params.min_spacing_m, half, n // 2, right_bounds, outward=False
-    )
-    short = n // 2 - len(right)
-    left, v_left = _chain(
-        h_eff, params.n_eff, lam, params.min_spacing_m, half, n // 2 + short, left_bounds,
-        outward=True,
-    )
-    short = n - len(right) - len(left)
-    if short > 0 and len(right) == n // 2:
-        # Left side hit the feed; push the remainder onto the right chain.
-        delta = right[-1] + params.min_spacing_m
-        extra, v_extra = _chain(
-            h_eff, params.n_eff, lam, params.min_spacing_m, delta, short, right_bounds,
-            outward=False,
-        )
-        right += extra
-        v_right += v_extra
-        short = n - len(right) - len(left)
-    if short > 0:
-        raise FeasibilityError(
-            f"waveguide at y={waveguide.y:+.3g}: only {n - short} of {n} PAs fit in "
-            f"[{waveguide.feed_x:.6g}, {waveguide.max_x:.6g}] around x_u={user.x:.6g}"
-        )
-
-    # Ascending positions: left offsets flip sign, outermost first.
-    positions = np.array([user.x - e for e in reversed(left)] + [user.x + d for d in right])
-    shifts = np.array(list(reversed(v_left)) + v_right)
-    gaps = np.diff(positions)
-    return RefinementResult(
-        positions=positions,
-        shifts=shifts,
-        max_spacing_m=float(gaps.max()) if len(gaps) else params.min_spacing_m,
-        alignment_residual_m=_alignment_residual(positions, h_eff, params.n_eff, lam, user.x),
-        n_left=len(left),
-        n_right=len(right),
-        h_eff_m=h_eff,
-    )
+    _, results = _assemble(params, user, [h_eff], [_split(params, waveguide, user, n, h_eff)])
+    return results[0]
 
 
 def refine_all(
@@ -227,8 +270,10 @@ def refine_all(
 ) -> tuple[PinchingConfig, list[RefinementResult]]:
     """Refine every waveguide independently and assemble the pinching matrix."""
     check_user_in_region(params, user)
-    results = [refine_waveguide(params, wg, user, num_pas) for wg in layout.waveguides]
-    positions = np.stack([r.positions for r in results])
+    n = _check_count(params, num_pas)
+    h_effs = [wg.effective_elevation(user) for wg in layout.waveguides]
+    chains = [_split(params, wg, user, n, h) for wg, h in zip(layout.waveguides, h_effs)]
+    positions, results = _assemble(params, user, h_effs, chains)
     config = PinchingConfig(
         positions=positions,
         min_spacing_m=params.min_spacing_m,

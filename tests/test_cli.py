@@ -89,6 +89,28 @@ class TestErrors:
         assert main(["bounds", "--config", str(one_chain)]) == EXIT_OK
         capsys.readouterr()
 
+    @pytest.mark.parametrize("command", ["sweep", "placement", "bounds"])
+    def test_fixed_user_outside_region(self, tmp_path, capsys, command):
+        outside = tmp_path / "outside.cfg"
+        outside.write_text("user = fixed\nuser_x = 30\ndx_m = 50\n")
+        assert main([command, "--config", str(outside)]) == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "config error" in err and "outside service region" in err
+
+    @pytest.mark.parametrize("command", ["sweep", "bounds"])
+    def test_region_sweep_checks_fixed_user_at_every_value(self, tmp_path, capsys, command):
+        # x = 12 m lies inside the 30 m and 26 m wide regions, not the 20 m one
+        cfg = tmp_path / "dx.cfg"
+        cfg.write_text("sweep = Dx\nsweep_values = 30,26\nuser = fixed\nuser_x = 12\n")
+        assert main([command, "--config", str(cfg)]) == EXIT_OK
+        cfg.write_text("sweep = Dx\nsweep_values = 30,20\nuser = fixed\nuser_x = 12\n")
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg)]) == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "outside service region" in err
+
     def test_invalid_flag_value(self):
         with pytest.raises(SystemExit):
             main(["sweep", "--case", "9"])

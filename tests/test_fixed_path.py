@@ -1,0 +1,456 @@
+"""Fixed-user path against verbatim copies of its earlier per-PA / per-waveguide code.
+
+``placement._chain`` inlines the shift formulas and ``refine_all`` assembles
+all waveguides at once; ``analysis.snr_bounds`` evaluates its gain sums over
+all waveguides at once.  The arithmetic is meant to be unchanged, so every
+comparison here is exact: ``np.array_equal`` and ``==``, no tolerance.
+"""
+
+import dataclasses
+import math
+import re
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from pass_trihybrid import (
+    ApproximationWarning,
+    FeasibilityError,
+    PinchingConfig,
+    SystemParams,
+    UserPosition,
+    Waveguide,
+    WaveguideLayout,
+    refine_all,
+    refine_shift,
+    refine_shift_outward,
+    refine_waveguide,
+    snr_bounds,
+    snr_linear,
+)
+from pass_trihybrid import analysis, placement
+from pass_trihybrid.analysis import BoundsReport, surrogate_max_spacing
+from pass_trihybrid.model import check_user_in_region
+from pass_trihybrid.placement import RefinementResult
+
+# --- Reference: the per-PA solvers and chain, copied verbatim --------------
+
+_GRID_EPS = 1e-12
+
+
+def ref_refine_shift(h_eff: float, delta: float, n_eff: float, wavelength: float) -> float:
+    if h_eff <= 0:
+        raise ValueError("effective elevation must be positive")
+    if delta < 0:
+        raise ValueError("offset must be nonnegative")
+    path = math.hypot(h_eff, delta) + n_eff * delta
+    target = wavelength * math.ceil(path / wavelength - _GRID_EPS)
+    if n_eff == 1.0:
+        d = (target * target - h_eff * h_eff) / (2.0 * target)
+    else:
+        s = n_eff * n_eff - 1.0
+        d = (target * n_eff - math.sqrt(target * target + h_eff * h_eff * s)) / s
+    return max(d - delta, 0.0)
+
+
+def ref_refine_shift_outward(h_eff: float, delta: float, n_eff: float, wavelength: float) -> float:
+    if h_eff <= 0:
+        raise ValueError("effective elevation must be positive")
+    if delta < 0:
+        raise ValueError("offset must be nonnegative")
+    path = math.hypot(h_eff, delta) - n_eff * delta
+    target = wavelength * math.floor(path / wavelength + _GRID_EPS)
+    if n_eff == 1.0:
+        if target <= 0:
+            # The path only decays asymptotically to zero for n_eff = 1, so a
+            # non-positive grid line can never be reached by shifting outward.
+            raise FeasibilityError("no reachable alignment point on the feed side")
+        e = (h_eff * h_eff - target * target) / (2.0 * target)
+    else:
+        s = n_eff * n_eff - 1.0
+        e = (math.sqrt(target * target + h_eff * h_eff * s) - target * n_eff) / s
+    return max(e - delta, 0.0)
+
+
+def ref_chain(h_eff, n_eff, wavelength, min_spacing, start_delta, quota, bounds, outward):
+    lo, hi = bounds
+    offsets: list[float] = []
+    shifts: list[float] = []
+    delta = start_delta
+    solve = ref_refine_shift_outward if outward else ref_refine_shift
+    for _ in range(quota):
+        v = solve(h_eff, delta, n_eff, wavelength)
+        final = delta + v
+        if not lo <= final <= hi:
+            break
+        offsets.append(final)
+        shifts.append(v)
+        delta = final + min_spacing
+    return offsets, shifts
+
+
+def ref_alignment_residual(positions, h_eff, n_eff, wavelength, user_x):
+    r = np.sqrt((positions - user_x) ** 2 + h_eff**2)
+    res = np.mod(r + n_eff * positions, wavelength)
+    dev = np.abs(res - res[0])
+    return float(np.max(np.minimum(dev, wavelength - dev)))
+
+
+def ref_refine_waveguide(params, waveguide, user, num_pas=None):
+    n = params.num_pas if num_pas is None else num_pas
+    if n < 2 or n % 2 != 0:
+        raise ValueError("number of PAs must be a positive even integer")
+    h_eff = waveguide.effective_elevation(user)
+    lam = params.wavelength_m
+    half = params.min_spacing_m / 2.0
+
+    right_bounds = (waveguide.feed_x - user.x, waveguide.max_x - user.x)
+    left_bounds = (user.x - waveguide.max_x, user.x - waveguide.feed_x)
+
+    right, v_right = ref_chain(
+        h_eff, params.n_eff, lam, params.min_spacing_m, half, n // 2, right_bounds, outward=False
+    )
+    short = n // 2 - len(right)
+    left, v_left = ref_chain(
+        h_eff, params.n_eff, lam, params.min_spacing_m, half, n // 2 + short, left_bounds,
+        outward=True,
+    )
+    short = n - len(right) - len(left)
+    if short > 0 and len(right) == n // 2:
+        delta = right[-1] + params.min_spacing_m
+        extra, v_extra = ref_chain(
+            h_eff, params.n_eff, lam, params.min_spacing_m, delta, short, right_bounds,
+            outward=False,
+        )
+        right += extra
+        v_right += v_extra
+        short = n - len(right) - len(left)
+    if short > 0:
+        raise FeasibilityError(
+            f"waveguide at y={waveguide.y:+.3g}: only {n - short} of {n} PAs fit in "
+            f"[{waveguide.feed_x:.6g}, {waveguide.max_x:.6g}] around x_u={user.x:.6g}"
+        )
+
+    positions = np.array([user.x - e for e in reversed(left)] + [user.x + d for d in right])
+    shifts = np.array(list(reversed(v_left)) + v_right)
+    gaps = np.diff(positions)
+    return RefinementResult(
+        positions=positions,
+        shifts=shifts,
+        max_spacing_m=float(gaps.max()) if len(gaps) else params.min_spacing_m,
+        alignment_residual_m=ref_alignment_residual(positions, h_eff, params.n_eff, lam, user.x),
+        n_left=len(left),
+        n_right=len(right),
+        h_eff_m=h_eff,
+    )
+
+
+def ref_refine_all(params, layout, user, num_pas=None):
+    check_user_in_region(params, user)
+    results = [ref_refine_waveguide(params, wg, user, num_pas) for wg in layout.waveguides]
+    positions = np.stack([r.positions for r in results])
+    config = PinchingConfig(
+        positions=positions,
+        min_spacing_m=params.min_spacing_m,
+        feed_x=layout.field("feed_x"),
+        max_x=layout.field("max_x"),
+    )
+    return config, results
+
+
+# --- Reference: the per-waveguide gain loops of snr_bounds, copied verbatim --
+
+
+def ref_gain_upper(params, h_eff, n, spacing=None):
+    s = params.min_spacing_m if spacing is None else spacing
+    k = np.arange(1, n // 2 + 1)
+    terms = 2.0 * math.sqrt(params.eta_m2) / (
+        math.sqrt(n) * np.sqrt((k - 0.5) ** 2 * s * s + h_eff * h_eff)
+    )
+    return float(np.sum(terms))
+
+
+def ref_gain_approx(params, h_eff, n, spacing=None):
+    s = params.min_spacing_m if spacing is None else spacing
+    return float(
+        2.0 * math.sqrt(params.eta_m2) / (math.sqrt(n) * s)
+        * analysis.gain_kernel(n * s / (2.0 * h_eff))
+    )
+
+
+def ref_snr_bounds(params, layout, user, n, max_spacing=None, mode="both"):
+    m = len(layout)
+    surrogate = max_spacing is None
+    if surrogate:
+        max_spacing = surrogate_max_spacing(params)
+    dmax = np.broadcast_to(np.asarray(max_spacing, dtype=float), (m,)).copy()
+
+    h = layout.elevations(user)
+    ub = np.array([ref_gain_approx(params, h[i], n, params.min_spacing_m) for i in range(m)])
+    lb = np.array([ref_gain_approx(params, h[i], n, dmax[i]) for i in range(m)])
+    lower_sum = np.array([ref_gain_upper(params, h[i], n, dmax[i]) for i in range(m)])
+
+    p, s2 = params.power_w, params.noise_w
+    report = {
+        "n": n,
+        "min_spacing_m": params.min_spacing_m,
+        "max_spacing_m": dmax,
+        "max_spacing_is_surrogate": surrogate,
+        "gain_lower_per_wg": lower_sum,
+    }
+    if mode in ("single", "both"):
+        up = p / (m * s2) * float(np.sum(ub)) ** 2
+        lo = p / (m * s2) * float(np.sum(lb)) ** 2
+        report.update(
+            snr1_upper=up,
+            snr1_lower=lo,
+            snr1_linear=snr_linear(params, layout, user, n, mode="single", warn=False),
+            capacity1_upper=math.log2(1.0 + up),
+            capacity1_lower=math.log2(1.0 + lo),
+        )
+    if mode in ("multi", "both"):
+        up = p / s2 * float(np.sum(ub**2))
+        lo = p / s2 * float(np.sum(lb**2))
+        report.update(
+            snr2_upper=up,
+            snr2_lower=lo,
+            snr2_linear=snr_linear(params, layout, user, n, mode="multi", warn=False),
+            capacity2_upper=math.log2(1.0 + up),
+            capacity2_lower=math.log2(1.0 + lo),
+            snr2_upper_alt=up / m,
+        )
+    return BoundsReport(**report)
+
+
+# --- Comparisons -----------------------------------------------------------
+
+N_EFFS = (1.0, 1.0 + 1e-6, 1.4, 2.0)
+
+
+def call(fn, *args):
+    """``fn(*args)``, or the FeasibilityError it raised."""
+    try:
+        return fn(*args)
+    except FeasibilityError as err:
+        return err
+
+
+def same_error(a, b):
+    return type(a) is type(b) and str(a) == str(b)
+
+
+def assert_same_result(a: RefinementResult, b: RefinementResult) -> None:
+    assert np.array_equal(a.positions, b.positions)
+    assert np.array_equal(a.shifts, b.shifts)
+    assert (a.n_left, a.n_right) == (b.n_left, b.n_right)
+    assert a.max_spacing_m == b.max_spacing_m
+    assert a.alignment_residual_m == b.alignment_residual_m
+    assert a.h_eff_m == b.h_eff_m
+
+
+def assert_same_placement(params, layout, user) -> bool:
+    """refine_all and refine_waveguide equal the reference; True if feasible."""
+    ref = call(ref_refine_all, params, layout, user)
+    if isinstance(ref, FeasibilityError):
+        with pytest.raises(FeasibilityError, match=re.escape(str(ref))):
+            refine_all(params, layout, user)
+    else:
+        pin, results = refine_all(params, layout, user)
+        assert np.array_equal(pin.positions, ref[0].positions)
+        assert len(results) == len(ref[1])
+        for a, b in zip(results, ref[1]):
+            assert_same_result(a, b)
+    for wg in layout.waveguides:
+        a, b = call(refine_waveguide, params, wg, user), call(ref_refine_waveguide, params, wg, user)
+        if isinstance(b, FeasibilityError):
+            assert same_error(a, b)
+        else:
+            assert_same_result(a, b)
+    return not isinstance(ref, FeasibilityError)
+
+
+def assert_same_report(a: BoundsReport, b: BoundsReport) -> None:
+    for f in dataclasses.fields(BoundsReport):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(y, np.ndarray):
+            assert np.array_equal(x, y), f.name
+        else:
+            assert x == y, f.name
+
+
+class TestChain:
+    def test_random_chains(self):
+        """The inlined chain against the per-PA solver loop, 2400 chains."""
+        rng = np.random.default_rng(2024)
+        raised = stopped = 0
+        for i in range(2400):
+            n_eff = N_EFFS[i % 4] if i % 5 else rng.uniform(1.0, 3.0)
+            lam = float(rng.choice([0.0107, 0.003, 0.1]))
+            spacing = lam / 2 * float(rng.choice([1.0, 0.1, 3.0]))
+            reach = rng.uniform(0.0, 3.0)
+            args = (
+                rng.uniform(0.01, 0.2) if i % 3 == 0 else rng.uniform(0.2, 30.0), n_eff, lam,
+                spacing, spacing / 2, int(rng.integers(1, 600)), (-reach, reach),
+                bool(rng.integers(2)),
+            )
+            a, b = call(placement._chain, *args), call(ref_chain, *args)
+            if isinstance(b, FeasibilityError):
+                raised += 1
+                assert same_error(a, b)
+            else:
+                stopped += len(b[0]) < args[5]
+                assert a == b
+        assert raised > 50 and stopped > 500  # both early exits are exercised
+
+    @pytest.mark.parametrize("n_eff", N_EFFS)
+    def test_one_step_wrappers(self, n_eff):
+        rng = np.random.default_rng(7)
+        for _ in range(500):
+            h, delta = rng.uniform(0.01, 50.0), rng.uniform(0.0, 5.0)
+            for new, ref in ((refine_shift, ref_refine_shift),
+                             (refine_shift_outward, ref_refine_shift_outward)):
+                a, b = call(new, h, delta, n_eff, 0.0107), call(ref, h, delta, n_eff, 0.0107)
+                assert same_error(a, b) if isinstance(b, FeasibilityError) else a == b
+        for fn in (refine_shift, refine_shift_outward):
+            with pytest.raises(ValueError, match="elevation"):
+                fn(0.0, 0.1, n_eff, 0.0107)
+            with pytest.raises(ValueError, match="offset"):
+                fn(3.0, -0.1, n_eff, 0.0107)
+
+    def test_unit_index_feed_side_unreachable(self):
+        # h_eff of a few cm: the feed-side path falls below one wavelength
+        args = (0.05, 1.0, 0.0107, 0.00535, 0.002675, 64, (-1.0, 1.0), True)
+        with pytest.raises(FeasibilityError, match="feed side"):
+            ref_chain(*args)
+        with pytest.raises(FeasibilityError, match="feed side"):
+            placement._chain(*args)
+
+
+class TestRefineAll:
+    def test_uneven_split_near_the_region_edge(self):
+        params = SystemParams(kappa_db_per_m=0.0, num_pas=512)
+        layout = WaveguideLayout.from_params(params)
+        user = UserPosition(24.775, 5.853)
+        assert assert_same_placement(params, layout, user)
+        _, results = refine_all(params, layout, user)
+        assert any(r.n_left != r.n_right for r in results)
+
+    @pytest.mark.parametrize("x", [0.0, 3.7, -11.2])
+    def test_residual_keeps_the_python_float_square(self, x):
+        # At this height h**2 and h * h differ in the last bit, and so do the
+        # alignment residuals computed from them.
+        h = 7.505919004359997
+        assert h**2 != h * h
+        params = SystemParams(kappa_db_per_m=0.0, num_pas=16, num_waveguides=1, height_m=h)
+        assert assert_same_placement(params, WaveguideLayout.from_params(params), UserPosition(x, 0.0))
+
+    def test_elevation_keeps_math_hypot(self):
+        # For waveguide 0 (y = -10 m, H = 3 m) np.hypot and math.hypot differ
+        # in the last bit at this user y.
+        params = SystemParams(kappa_db_per_m=0.0, num_pas=16)
+        layout = WaveguideLayout.from_params(params)
+        user = UserPosition(2.0, -8.183)
+        dy = layout[0].y - user.y
+        assert np.hypot(dy, layout[0].height) != math.hypot(dy, layout[0].height)
+        assert assert_same_placement(params, layout, user)
+
+    @pytest.mark.parametrize("x", [4.999, 0.0, -4.999, 20.0])
+    def test_ragged_layout(self, x):
+        params = SystemParams(kappa_db_per_m=0.0, num_pas=16)
+        layout = WaveguideLayout(
+            (
+                Waveguide(params.feed_x_m, -10.0, params.height_m, params.max_x_m),
+                Waveguide(-5.0, 5.0, params.height_m, 5.0),
+                Waveguide(-20.0, 3.0, 2.5, 24.0),
+            )
+        )
+        assert assert_same_placement(params, layout, UserPosition(x, 1.0)) == (x != 20.0)
+
+    @pytest.mark.parametrize("n_eff", N_EFFS)
+    @pytest.mark.parametrize("x", [-24.99, -24.6, 0.0, 24.6, 24.99])
+    def test_edges_dense_and_unit_index(self, n_eff, x):
+        params = SystemParams(kappa_db_per_m=0.0, n_eff=n_eff, num_pas=128)
+        assert_same_placement(params, WaveguideLayout.from_params(params), UserPosition(x, 3.3))
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        n_eff=st.sampled_from(N_EFFS),
+        half_n=st.integers(1, 512),
+        m=st.integers(1, 4),
+        dx=st.sampled_from([2.0, 5.0, 50.0]),
+        height=st.floats(0.5, 8.0),
+        spacing=st.sampled_from([None, 0.004, 0.02]),
+        edge=st.one_of(st.floats(0.0, 0.3), st.floats(0.0, 1.0)),
+        side=st.sampled_from([-1.0, 1.0]),
+        y_frac=st.floats(-0.5, 0.5),
+        ragged=st.booleans(),
+    )
+    def test_matches_reference_over_system_params(
+        self, n_eff, half_n, m, dx, height, spacing, edge, side, y_frac, ragged
+    ):
+        params = SystemParams(
+            kappa_db_per_m=0.0, n_eff=n_eff, num_pas=2 * half_n, num_waveguides=m, dx_m=dx,
+            height_m=height, min_spacing_m=spacing,
+        )
+        layout = WaveguideLayout.from_params(params)
+        if ragged:  # waveguide i ends i/4 of the region short of the far edge
+            layout = WaveguideLayout(
+                tuple(
+                    dataclasses.replace(wg, max_x=wg.max_x - i * dx / 4)
+                    for i, wg in enumerate(layout.waveguides)
+                )
+            )
+        x = side * max(dx / 2 - edge * dx / 2, 0.0)
+        assert_same_placement(params, layout, UserPosition(x, y_frac * params.dy_m))
+
+
+class TestSnrBounds:
+    USERS = (UserPosition(0.0, 0.0), UserPosition(24.775, 5.853), UserPosition(-11.0, -9.9))
+
+    @pytest.mark.parametrize("mode", ["single", "multi", "both"])
+    @pytest.mark.parametrize("spacing", ["surrogate", "scalar", "per_waveguide"])
+    def test_matches_per_waveguide_loops(self, mode, spacing):
+        for params in (SystemParams(), SystemParams(num_waveguides=1, n_eff=1.0, height_m=1.0),
+                       SystemParams(num_waveguides=3, min_spacing_m=0.05)):
+            layout = WaveguideLayout.from_params(params)
+            m = len(layout)
+            dmax = {
+                "surrogate": None,
+                "scalar": params.min_spacing_m * 1.37,
+                "per_waveguide": params.min_spacing_m * (1.0 + np.arange(m) / 3.0),
+            }[spacing]
+            for user in self.USERS:
+                for n in (2, 4, 16, 64, 1024, 4096):
+                    assert_same_report(
+                        snr_bounds(params, layout, user, n, dmax, mode),
+                        ref_snr_bounds(params, layout, user, n, dmax, mode),
+                    )
+
+    def test_matches_on_refined_spacings(self):
+        params = SystemParams(kappa_db_per_m=0.0)
+        layout = WaveguideLayout.from_params(params)
+        rng = np.random.default_rng(11)
+        for n in (2, 8, 128, 512):
+            for _ in range(5):
+                user = UserPosition(rng.uniform(-25, 25), rng.uniform(-10, 10))
+                _, results = refine_all(params, layout, user, num_pas=n)
+                dmax = np.array([r.max_spacing_m for r in results])
+                assert_same_report(
+                    snr_bounds(params, layout, user, n, dmax),
+                    ref_snr_bounds(params, layout, user, n, dmax),
+                )
+
+    def test_out_of_range_warns_only_in_gain_approx(self):
+        params = SystemParams()
+        layout = WaveguideLayout.from_params(params)
+        user = UserPosition(0.0, 0.0)
+        spacing = 1.5  # spacing / elevation above 0.1 on every waveguide
+        assert spacing / layout.elevations(user).max() >= 0.1
+        with pytest.warns(ApproximationWarning, match="spacing/elevation"):
+            analysis.gain_approx(params, layout[0].effective_elevation(user), 4, spacing)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            snr_bounds(params, layout, user, 4, max_spacing=spacing)
