@@ -30,12 +30,6 @@ def _baseline_mode(params: SystemParams) -> str:
     return "multi" if params.num_rf_chains >= 2 else "single"
 
 
-def _tri_snr(eff, params: SystemParams, mode: str) -> float:
-    if mode == "single":
-        return beamforming.single_rf_solution(eff, params).snr
-    return beamforming.multi_rf_solution(eff, params).snr
-
-
 def _fixed_user(config: ExperimentConfig, params: SystemParams) -> UserPosition:
     """The configured fixed user; a :class:`ConfigError` unless it stands in
     the service region of ``params`` (a Dx sweep moves the region)."""
@@ -47,74 +41,25 @@ def _fixed_user(config: ExperimentConfig, params: SystemParams) -> UserPosition:
     return user
 
 
-def _fixed_point_reports(
-    config: ExperimentConfig, value: float, scenario: str
-) -> list[CapacityReport]:
-    params = config.params_for_case(value)
-    layout = WaveguideLayout.from_params(params)
-    user = _fixed_user(config, params)
-    pin, results = placement.refine_all(params, layout, user)
-    eff = effective_channel(params, layout, pin, user)
-    max_spacing = np.array([r.max_spacing_m for r in results])
-    residual = max(r.alignment_residual_m for r in results)
-    bounds = analysis.snr_bounds(params, layout, user, params.num_pas, max_spacing)
-
-    reports = []
-    for mode in config.modes:
-        if mode == "baseline":
-            base = baseline.baseline_capacity(
-                params, user, _baseline_mode(params), config.baseline_elements
-            )
-            reports.append(
-                CapacityReport(
-                    scenario=scenario,
-                    mode=base.mode,
-                    case=config.case,
-                    snr=base.snr,
-                    capacity_bits=base.capacity_bits,
-                    draws=1,
-                    infeasible_draws=0,
-                )
-            )
-            continue
-        snr = _tri_snr(eff, params, mode)
-        lo = bounds.snr1_lower if mode == "single" else bounds.snr2_lower
-        up = bounds.snr1_upper if mode == "single" else bounds.snr2_upper
-        lin = bounds.snr1_linear if mode == "single" else bounds.snr2_linear
-        reports.append(
-            CapacityReport(
-                scenario=scenario,
-                mode=mode,
-                case=config.case,
-                snr=snr,
-                capacity_bits=beamforming.capacity(snr),
-                snr_lower=lo,
-                snr_upper=up,
-                capacity_lower=beamforming.capacity(lo),
-                capacity_upper=beamforming.capacity(up),
-                snr_linear_law=lin,
-                max_spacing_m=float(max_spacing.max()),
-                alignment_residual_m=residual,
-                draws=1,
-                infeasible_draws=0,
-            )
-        )
-    return reports
-
-
-def _scalar_tri_snrs(
-    params: SystemParams, layout: WaveguideLayout, user: UserPosition, modes
-) -> dict[str, float] | None:
-    """Tri-hybrid SNRs of one draw through the scalar path; None if infeasible."""
-    try:
-        pin, _ = placement.refine_all(params, layout, user)
-    except FeasibilityError:
-        return None
-    eff = effective_channel(params, layout, pin, user)
-    return {mode: _tri_snr(eff, params, mode) for mode in modes}
-
-
 _BATCH_SNR = {"single": beamforming.single_rf_snr, "multi": beamforming.multi_rf_snr}
+
+
+def _snrs(
+    params: SystemParams,
+    inner: np.ndarray | None,
+    user_x: np.ndarray,
+    user_y: np.ndarray,
+    modes,
+    baseline_elements: int | None,
+) -> dict[str, np.ndarray]:
+    """Per-draw SNR of every mode: the closed forms on the effective rows
+    ``inner`` (D, M), and the fixed-array baseline at the D users."""
+    snrs = {mode: _BATCH_SNR[mode](inner, params) for mode in modes if mode != "baseline"}
+    if "baseline" in modes:
+        snrs["baseline"] = baseline.baseline_snr(
+            params, user_x, user_y, _baseline_mode(params), baseline_elements
+        )
+    return snrs
 
 
 def draw_snrs(
@@ -135,9 +80,8 @@ def draw_snrs(
     raises :class:`FeasibilityError`; those draws' SNRs mean nothing.
     """
     feasible = np.ones(user_x.size, dtype=bool)
-    tri = [mode for mode in modes if mode != "baseline"]
-    snrs: dict[str, np.ndarray] = {}
-    if tri:
+    inner = None
+    if any(mode != "baseline" for mode in modes):
         m = len(layout)
         ux, uy = np.repeat(user_x, m), np.repeat(user_y, m)
         wg_y, height, feed_x = (
@@ -152,13 +96,8 @@ def draw_snrs(
             )
             inner[rows] += np.where(placed, channel * guide, 0.0)
         feasible = fits.reshape(-1, m).all(axis=1)
-        for mode in tri:
-            snrs[mode] = _BATCH_SNR[mode](inner.reshape(-1, m), params)
-    if "baseline" in modes:
-        snrs["baseline"] = baseline.baseline_snr(
-            params, user_x, user_y, _baseline_mode(params), baseline_elements
-        )
-    return snrs, feasible
+        inner = inner.reshape(-1, m)
+    return _snrs(params, inner, user_x, user_y, modes, baseline_elements), feasible
 
 
 def _mean(values: np.ndarray) -> float:
@@ -166,29 +105,75 @@ def _mean(values: np.ndarray) -> float:
     return float(np.cumsum(values)[-1] / values.size) if values.size else math.nan
 
 
-def _monte_carlo_reports(
-    config: ExperimentConfig, value: float, scenario: str, units: np.ndarray
+def _fixed_columns(
+    params: SystemParams,
+    layout: WaveguideLayout,
+    user: UserPosition,
+    results: list[placement.RefinementResult],
+) -> dict[str, dict]:
+    """Bound and placement-diagnostic columns of a fixed user's tri-hybrid rows."""
+    max_spacing = np.array([r.max_spacing_m for r in results])
+    b = analysis.snr_bounds(params, layout, user, params.num_pas, max_spacing)
+    diagnostics = {
+        "max_spacing_m": float(max_spacing.max()),
+        "alignment_residual_m": max(r.alignment_residual_m for r in results),
+    }
+    return {
+        "single": dict(
+            snr_lower=b.snr1_lower, snr_upper=b.snr1_upper,
+            capacity_lower=b.capacity1_lower, capacity_upper=b.capacity1_upper,
+            snr_linear_law=b.snr1_linear, **diagnostics,
+        ),
+        "multi": dict(
+            snr_lower=b.snr2_lower, snr_upper=b.snr2_upper,
+            capacity_lower=b.capacity2_lower, capacity_upper=b.capacity2_upper,
+            snr_linear_law=b.snr2_linear, **diagnostics,
+        ),
+    }
+
+
+def _point_reports(
+    config: ExperimentConfig, value: float, units: np.ndarray | None
 ) -> list[CapacityReport]:
+    """One sweep point, one report per mode.
+
+    ``units`` are the uniform users' unit-square samples, or None for the
+    fixed user.  Both user models end in the same SNR step (:func:`_snrs`)
+    and the same reports.  The fixed user is one draw placed by the scalar
+    :func:`placement.refine_all` (a batch of one through the engine is
+    several times slower); it raises :class:`FeasibilityError` if its PAs
+    do not fit, and its tri-hybrid rows also carry the closed-form bounds
+    and the placement diagnostics.
+    """
     params = config.params_for_case(value)
     layout = WaveguideLayout.from_params(params)
-    user_x = (units[:, 0] - 0.5) * params.dx_m
-    user_y = (units[:, 1] - 0.5) * params.dy_m
-    snrs, feasible = draw_snrs(
-        params, layout, user_x, user_y, config.modes, config.baseline_elements
-    )
+    modes, elements = config.modes, config.baseline_elements
+    if units is None:
+        user = _fixed_user(config, params)
+        pin, results = placement.refine_all(params, layout, user)
+        inner = effective_channel(params, layout, pin, user).inner[None]
+        snrs = _snrs(params, inner, np.array([user.x]), np.array([user.y]), modes, elements)
+        feasible = np.ones(1, dtype=bool)
+        columns = _fixed_columns(params, layout, user, results)
+    else:
+        user_x = (units[:, 0] - 0.5) * params.dx_m
+        user_y = (units[:, 1] - 0.5) * params.dy_m
+        snrs, feasible = draw_snrs(params, layout, user_x, user_y, modes, elements)
+        columns = {}
     infeasible = int(np.count_nonzero(~feasible))
     reports = []
-    for mode in config.modes:
+    for mode in modes:
         snr = snrs[mode][feasible]
         reports.append(
             CapacityReport(
-                scenario=scenario,
+                scenario=f"{config.sweep}={value:g}",
                 mode=f"baseline_{_baseline_mode(params)}" if mode == "baseline" else mode,
                 case=config.case,
                 snr=_mean(snr),
                 capacity_bits=_mean(np.log2(1.0 + snr)),
-                draws=len(units),
+                draws=feasible.size,
                 infeasible_draws=infeasible,
+                **columns.get(mode, {}),
             )
         )
     return reports
@@ -202,14 +187,9 @@ def run_sweep(config: ExperimentConfig) -> list[CapacityReport]:
             f"num_rf_chains = {config.num_rf_chains}"
         )
     units = sampler.uniform_pairs(config.seed, config.draws) if config.user == "uniform" else None
-    reports: list[CapacityReport] = []
-    for value in config.sweep_values:
-        scenario = f"{config.sweep}={value:g}"
-        if config.user == "fixed":
-            reports.extend(_fixed_point_reports(config, value, scenario))
-        else:
-            reports.extend(_monte_carlo_reports(config, value, scenario, units))
-    return reports
+    return [
+        report for value in config.sweep_values for report in _point_reports(config, value, units)
+    ]
 
 
 _SWEEP_COLUMNS = (
@@ -229,22 +209,27 @@ def _cell(value) -> str:
     return str(value)
 
 
-def render_sweep_csv(config: ExperimentConfig, reports: list[CapacityReport]) -> str:
-    lines = [f"# {SCHEMA_VERSION}, cfg={config.config_hash()}", ",".join(_SWEEP_COLUMNS)]
-    for rep in reports:
-        value = rep.scenario.split("=", 1)[1]
-        lines.append(
-            ",".join(
-                _cell(v)
-                for v in (
-                    config.sweep, value, rep.case, rep.mode, rep.draws, rep.infeasible_draws,
-                    rep.snr, rep.snr_db, rep.capacity_bits, rep.snr_lower, rep.snr_upper,
-                    rep.capacity_lower, rep.capacity_upper, rep.snr_linear_law,
-                    rep.max_spacing_m, rep.alignment_residual_m,
-                )
-            )
-        )
+def _csv_table(config: ExperimentConfig, columns: str, rows) -> str:
+    """Versioned CSV: the banner line, the ``columns`` header, one line per row."""
+    lines = [f"# {SCHEMA_VERSION}, cfg={config.config_hash()}", columns]
+    lines += (",".join(_cell(v) for v in row) for row in rows)
     return "\n".join(lines) + "\n"
+
+
+def render_sweep_csv(config: ExperimentConfig, reports: list[CapacityReport]) -> str:
+    return _csv_table(
+        config,
+        ",".join(_SWEEP_COLUMNS),
+        (
+            (
+                config.sweep, rep.scenario.split("=", 1)[1], rep.case, rep.mode, rep.draws,
+                rep.infeasible_draws, rep.snr, rep.snr_db, rep.capacity_bits, rep.snr_lower,
+                rep.snr_upper, rep.capacity_lower, rep.capacity_upper, rep.snr_linear_law,
+                rep.max_spacing_m, rep.alignment_residual_m,
+            )
+            for rep in reports
+        ),
+    )
 
 
 def dump_placement(config: ExperimentConfig, user: UserPosition | None = None) -> str:
@@ -254,22 +239,18 @@ def dump_placement(config: ExperimentConfig, user: UserPosition | None = None) -
     if user is None:
         user = _fixed_user(config, params)
     _, results = placement.refine_all(params, layout, user)
-    lines = [
-        f"# {SCHEMA_VERSION}, cfg={config.config_hash()}",
+    return _csv_table(
+        config,
         "waveguide,pa_index,x_m,shift_m,h_eff_m,n_left,n_right,max_spacing_m,alignment_residual_m",
-    ]
-    for m, res in enumerate(results, start=1):
-        for k in range(len(res.positions)):
-            lines.append(
-                ",".join(
-                    _cell(v)
-                    for v in (
-                        m, k + 1, res.positions[k], res.shifts[k], res.h_eff_m,
-                        res.n_left, res.n_right, res.max_spacing_m, res.alignment_residual_m,
-                    )
-                )
+        (
+            (
+                m, k + 1, res.positions[k], res.shifts[k], res.h_eff_m,
+                res.n_left, res.n_right, res.max_spacing_m, res.alignment_residual_m,
             )
-    return "\n".join(lines) + "\n"
+            for m, res in enumerate(results, start=1)
+            for k in range(len(res.positions))
+        ),
+    )
 
 
 def bounds_table(config: ExperimentConfig) -> str:
@@ -278,30 +259,28 @@ def bounds_table(config: ExperimentConfig) -> str:
     Uses the worst-case surrogate for the largest realized spacing, flagged
     in its own column.
     """
-    lines = [
-        f"# {SCHEMA_VERSION}, cfg={config.config_hash()}",
-        "sweep,value,n,max_spacing_surrogate_m,snr1_lower,snr1_upper,snr1_linear,"
-        "capacity1_lower,capacity1_upper,snr2_lower,snr2_upper,snr2_linear,"
-        "capacity2_lower,capacity2_upper",
-    ]
+    rows = []
     for value in config.sweep_values:
         params = config.system_params(value)
         layout = WaveguideLayout.from_params(params)
         user = _fixed_user(config, params)
         rep = analysis.snr_bounds(params, layout, user, params.num_pas)
-        lines.append(
-            ",".join(
-                _cell(v)
-                for v in (
-                    config.sweep, f"{value:g}", params.num_pas, float(rep.max_spacing_m[0]),
-                    rep.snr1_lower, rep.snr1_upper, rep.snr1_linear,
-                    rep.capacity1_lower, rep.capacity1_upper,
-                    rep.snr2_lower, rep.snr2_upper, rep.snr2_linear,
-                    rep.capacity2_lower, rep.capacity2_upper,
-                )
+        rows.append(
+            (
+                config.sweep, f"{value:g}", params.num_pas, float(rep.max_spacing_m[0]),
+                rep.snr1_lower, rep.snr1_upper, rep.snr1_linear,
+                rep.capacity1_lower, rep.capacity1_upper,
+                rep.snr2_lower, rep.snr2_upper, rep.snr2_linear,
+                rep.capacity2_lower, rep.capacity2_upper,
             )
         )
-    return "\n".join(lines) + "\n"
+    return _csv_table(
+        config,
+        "sweep,value,n,max_spacing_surrogate_m,snr1_lower,snr1_upper,snr1_linear,"
+        "capacity1_lower,capacity1_upper,snr2_lower,snr2_upper,snr2_linear,"
+        "capacity2_lower,capacity2_upper",
+        rows,
+    )
 
 
 def selftest(config: ExperimentConfig | None = None) -> tuple[bool, list[str]]:
@@ -397,6 +376,9 @@ def selftest(config: ExperimentConfig | None = None) -> tuple[bool, list[str]]:
     ok = True
     base = config.params_for_case()
     tri = ("single", "multi") if base.num_rf_chains >= 2 else ("single",)
+    solutions = {
+        "single": beamforming.single_rf_solution, "multi": beamforming.multi_rf_solution
+    }
     for params, draws in ((base, 200), (base.replace(dx_m=4.0, num_pas=64), 60)):
         layout = WaveguideLayout.from_params(params)
         units = sampler.uniform_pairs(config.seed, draws)
@@ -407,14 +389,19 @@ def selftest(config: ExperimentConfig | None = None) -> tuple[bool, list[str]]:
         )
         for d in range(draws):
             user = UserPosition(user_x[d], user_y[d])
-            ref = _scalar_tri_snrs(params, layout, user, tri)
-            ok &= feasible[d] == (ref is not None)
-            if ref is None:
+            try:
+                pin, _ = placement.refine_all(params, layout, user)
+            except FeasibilityError:
+                ok &= not feasible[d]
                 continue
+            eff = effective_channel(params, layout, pin, user)
+            ref = {mode: solutions[mode](eff, params).snr for mode in tri}
             ref["baseline"] = baseline.baseline_capacity(
                 params, user, _baseline_mode(params), config.baseline_elements
             ).snr
-            ok &= all(abs(snrs[mode][d] - snr) <= 1e-12 * snr for mode, snr in ref.items())
+            ok &= feasible[d] and all(
+                abs(snrs[mode][d] - snr) <= 1e-12 * snr for mode, snr in ref.items()
+            )
     check(
         "batched Monte Carlo draws match the scalar draw path on 200 users "
         "and on 60 dense (Dx = 4 m, N = 64) users",

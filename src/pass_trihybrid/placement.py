@@ -93,11 +93,6 @@ class RefinementResult:
     n_right: int
     h_eff_m: float
 
-    @property
-    def min_spacing_realized_m(self) -> float:
-        gaps = np.diff(self.positions)
-        return float(gaps.min()) if len(gaps) else math.inf
-
 
 def _chain(
     h_eff: float,
@@ -286,27 +281,25 @@ def refine_all(
 def _shift_batch(
     h_eff: np.ndarray, delta: np.ndarray, n_eff: float, wavelength: float, outward: bool
 ) -> np.ndarray:
-    """Array form of :func:`refine_shift` / :func:`refine_shift_outward`.
+    """Array form of one :func:`_chain` step, with numpy in place of ``math``.
 
-    Same formulas in the same order, with numpy in place of ``math``; NaN
-    where the feed side has no reachable alignment point (n_eff = 1).
+    Same side-signed target t and offset as :func:`_chain`; the side sign
+    enters through the operand order (n_eff delta - r on the feed side,
+    + root in the offset) instead of one more multiplication per step.  NaN
+    where the feed side has no reachable alignment point (n_eff = 1, t >= 0).
     """
-    if outward:
-        path = np.hypot(h_eff, delta) - n_eff * delta
-        target = wavelength * np.floor(path / wavelength + _GRID_EPS)
-    else:
-        path = np.hypot(h_eff, delta) + n_eff * delta
-        target = wavelength * np.ceil(path / wavelength - _GRID_EPS)
+    hyp, ndelta = np.hypot(h_eff, delta), n_eff * delta
+    t = wavelength * np.ceil(
+        ((ndelta - hyp) if outward else (ndelta + hyp)) / wavelength - _GRID_EPS
+    )
     if n_eff == 1.0:
         if outward:
-            target = np.where(target > 0, target, np.nan)
-            d = (h_eff * h_eff - target * target) / (2.0 * target)
-        else:
-            d = (target * target - h_eff * h_eff) / (2.0 * target)
+            t = np.where(t < 0.0, t, np.nan)
+        d = (t * t - h_eff * h_eff) / (2.0 * t)
     else:
         s = n_eff * n_eff - 1.0
-        root = np.sqrt(target * target + h_eff * h_eff * s)
-        d = (root - target * n_eff) / s if outward else (target * n_eff - root) / s
+        root = np.sqrt(t * t + h_eff * h_eff * s)
+        d = ((t * n_eff + root) if outward else (t * n_eff - root)) / s
     return np.maximum(d - delta, 0.0)
 
 

@@ -277,3 +277,40 @@ def reference_sweep_csv(config):
 )
 def test_sweep_csv_bytes_match_per_draw_reference(config):
     assert render_sweep_csv(config, run_sweep(config)) == reference_sweep_csv(config)
+
+
+def reference_shift_batch(h_eff, delta, n_eff, wavelength, outward):
+    """The two-branch array shift step, copied verbatim."""
+    if outward:
+        path = np.hypot(h_eff, delta) - n_eff * delta
+        target = wavelength * np.floor(path / wavelength + 1e-12)
+    else:
+        path = np.hypot(h_eff, delta) + n_eff * delta
+        target = wavelength * np.ceil(path / wavelength - 1e-12)
+    if n_eff == 1.0:
+        if outward:
+            target = np.where(target > 0, target, np.nan)
+            d = (h_eff * h_eff - target * target) / (2.0 * target)
+        else:
+            d = (target * target - h_eff * h_eff) / (2.0 * target)
+    else:
+        s = n_eff * n_eff - 1.0
+        root = np.sqrt(target * target + h_eff * h_eff * s)
+        d = (root - target * n_eff) / s if outward else (target * n_eff - root) / s
+    return np.maximum(d - delta, 0.0)
+
+
+@pytest.mark.parametrize("outward", [False, True])
+@pytest.mark.parametrize("n_eff", [1.0, 1.0 + 1e-6, 1.4, 2.0])
+def test_side_signed_shift_step_is_bit_identical(n_eff, outward):
+    rng = np.random.default_rng(11)
+    # Elevations from a few centimetres (n_eff = 1 feed side unreachable) to metres,
+    # offsets from zero to beyond a waveguide, and a few exact grid hits.
+    h_eff = np.concatenate([rng.uniform(0.03, 0.1, 2000), rng.uniform(1.0, 12.0, 8000)])
+    delta = np.concatenate([rng.uniform(0.0, 0.05, 3000), rng.uniform(0.0, 60.0, 7000)])
+    delta[:50] = 0.0
+    got = placement._shift_batch(h_eff, delta, n_eff, 0.0107, outward)
+    want = reference_shift_batch(h_eff, delta, n_eff, 0.0107, outward)
+    assert np.array_equal(got, want, equal_nan=True)
+    if n_eff == 1.0 and outward:
+        assert np.isnan(got).any() and not np.isnan(got).all()

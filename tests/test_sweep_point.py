@@ -1,0 +1,168 @@
+"""Fixed-user sweep points against a verbatim copy of their earlier code.
+
+A fixed-user sweep point now shares the Monte Carlo path's SNR step and
+report builder: the closed-form SNRs on the effective row instead of the
+unit-modulus beamformer solutions, the baseline SNR kernel instead of
+``baseline_capacity``, and ``np.log2`` instead of ``math.log2``.  The
+underlying doubles may differ in the last bits; the CSV must not.
+"""
+
+import numpy as np
+import pytest
+
+from pass_trihybrid import (
+    ExperimentConfig,
+    FeasibilityError,
+    WaveguideLayout,
+    effective_channel,
+    render_sweep_csv,
+    run_sweep,
+)
+from pass_trihybrid import analysis, baseline, beamforming, experiments, placement
+from pass_trihybrid.reporting import CapacityReport
+
+# --- Reference: the earlier fixed-user point, copied verbatim ---------------
+
+
+def _baseline_mode(params):
+    return "multi" if params.num_rf_chains >= 2 else "single"
+
+
+def _tri_snr(eff, params, mode):
+    if mode == "single":
+        return beamforming.single_rf_solution(eff, params).snr
+    return beamforming.multi_rf_solution(eff, params).snr
+
+
+def _fixed_point_reports(config, value, scenario):
+    params = config.params_for_case(value)
+    layout = WaveguideLayout.from_params(params)
+    user = experiments._fixed_user(config, params)
+    pin, results = placement.refine_all(params, layout, user)
+    eff = effective_channel(params, layout, pin, user)
+    max_spacing = np.array([r.max_spacing_m for r in results])
+    residual = max(r.alignment_residual_m for r in results)
+    bounds = analysis.snr_bounds(params, layout, user, params.num_pas, max_spacing)
+
+    reports = []
+    for mode in config.modes:
+        if mode == "baseline":
+            base = baseline.baseline_capacity(
+                params, user, _baseline_mode(params), config.baseline_elements
+            )
+            reports.append(
+                CapacityReport(
+                    scenario=scenario,
+                    mode=base.mode,
+                    case=config.case,
+                    snr=base.snr,
+                    capacity_bits=base.capacity_bits,
+                    draws=1,
+                    infeasible_draws=0,
+                )
+            )
+            continue
+        snr = _tri_snr(eff, params, mode)
+        lo = bounds.snr1_lower if mode == "single" else bounds.snr2_lower
+        up = bounds.snr1_upper if mode == "single" else bounds.snr2_upper
+        lin = bounds.snr1_linear if mode == "single" else bounds.snr2_linear
+        reports.append(
+            CapacityReport(
+                scenario=scenario,
+                mode=mode,
+                case=config.case,
+                snr=snr,
+                capacity_bits=beamforming.capacity(snr),
+                snr_lower=lo,
+                snr_upper=up,
+                capacity_lower=beamforming.capacity(lo),
+                capacity_upper=beamforming.capacity(up),
+                snr_linear_law=lin,
+                max_spacing_m=float(max_spacing.max()),
+                alignment_residual_m=residual,
+                draws=1,
+                infeasible_draws=0,
+            )
+        )
+    return reports
+
+
+def reference_csv(config):
+    reports = []
+    for value in config.sweep_values:
+        reports.extend(_fixed_point_reports(config, value, f"{config.sweep}={value:g}"))
+    return render_sweep_csv(config, reports)
+
+
+# --- Cases ------------------------------------------------------------------
+
+ALL = ("single", "multi", "baseline")
+N_SWEEP = dict(sweep="N", sweep_values=(2, 4, 8, 16, 32, 64, 128, 256, 512, 1024))
+CASES = {
+    "centre": dict(N_SWEEP, user_x=0.0, user_y=0.0, modes=("single", "multi")),
+    "off-centre": dict(N_SWEEP, user_x=7.3, user_y=-4.1, modes=ALL),
+    # Near the x edge the refinement splits the PAs unevenly (from N = 512).
+    "uneven-split": dict(
+        sweep="N", sweep_values=(256, 512), user_x=24.775, user_y=5.853, modes=ALL
+    ),
+    "all-modes-9-elements": dict(
+        N_SWEEP, user_x=-12.5, user_y=3.0, modes=ALL, baseline_elements=9
+    ),
+    "one-waveguide": dict(N_SWEEP, user_x=4.0, user_y=-9.0, num_waveguides=1, modes=ALL),
+    "M-sweep": dict(sweep="M", sweep_values=(1, 2, 3, 6), user_x=-3.3, user_y=1.7, modes=ALL),
+    "one-rf-chain": dict(
+        N_SWEEP, user_x=11.0, user_y=6.5, num_rf_chains=1, modes=("single", "baseline")
+    ),
+    "baseline-only": dict(N_SWEEP, user_x=-20.0, user_y=9.5, modes=("baseline",)),
+    "unit-index": dict(
+        sweep="N", sweep_values=(2, 8, 32, 128), user_x=1.5, user_y=-2.0, n_eff=1.0
+    ),
+    "min-spacing": dict(
+        sweep="min_spacing", sweep_values=(0.01, 0.02, 0.05), user_x=3.0, user_y=0.5, modes=ALL
+    ),
+}
+
+
+@pytest.mark.parametrize("case", (1, 2))
+@pytest.mark.parametrize("name", list(CASES))
+def test_csv_bytes_equal_the_earlier_fixed_point(name, case):
+    config = ExperimentConfig(user="fixed", case=case, **CASES[name])
+    assert render_sweep_csv(config, run_sweep(config)) == reference_csv(config)
+
+
+@pytest.fixture
+def solution_calls(monkeypatch):
+    """Counts calls of the beamformer solutions and ``baseline_capacity``."""
+    calls = {}
+    for module, name in (
+        (beamforming, "single_rf_solution"),
+        (beamforming, "multi_rf_solution"),
+        (baseline, "baseline_capacity"),
+    ):
+        original = getattr(module, name)
+        calls[name] = 0
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("user", ["fixed", "uniform"])
+def test_sweep_builds_no_beamformer_solution(solution_calls, user):
+    config = ExperimentConfig(user=user, draws=30, user_x=2.0, user_y=-1.0, modes=ALL, **N_SWEEP)
+    rows = run_sweep(config)
+    assert len(rows) == 3 * len(N_SWEEP["sweep_values"])
+    assert solution_calls == {
+        "single_rf_solution": 0, "multi_rf_solution": 0, "baseline_capacity": 0
+    }
+
+
+def test_infeasible_fixed_user_raises():
+    config = ExperimentConfig(
+        user="fixed", dx_m=4.0, user_x=1.0, sweep="N", sweep_values=(2, 1024), modes=ALL
+    )
+    with pytest.raises(FeasibilityError, match="only 487 of 1024 PAs fit"):
+        run_sweep(config)
