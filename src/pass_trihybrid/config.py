@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import math
 from dataclasses import dataclass, fields
 
 from .model import SPEED_OF_LIGHT, SystemParams
@@ -23,10 +22,6 @@ class ConfigError(ValueError):
 
 def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** (dbm / 10.0) / 1000.0
-
-
-def watts_to_dbm(watts: float) -> float:
-    return 10.0 * math.log10(watts * 1000.0)
 
 
 _SWEEP_ALIASES = {

@@ -139,22 +139,24 @@ def _point_reports(
 
     ``units`` are the uniform users' unit-square samples, or None for the
     fixed user.  Both user models end in the same SNR step (:func:`_snrs`)
-    and the same reports.  The fixed user is one draw placed by the scalar
+    and the same reports.  The fixed user is one draw placed by
     :func:`placement.refine_all` (a batch of one through the engine is
-    several times slower); it raises :class:`FeasibilityError` if its PAs
-    do not fit, and its tri-hybrid rows also carry the closed-form bounds
-    and the placement diagnostics.
+    several times slower) unless no tri-hybrid mode is asked for; it raises
+    :class:`FeasibilityError` if its PAs do not fit, and its tri-hybrid rows
+    also carry the closed-form bounds and the placement diagnostics.
     """
     params = config.params_for_case(value)
     layout = WaveguideLayout.from_params(params)
     modes, elements = config.modes, config.baseline_elements
     if units is None:
         user = _fixed_user(config, params)
-        pin, results = placement.refine_all(params, layout, user)
-        inner = effective_channel(params, layout, pin, user).inner[None]
+        inner, columns = None, {}
+        if any(mode != "baseline" for mode in modes):
+            pin, results = placement.refine_all(params, layout, user)
+            inner = effective_channel(params, layout, pin, user).inner[None]
+            columns = _fixed_columns(params, layout, user, results)
         snrs = _snrs(params, inner, np.array([user.x]), np.array([user.y]), modes, elements)
         feasible = np.ones(1, dtype=bool)
-        columns = _fixed_columns(params, layout, user, results)
     else:
         user_x = (units[:, 0] - 0.5) * params.dx_m
         user_y = (units[:, 1] - 0.5) * params.dy_m

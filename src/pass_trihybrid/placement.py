@@ -13,10 +13,11 @@ with a sub-wavelength-scale shift and both sides end up on one common phase
 chain.
 
 The objective separates across waveguides, so each waveguide is refined
-independently of the others.  :func:`refine_all` refines one user's
-waveguides with the scalar chain :func:`_chain`; :func:`refine_batch` walks the
-same chains for many users at once as numpy array steps, with the same
-overflow redistribution across sides and the same infeasibility verdicts.
+independently of the others.  The shift formulas exist once, in the numpy
+kernel :func:`_shift_batch`.  :func:`refine_all` solves one user's chains as
+whole arrays (:func:`_solve`); :func:`refine_batch` walks many users' chains
+one step at a time, with the same overflow redistribution across sides and
+the same infeasibility verdicts.
 """
 
 from __future__ import annotations
@@ -40,15 +41,51 @@ from .model import (
 # Tolerance (in wavelength units) under which a path already on the grid is
 # treated as exact, so v = 0 instead of a full extra wavelength of shift.
 _GRID_EPS = 1e-12
-# Offset bounds of a single step, which never stops a chain.
-_ANYWHERE = (-math.inf, math.inf)
+_UNREACHABLE = "no reachable alignment point on the feed side"
 
 
-def _check_step(h_eff: float, delta: float) -> None:
+def _grid_index(h_eff, delta, n_eff: float, wavelength: float, outward: bool) -> np.ndarray:
+    """Grid index I = ceil((sign r + n_eff delta) / lambda - eps) of a PA at offset ``delta``.
+
+    sign = +1 right of the user and -1 left of it, so the target t = lambda I
+    is the right side's path rounded up, and minus the left side's path
+    rounded down.  The sign enters through the operand order, not a product.
+    """
+    hyp, ndelta = np.hypot(h_eff, delta), n_eff * delta
+    return np.ceil(((ndelta - hyp) if outward else (ndelta + hyp)) / wavelength - _GRID_EPS)
+
+
+def _aligned_offset(h_eff, t, n_eff: float, outward: bool) -> np.ndarray:
+    """Offset (t n_eff - sign sqrt(t^2 + h^2 s)) / s, s = n_eff^2 - 1, on target ``t``.
+
+    (t^2 - h^2) / (2 t) for n_eff = 1, and NaN on the feed side where t >= 0:
+    that path only decays asymptotically to zero, so a non-positive grid
+    line is never reached.
+    """
+    if n_eff == 1.0:
+        if outward:
+            t = np.where(t < 0.0, t, np.nan)
+        return (t * t - h_eff * h_eff) / (2.0 * t)
+    s = n_eff * n_eff - 1.0
+    root = np.sqrt(t * t + h_eff * h_eff * s)
+    return ((t * n_eff + root) if outward else (t * n_eff - root)) / s
+
+
+def _shift_batch(h_eff, delta, n_eff: float, wavelength: float, outward: bool) -> np.ndarray:
+    """Smallest shift v >= 0 aligning a PA at offset ``delta`` (NaN: unreachable)."""
+    t = wavelength * _grid_index(h_eff, delta, n_eff, wavelength, outward)
+    return np.maximum(_aligned_offset(h_eff, t, n_eff, outward) - delta, 0.0)
+
+
+def _one_shift(h_eff: float, delta: float, n_eff: float, wavelength: float, outward: bool) -> float:
     if h_eff <= 0:
         raise ValueError("effective elevation must be positive")
     if delta < 0:
         raise ValueError("offset must be nonnegative")
+    v = float(_shift_batch(h_eff, delta, n_eff, wavelength, outward))
+    if math.isnan(v):
+        raise FeasibilityError(_UNREACHABLE)
+    return v
 
 
 def refine_shift(h_eff: float, delta: float, n_eff: float, wavelength: float) -> float:
@@ -57,10 +94,9 @@ def refine_shift(h_eff: float, delta: float, n_eff: float, wavelength: float) ->
     Solves sqrt(h_eff^2 + (delta+v)^2) + n_eff (delta+v) = target, where
     target is the current path length rounded up to the next wavelength
     multiple.  ``delta`` is the antenna's offset from the user along x.
-    One validated step of :func:`_chain`, which holds the formulas.
+    A validated one-element call of :func:`_shift_batch`.
     """
-    _check_step(h_eff, delta)
-    return _chain(h_eff, n_eff, wavelength, 0.0, delta, 1, _ANYWHERE, outward=False)[1][0]
+    return _one_shift(h_eff, delta, n_eff, wavelength, outward=False)
 
 
 def refine_shift_outward(h_eff: float, delta: float, n_eff: float, wavelength: float) -> float:
@@ -71,8 +107,7 @@ def refine_shift_outward(h_eff: float, delta: float, n_eff: float, wavelength: f
     path rounded *down* to the previous wavelength multiple.  Raises
     :class:`FeasibilityError` for n_eff = 1 when that target is not positive.
     """
-    _check_step(h_eff, delta)
-    return _chain(h_eff, n_eff, wavelength, 0.0, delta, 1, _ANYWHERE, outward=True)[1][0]
+    return _one_shift(h_eff, delta, n_eff, wavelength, outward=True)
 
 
 @dataclass(frozen=True)
@@ -94,124 +129,125 @@ class RefinementResult:
     h_eff_m: float
 
 
-def _chain(
-    h_eff: float,
-    n_eff: float,
-    wavelength: float,
-    min_spacing: float,
-    start_delta: float,
-    quota: int,
-    bounds: tuple[float, float],
-    outward: bool,
-) -> tuple[list[float], list[float]]:
-    """Walk one side's recursion, stopping early when the range limit is hit.
+def _solve(
+    h_eff: np.ndarray, start: np.ndarray, quota: np.ndarray, bounds: tuple[np.ndarray, np.ndarray],
+    n_eff: float, wavelength: float, min_spacing: float, outward: bool,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The chains :func:`_walk` steps, for R rows of one side, as whole arrays.
 
-    Returns (offsets from the user, shifts), with at most ``quota`` antennas
-    whose final offsets stay within ``bounds`` (the waveguide's deployment
-    range, as offsets from the user on this side).  Each step places the
-    antenna at ``delta`` plus the smallest shift that lands its path on the
-    wavelength grid (:func:`refine_shift`, :func:`refine_shift_outward`),
-    then moves ``min_spacing`` further out.
+    Row r starts at offset ``start[r]`` and places ``quota[r]`` PAs or stops
+    before the first outside ``bounds`` (lo, hi).  Returns (offsets, shifts,
+    placed, failed): (R, max quota) arrays whose first ``placed[r]`` entries
+    are row r's chain, and where it stopped at a feed-side NaN step.
 
-    The only scalar copy of the shift formulas.  Both sides share one form:
-    with sign = +1 right of the user and -1 left of it, the target is
-    t = lambda * ceil((sign r + n_eff delta) / lambda - eps), which is the
-    right side's path rounded up and minus the left side's path rounded
-    down, and the aligned offset is (t n_eff - sign sqrt(t^2 + h^2 s)) / s
-    with s = n_eff^2 - 1, or (t^2 - h^2) / (2 t) for n_eff = 1.  These are
-    exact rewrites of the one-sided forms (negation and commutation only),
-    so both sides get the bits of the separate solvers.
+    A fixed-point iteration: guess grid indices I_k = I_0 + k and their
+    offsets f_k, then run one step pass over delta_k = f_{k-1} + min_spacing.
+    The pass is exact up to and including the first index it changes; that
+    prefix is kept and the indices past it are re-extrapolated by the steps
+    the pass took.  A pass that changes nothing before a chain's end is a
+    fixed point of the walk's recurrence, hence the walk's bits; the kept
+    prefix grows every pass, so at most quota + 1 passes run.
     """
-    lo, hi = bounds
-    sign = -1.0 if outward else 1.0
-    unit = n_eff == 1.0
-    h2 = h_eff * h_eff
-    s = n_eff * n_eff - 1.0
-    h2s = h2 * s
-    hypot, ceil, sqrt = math.hypot, math.ceil, math.sqrt
-    offsets: list[float] = []
-    shifts: list[float] = []
-    delta = start_delta
-    for _ in range(quota):
-        t = wavelength * ceil((sign * hypot(h_eff, delta) + n_eff * delta) / wavelength - _GRID_EPS)
-        if unit:
-            if outward and t >= 0.0:
-                # The left side's target -t is not positive.  The path only decays
-                # asymptotically to zero for n_eff = 1, so a non-positive grid
-                # line can never be reached by shifting outward.
-                raise FeasibilityError("no reachable alignment point on the feed side")
-            v = (t * t - h2) / (2.0 * t) - delta
-        else:
-            v = (t * n_eff - sign * sqrt(t * t + h2s)) / s - delta
-        if v < 0.0:
-            v = 0.0
-        final = delta + v
-        if not lo <= final <= hi:
+    h, lo, hi = h_eff[:, None], bounds[0][:, None], bounds[1][:, None]
+    width = int(quota.max()) + 1  # one column more, where every chain has ended
+    cols = np.arange(width)
+    in_quota = cols < quota[:, None]
+    row_starts = np.arange(h_eff.size) * width  # in the flattened (R, width) arrays
+    index = _grid_index(h_eff, start, n_eff, wavelength, outward)[:, None] + cols
+    f = _aligned_offset(h, wavelength * index, n_eff, outward)
+    f[:, 0] = start + np.maximum(f[:, 0] - start, 0.0)  # not f_0 itself when d_0 - start rounds
+    delta = np.empty_like(f)
+    delta[:, 0] = start
+    steps = np.empty_like(f)
+    while True:
+        np.add(f[:, :-1], min_spacing, out=delta[:, 1:])
+        new_index = _grid_index(h, delta, n_eff, wavelength, outward)
+        d = _aligned_offset(h, wavelength * new_index, n_eff, outward)
+        shifts = np.maximum(d - delta, 0.0)
+        new_f = delta + shifts
+        placing = (lo <= new_f) & (new_f <= hi) & in_quota  # False at NaN
+        # The first index where the pass changed the guess or the chain ended;
+        # every chain that ended there (unchanged before it) is solved.
+        first = (~placing | (new_f != f)).argmax(axis=1)
+        if not placing.ravel()[row_starts + first].any():
             break
-        offsets.append(final)
-        shifts.append(v)
-        delta = final + min_spacing
-    return offsets, shifts
-
-
-def _check_count(params: SystemParams, num_pas: int | None) -> int:
-    n = params.num_pas if num_pas is None else num_pas
-    if n < 2 or n % 2 != 0:
-        raise ValueError("number of PAs must be a positive even integer")
-    return n
-
-
-def _split(
-    params: SystemParams, waveguide: Waveguide, user: UserPosition, n: int, h_eff: float
-) -> tuple[list[float], list[float], list[float], list[float]]:
-    """One waveguide's chains, as :func:`refine_waveguide` describes them:
-    (left offsets, left shifts, right offsets, right shifts), each innermost first."""
-    lam, spacing, half = params.wavelength_m, params.min_spacing_m, params.min_spacing_m / 2.0
-    # Both chains stay inside this waveguide's [feed_x, max_x].
-    right_bounds = (waveguide.feed_x - user.x, waveguide.max_x - user.x)
-    left_bounds = (user.x - waveguide.max_x, user.x - waveguide.feed_x)
-
-    right, v_right = _chain(h_eff, params.n_eff, lam, spacing, half, n // 2, right_bounds, False)
-    short = n // 2 - len(right)
-    left, v_left = _chain(
-        h_eff, params.n_eff, lam, spacing, half, n // 2 + short, left_bounds, True
-    )
-    short = n - len(right) - len(left)
-    if short > 0 and len(right) == n // 2:
-        # Left side hit the feed; push the remainder onto the right chain.
-        extra, v_extra = _chain(
-            h_eff, params.n_eff, lam, spacing, right[-1] + spacing, short, right_bounds, False
+        # Keep the pass up to ``first``; extrapolate the indices past it by
+        # the increments the pass just took (NaN, unreachable, counts as 1).
+        later = cols > first[:, None]
+        steps[:, 0] = new_index[:, 0]
+        steps[:, 1:] = np.where(
+            later[:, 1:], np.fmax(new_index[:, 1:] - index[:, :-1], 1.0), np.diff(new_index)
         )
-        right += extra
-        v_right += v_extra
-        short = n - len(right) - len(left)
-    if short > 0:
-        raise FeasibilityError(
-            f"waveguide at y={waveguide.y:+.3g}: only {n - short} of {n} PAs fit in "
-            f"[{waveguide.feed_x:.6g}, {waveguide.max_x:.6g}] around x_u={user.x:.6g}"
-        )
-    return left, v_left, right, v_right
+        index = np.cumsum(steps, axis=1)
+        f = np.where(later, _aligned_offset(h, wavelength * index, n_eff, outward), new_f)
+    failed = (first < quota) & np.isnan(new_f.ravel()[row_starts + first])
+    return new_f[:, :-1], shifts[:, :-1], first, failed
 
 
-def _assemble(
-    params: SystemParams, user: UserPosition, h_effs: list[float], chains: list[tuple]
+def _refine(
+    params: SystemParams, layout: WaveguideLayout, user: UserPosition, num_pas: int | None
 ) -> tuple[np.ndarray, list[RefinementResult]]:
     """(M, N) positions and one :class:`RefinementResult` per waveguide.
 
-    Gaps, largest spacings and alignment residuals are computed over the
-    whole array at once; each result holds its row of the positions.
+    The chains run in :func:`refine_batch`'s phases, each one :func:`_solve`
+    call over the waveguides it concerns.  The first waveguide in layout
+    order whose PAs do not all fit raises :class:`FeasibilityError`.  Gaps,
+    largest spacings and alignment residuals are computed over the whole
+    array at once.
     """
-    offsets, shifts = [], []
-    for left, v_left, right, v_right in chains:
-        offsets += left[::-1] + right
-        shifts += v_left[::-1] + v_right
-    m = len(chains)
-    offsets = np.array(offsets).reshape(m, -1)
-    shifts = np.array(shifts).reshape(m, -1)
-    n_left = [len(c[0]) for c in chains]
-    # Ascending positions: left offsets flip sign, outermost first.
-    feed_side = np.arange(offsets.shape[1]) < np.array(n_left)[:, None]
-    positions = np.where(feed_side, user.x - offsets, user.x + offsets)
+    n = params.num_pas if num_pas is None else num_pas
+    if n < 2 or n % 2 != 0:
+        raise ValueError("number of PAs must be a positive even integer")
+    m, half, spacing = len(layout), n // 2, params.min_spacing_m
+    h_effs = [wg.effective_elevation(user) for wg in layout.waveguides]
+    h_eff, feed_x, max_x = np.array(h_effs), layout.field("feed_x"), layout.field("max_x")
+    # Both chains stay inside each waveguide's [feed_x, max_x]; row m of a
+    # side holds its offsets from the user, innermost first.
+    bounds = {False: (feed_x - user.x, max_x - user.x), True: (user.x - max_x, user.x - feed_x)}
+    offsets = {side: np.zeros((m, n)) for side in bounds}
+    shifts = {side: np.zeros((m, n)) for side in bounds}
+
+    def walk(outward: bool, rows, col: int, quota):
+        """Side ``outward``'s chains ``rows`` from their PA ``col`` on."""
+        start = offsets[outward][rows, col - 1] + spacing if col else np.full(m, spacing / 2)
+        lo, hi = bounds[outward]
+        f, v, count, failed = _solve(
+            h_eff[rows], start, quota, (lo[rows], hi[rows]), params.n_eff, params.wavelength_m,
+            spacing, outward,
+        )
+        offsets[outward][rows, col : col + f.shape[1]] = f
+        shifts[outward][rows, col : col + f.shape[1]] = v
+        return count, failed
+
+    quota = np.full(m, half)
+    n_right, _ = walk(False, slice(None), 0, quota)
+    n_left, failed = walk(True, slice(None), 0, quota)
+    # Redistribution: the left chain takes what the right one could not place ...
+    rows = np.flatnonzero((n_right < half) & (n_left == half))
+    if rows.size:
+        more, bad = walk(True, rows, half, half - n_right[rows])
+        n_left[rows] += more
+        failed[rows] |= bad
+    # ... and a full right chain continues where the left one fell short.
+    rows = np.flatnonzero((n_right == half) & (n_left < half) & ~failed)
+    if rows.size:
+        more, _ = walk(False, rows, half, half - n_left[rows])
+        n_right[rows] += more
+    short = failed | (n_left + n_right < n)
+    if short.any():
+        i = int(short.argmax())
+        wg = layout[i]
+        if failed[i]:
+            raise FeasibilityError(_UNREACHABLE)
+        raise FeasibilityError(
+            f"waveguide at y={wg.y:+.3g}: only {n_left[i] + n_right[i]} of {n} PAs fit in "
+            f"[{wg.feed_x:.6g}, {wg.max_x:.6g}] around x_u={user.x:.6g}"
+        )
+
+    # Ascending positions: the left chain reversed, then the right one.
+    take = ((2 * np.arange(m) + 1) * n - n_left)[:, None] + np.arange(n)
+    positions = np.hstack([user.x - offsets[True][:, ::-1], user.x + offsets[False]]).ravel()[take]
+    row_shifts = np.hstack([shifts[True][:, ::-1], shifts[False]]).ravel()[take]
     max_spacing = np.diff(positions, axis=1).max(axis=1)
 
     # Max circular deviation of (r + n_eff x) mod lambda across each row;
@@ -223,16 +259,10 @@ def _assemble(
     residual = np.max(np.minimum(dev, lam - dev), axis=1)
 
     results = [
-        RefinementResult(
-            positions=positions[i],
-            shifts=shifts[i],
-            max_spacing_m=float(max_spacing[i]),
-            alignment_residual_m=float(residual[i]),
-            n_left=n_left[i],
-            n_right=len(chains[i][2]),
-            h_eff_m=h_effs[i],
+        RefinementResult(x, v, float(gap), float(res), int(left), int(right), h)
+        for x, v, gap, res, left, right, h in zip(
+            positions, row_shifts, max_spacing, residual, n_left, n_right, h_effs
         )
-        for i in range(m)
     ]
     return positions, results
 
@@ -251,10 +281,7 @@ def refine_waveguide(
     side's recursion instead; only if both sides run out of room is the
     geometry infeasible.
     """
-    n = _check_count(params, num_pas)
-    h_eff = waveguide.effective_elevation(user)
-    _, results = _assemble(params, user, [h_eff], [_split(params, waveguide, user, n, h_eff)])
-    return results[0]
+    return _refine(params, WaveguideLayout((waveguide,)), user, num_pas)[1][0]
 
 
 def refine_all(
@@ -265,10 +292,7 @@ def refine_all(
 ) -> tuple[PinchingConfig, list[RefinementResult]]:
     """Refine every waveguide independently and assemble the pinching matrix."""
     check_user_in_region(params, user)
-    n = _check_count(params, num_pas)
-    h_effs = [wg.effective_elevation(user) for wg in layout.waveguides]
-    chains = [_split(params, wg, user, n, h) for wg, h in zip(layout.waveguides, h_effs)]
-    positions, results = _assemble(params, user, h_effs, chains)
+    positions, results = _refine(params, layout, user, num_pas)
     config = PinchingConfig(
         positions=positions,
         min_spacing_m=params.min_spacing_m,
@@ -276,31 +300,6 @@ def refine_all(
         max_x=layout.field("max_x"),
     )
     return config, results
-
-
-def _shift_batch(
-    h_eff: np.ndarray, delta: np.ndarray, n_eff: float, wavelength: float, outward: bool
-) -> np.ndarray:
-    """Array form of one :func:`_chain` step, with numpy in place of ``math``.
-
-    Same side-signed target t and offset as :func:`_chain`; the side sign
-    enters through the operand order (n_eff delta - r on the feed side,
-    + root in the offset) instead of one more multiplication per step.  NaN
-    where the feed side has no reachable alignment point (n_eff = 1, t >= 0).
-    """
-    hyp, ndelta = np.hypot(h_eff, delta), n_eff * delta
-    t = wavelength * np.ceil(
-        ((ndelta - hyp) if outward else (ndelta + hyp)) / wavelength - _GRID_EPS
-    )
-    if n_eff == 1.0:
-        if outward:
-            t = np.where(t < 0.0, t, np.nan)
-        d = (t * t - h_eff * h_eff) / (2.0 * t)
-    else:
-        s = n_eff * n_eff - 1.0
-        root = np.sqrt(t * t + h_eff * h_eff * s)
-        d = ((t * n_eff + root) if outward else (t * n_eff - root)) / s
-    return np.maximum(d - delta, 0.0)
 
 
 def _walk(
@@ -313,7 +312,7 @@ def _walk(
     outward: bool,
     rows: slice | np.ndarray,
 ) -> Generator[tuple[slice | np.ndarray, np.ndarray, np.ndarray], None, tuple]:
-    """One side's chain steps for the chains ``rows``, as :func:`_chain` does them.
+    """One side's chain steps for the chains ``rows``, one :func:`_shift_batch` per PA.
 
     ``h_eff``, ``user_x``, the offset ``bounds`` (lo, hi) and the starting
     offsets ``delta`` hold one value per chain of the whole batch; ``quota``
@@ -322,7 +321,7 @@ def _walk(
     its chain, i.e. the chain has not yet hit its quota or left [lo, hi].
     Returns (PAs placed, next offset, failed) for the chains in ``rows``,
     ``failed`` marking chains that reached a feed-side step with no
-    alignment point (n_eff = 1), where :func:`refine_shift_outward` raises
+    alignment point (n_eff = 1), where :func:`refine_all` raises
     :class:`FeasibilityError`.
     """
     h_eff, user_x, delta = h_eff[rows], user_x[rows], delta[rows]

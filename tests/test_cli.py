@@ -111,6 +111,18 @@ class TestErrors:
         assert out == ""
         assert "outside service region" in err
 
+    def test_baseline_only_fixed_user_places_no_pas(self, tmp_path, capsys):
+        # 1024 PAs do not fit in the 4 m region around x = 1 m, but the
+        # baseline needs no placement, for a fixed user as for uniform ones.
+        cfg = tmp_path / "baseline.cfg"
+        cfg.write_text("sweep = N\nsweep_values = 2,1024\ndx_m = 4\nmodes = baseline\n"
+                       "user = fixed\nuser_x = 1\n")
+        assert main(["sweep", "--config", str(cfg)]) == EXIT_OK
+        rows = capsys.readouterr().out.strip().splitlines()[2:]
+        assert len(rows) == 2 and all(",baseline_multi,1,0," in row for row in rows)
+        assert main(["sweep", "--config", str(cfg), "--mode", "single"]) == EXIT_INFEASIBLE
+        assert "only" in capsys.readouterr().err
+
     def test_invalid_flag_value(self):
         with pytest.raises(SystemExit):
             main(["sweep", "--case", "9"])

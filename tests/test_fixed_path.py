@@ -1,9 +1,11 @@
 """Fixed-user path against verbatim copies of its earlier per-PA / per-waveguide code.
 
-``placement._chain`` inlines the shift formulas and ``refine_all`` assembles
-all waveguides at once; ``analysis.snr_bounds`` evaluates its gain sums over
-all waveguides at once.  The arithmetic is meant to be unchanged, so every
-comparison here is exact: ``np.array_equal`` and ``==``, no tolerance.
+``placement._solve`` solves whole chains as arrays on the one shift kernel,
+and ``refine_all`` refines and assembles all waveguides at once;
+``analysis.snr_bounds`` evaluates its gain sums over all waveguides at once.
+The results are meant to be unchanged to the last bit, so every comparison
+here is exact: ``np.array_equal`` and ``==``, no tolerance, and the same
+``FeasibilityError`` message.
 """
 
 import dataclasses
@@ -272,6 +274,17 @@ def assert_same_placement(params, layout, user) -> bool:
     return not isinstance(ref, FeasibilityError)
 
 
+def solve_chain(h_eff, n_eff, wavelength, min_spacing, start_delta, quota, bounds, outward):
+    """``placement._solve`` on one row, in :func:`ref_chain`'s form."""
+    f, v, placed, failed = placement._solve(
+        np.array([h_eff]), np.array([start_delta]), np.array([quota]),
+        (np.array([bounds[0]]), np.array([bounds[1]])), n_eff, wavelength, min_spacing, outward,
+    )
+    if failed[0]:
+        raise FeasibilityError(placement._UNREACHABLE)
+    return f[0, : placed[0]].tolist(), v[0, : placed[0]].tolist()
+
+
 def assert_same_report(a: BoundsReport, b: BoundsReport) -> None:
     for f in dataclasses.fields(BoundsReport):
         x, y = getattr(a, f.name), getattr(b, f.name)
@@ -283,7 +296,7 @@ def assert_same_report(a: BoundsReport, b: BoundsReport) -> None:
 
 class TestChain:
     def test_random_chains(self):
-        """The inlined chain against the per-PA solver loop, 2400 chains."""
+        """The array solver against the per-PA solver loop, 2400 chains."""
         rng = np.random.default_rng(2024)
         raised = stopped = 0
         for i in range(2400):
@@ -296,7 +309,7 @@ class TestChain:
                 spacing, spacing / 2, int(rng.integers(1, 600)), (-reach, reach),
                 bool(rng.integers(2)),
             )
-            a, b = call(placement._chain, *args), call(ref_chain, *args)
+            a, b = call(solve_chain, *args), call(ref_chain, *args)
             if isinstance(b, FeasibilityError):
                 raised += 1
                 assert same_error(a, b)
@@ -326,7 +339,40 @@ class TestChain:
         with pytest.raises(FeasibilityError, match="feed side"):
             ref_chain(*args)
         with pytest.raises(FeasibilityError, match="feed side"):
-            placement._chain(*args)
+            solve_chain(*args)
+
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        n_eff=st.sampled_from(N_EFFS + (3.5,)),
+        lam=st.sampled_from([0.0107, 0.003, 0.1]),
+        spacing=st.floats(0.05, 1.5),
+        outward=st.booleans(),
+        rows=st.lists(
+            st.tuples(
+                st.one_of(st.floats(0.01, 0.2), st.floats(0.2, 30.0)),  # h_eff
+                st.floats(0.0, 4.0),  # start offset, in spacings
+                st.integers(1, 300),  # quota
+                st.floats(-1.0, 0.05),  # lowest offset
+                st.floats(0.0, 4.0),  # highest offset
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    def test_rows_match_the_loop(self, n_eff, lam, spacing, outward, rows):
+        """Several chains in one solve, each with its own quota, start and bounds."""
+        spacing *= lam
+        rows = [(h, start * spacing, quota, lo, hi) for h, start, quota, lo, hi in rows]
+        h, start, quota, lo, hi = (np.array(column) for column in zip(*rows))
+        f, v, placed, failed = placement._solve(h, start, quota, (lo, hi), n_eff, lam, spacing, outward)
+        for r, (h_r, start_r, quota_r, lo_r, hi_r) in enumerate(rows):
+            ref = call(ref_chain, h_r, n_eff, lam, spacing, start_r, quota_r, (lo_r, hi_r), outward)
+            assert failed[r] == isinstance(ref, FeasibilityError)
+            if failed[r]:
+                assert same_error(FeasibilityError(placement._UNREACHABLE), ref)
+            else:
+                assert (f[r, : placed[r]].tolist(), v[r, : placed[r]].tolist()) == ref
 
 
 class TestRefineAll:
@@ -368,6 +414,18 @@ class TestRefineAll:
             )
         )
         assert assert_same_placement(params, layout, UserPosition(x, 1.0)) == (x != 20.0)
+
+    @pytest.mark.parametrize("cramped_first", [True, False])
+    def test_first_failing_waveguide_sets_the_error(self, cramped_first):
+        # n_eff = 1: the low waveguide's feed-side path falls below one
+        # wavelength after a few PAs; the cramped one has room for a few PAs.
+        params = SystemParams(kappa_db_per_m=0.0, n_eff=1.0, num_pas=32)
+        low = Waveguide(params.feed_x_m, 1.0, 0.05, params.max_x_m)
+        cramped = Waveguide(-0.02, -5.0, params.height_m, 0.02)
+        layout = WaveguideLayout((cramped, low) if cramped_first else (low, cramped))
+        assert not assert_same_placement(params, layout, UserPosition(0.0, 1.0))
+        with pytest.raises(FeasibilityError, match="fit in" if cramped_first else "feed side"):
+            refine_all(params, layout, UserPosition(0.0, 1.0))
 
     @pytest.mark.parametrize("n_eff", N_EFFS)
     @pytest.mark.parametrize("x", [-24.99, -24.6, 0.0, 24.6, 24.99])
