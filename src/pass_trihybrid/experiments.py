@@ -72,11 +72,12 @@ def draw_snrs(
 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """Per-draw SNR of every mode for D users; returns (snrs, feasible).
 
-    The batched engine: refinement runs one chain step at a time over the
-    D·M (draw, waveguide) chains, overflow redistribution across sides
-    included, and each placed PA's terms go straight into the effective
-    rows, which the closed-form SNRs then read.  ``feasible`` is False where
-    a waveguide's PAs do not all fit, i.e. where :func:`placement.refine_all`
+    The batched engine: :func:`placement.refine_batch` runs the placement
+    policy that :func:`placement.refine_all` runs, over the D·M (draw,
+    waveguide) rows tiled here, one chain step at a time.  ``fold`` adds
+    each placed PA's terms to the effective rows, which the closed-form SNRs
+    then read; no placement is kept.  ``feasible`` is False where a
+    waveguide's PAs do not all fit, i.e. where :func:`placement.refine_all`
     raises :class:`FeasibilityError`; those draws' SNRs mean nothing.
     """
     feasible = np.ones(user_x.size, dtype=bool)
@@ -84,17 +85,20 @@ def draw_snrs(
     if any(mode != "baseline" for mode in modes):
         m = len(layout)
         ux, uy = np.repeat(user_x, m), np.repeat(user_y, m)
-        wg_y, height, feed_x = (
-            np.tile(layout.field(k), user_x.size) for k in ("y", "height", "feed_x")
+        wg_y, height, feed_x, max_x = (
+            np.tile(layout.field(k), user_x.size) for k in ("y", "height", "feed_x", "max_x")
         )
-        fits = np.ones(ux.size, dtype=bool)
         inner = np.zeros(ux.size, dtype=complex)
-        for rows, xs, placed in placement.refine_batch(params, layout, user_x, user_y, fits):
+
+        def fold(rows, xs, placed):
             channel, guide = pa_terms(
                 params, xs, wg_y[rows], height[rows], feed_x[rows], ux[rows], uy[rows],
                 params.num_pas,
             )
             inner[rows] += np.where(placed, channel * guide, 0.0)
+
+        h_eff = np.hypot(wg_y - uy, height)
+        fits = placement.refine_batch(params, h_eff, ux, feed_x, max_x, fold)
         feasible = fits.reshape(-1, m).all(axis=1)
         inner = inner.reshape(-1, m)
     return _snrs(params, inner, user_x, user_y, modes, baseline_elements), feasible

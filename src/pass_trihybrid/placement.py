@@ -13,17 +13,22 @@ with a sub-wavelength-scale shift and both sides end up on one common phase
 chain.
 
 The objective separates across waveguides, so each waveguide is refined
-independently of the others.  The shift formulas exist once, in the numpy
-kernel :func:`_shift_batch`.  :func:`refine_all` solves one user's chains as
-whole arrays (:func:`_solve`); :func:`refine_batch` walks many users' chains
-one step at a time, with the same overflow redistribution across sides and
-the same infeasibility verdicts.
+independently of the others.  One driver, :func:`_place`, holds the
+placement policy over rows that are (user, waveguide) pairs: both sides'
+bounds, the start offset, N/2 PAs per side, the overflow redistribution
+across sides and the fit verdict.  The shift formulas exist once, in the
+numpy kernel :func:`_shift_batch`.  The driver's two side solvers compute
+the same chains and differ only in what they keep of a chain:
+:func:`refine_all` solves one user's chains as whole arrays
+(:func:`_solve`) and keeps every offset and shift; :func:`refine_batch`
+walks many users' chains one step at a time and keeps nothing, handing each
+step to the caller's ``fold``.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Generator, Iterator
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,9 +87,13 @@ def _one_shift(h_eff: float, delta: float, n_eff: float, wavelength: float, outw
         raise ValueError("effective elevation must be positive")
     if delta < 0:
         raise ValueError("offset must be nonnegative")
-    v = float(_shift_batch(h_eff, delta, n_eff, wavelength, outward))
-    if math.isnan(v):
-        raise FeasibilityError(_UNREACHABLE)
+    # Right of the user at n_eff = 1, an elevation and offset below about
+    # 1e-12 lambda round to grid line 0, where the offset root divides by 0.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v = float(_shift_batch(h_eff, delta, n_eff, wavelength, outward))
+    if not math.isfinite(v):
+        message = _UNREACHABLE if outward else "no reachable alignment point right of the user"
+        raise FeasibilityError(message)
     return v
 
 
@@ -133,7 +142,7 @@ def _solve(
     h_eff: np.ndarray, start: np.ndarray, quota: np.ndarray, bounds: tuple[np.ndarray, np.ndarray],
     n_eff: float, wavelength: float, min_spacing: float, outward: bool,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The chains :func:`_walk` steps, for R rows of one side, as whole arrays.
+    """The chains :func:`refine_batch` walks, for R rows of one side, as whole arrays.
 
     Row r starts at offset ``start[r]`` and places ``quota[r]`` PAs or stops
     before the first outside ``bounds`` (lo, hi).  Returns (offsets, shifts,
@@ -184,58 +193,80 @@ def _solve(
     return new_f[:, :-1], shifts[:, :-1], first, failed
 
 
+def _place(solve: Callable, n: int, spacing: float, user_x, feed_x: np.ndarray, max_x: np.ndarray):
+    """The placement policy over R rows, each one (user, waveguide) pair.
+
+    N/2 PAs right of the user and N/2 left of it, each chain starting at
+    half the minimum spacing and bounded by its waveguide's [feed_x, max_x];
+    then the left chain takes what the right one could not place, and a full
+    right chain continues where the left one fell short.  ``solve(outward,
+    rows, col, start, quota, bounds)`` continues side ``outward``'s chains
+    ``rows`` from their PA ``col``: from offsets ``start``, at most ``quota``
+    more PAs each, within the offset ``bounds`` (lo, hi); it returns
+    (placed, next start, failed).  Returns (n_left, n_right, failed, fits)
+    per row: ``failed`` marks rows that reached a feed-side step with no
+    alignment point (n_eff = 1), and ``fits`` rows whose N PAs all fit,
+    which a failed row never does (its left chain stops short and nothing
+    continues it).
+    """
+    half, every = n // 2, slice(None)
+    bounds = {False: (feed_x - user_x, max_x - user_x), True: (user_x - max_x, user_x - feed_x)}
+    start = np.full(feed_x.shape, spacing / 2.0)
+    n_right, right_next, _ = solve(False, every, 0, start, half, bounds[False])
+    n_left, left_next, failed = solve(True, every, 0, start, half, bounds[True])
+
+    def more(outward, rows, next_start, quota):
+        lo, hi = bounds[outward]
+        return solve(outward, rows, half, next_start[rows], quota, (lo[rows], hi[rows]))
+
+    # Redistribution: the left chain takes what the right one could not place ...
+    rows = np.flatnonzero((n_right < half) & (n_left == half))
+    if rows.size:
+        placed, _, bad = more(True, rows, left_next, half - n_right[rows])
+        n_left[rows] += placed
+        failed[rows] |= bad
+    # ... and a full right chain continues where the left one fell short.
+    rows = np.flatnonzero((n_right == half) & (n_left < half) & ~failed)
+    if rows.size:
+        n_right[rows] += more(False, rows, right_next, half - n_left[rows])[0]
+    return n_left, n_right, failed, n_left + n_right == n
+
+
 def _refine(
     params: SystemParams, layout: WaveguideLayout, user: UserPosition, num_pas: int | None
 ) -> tuple[np.ndarray, list[RefinementResult]]:
     """(M, N) positions and one :class:`RefinementResult` per waveguide.
 
-    The chains run in :func:`refine_batch`'s phases, each one :func:`_solve`
-    call over the waveguides it concerns.  The first waveguide in layout
-    order whose PAs do not all fit raises :class:`FeasibilityError`.  Gaps,
-    largest spacings and alignment residuals are computed over the whole
-    array at once.
+    :func:`_place` over the M waveguides, each side's chains one
+    :func:`_solve` call whose offsets and shifts are kept.  The first
+    waveguide in layout order whose PAs do not all fit raises
+    :class:`FeasibilityError`.  Gaps, largest spacings and alignment
+    residuals are computed over the whole array at once.
     """
     n = params.num_pas if num_pas is None else num_pas
     if n < 2 or n % 2 != 0:
         raise ValueError("number of PAs must be a positive even integer")
-    m, half, spacing = len(layout), n // 2, params.min_spacing_m
+    m, spacing = len(layout), params.min_spacing_m
     h_effs = [wg.effective_elevation(user) for wg in layout.waveguides]
-    h_eff, feed_x, max_x = np.array(h_effs), layout.field("feed_x"), layout.field("max_x")
-    # Both chains stay inside each waveguide's [feed_x, max_x]; row m of a
-    # side holds its offsets from the user, innermost first.
-    bounds = {False: (feed_x - user.x, max_x - user.x), True: (user.x - max_x, user.x - feed_x)}
-    offsets = {side: np.zeros((m, n)) for side in bounds}
-    shifts = {side: np.zeros((m, n)) for side in bounds}
+    h_eff = np.array(h_effs)
+    # Row m of a side holds its offsets from the user, innermost first.
+    offsets = {side: np.zeros((m, n)) for side in (False, True)}
+    shifts = {side: np.zeros((m, n)) for side in (False, True)}
 
-    def walk(outward: bool, rows, col: int, quota):
-        """Side ``outward``'s chains ``rows`` from their PA ``col`` on."""
-        start = offsets[outward][rows, col - 1] + spacing if col else np.full(m, spacing / 2)
-        lo, hi = bounds[outward]
-        f, v, count, failed = _solve(
-            h_eff[rows], start, quota, (lo[rows], hi[rows]), params.n_eff, params.wavelength_m,
-            spacing, outward,
+    def solve(outward: bool, rows, col: int, start, quota, bounds):
+        quota = np.full(start.shape, quota)
+        f, v, placed, failed = _solve(
+            h_eff[rows], start, quota, bounds, params.n_eff, params.wavelength_m, spacing, outward
         )
         offsets[outward][rows, col : col + f.shape[1]] = f
         shifts[outward][rows, col : col + f.shape[1]] = v
-        return count, failed
+        return placed, f[:, -1] + spacing, failed
 
-    quota = np.full(m, half)
-    n_right, _ = walk(False, slice(None), 0, quota)
-    n_left, failed = walk(True, slice(None), 0, quota)
-    # Redistribution: the left chain takes what the right one could not place ...
-    rows = np.flatnonzero((n_right < half) & (n_left == half))
-    if rows.size:
-        more, bad = walk(True, rows, half, half - n_right[rows])
-        n_left[rows] += more
-        failed[rows] |= bad
-    # ... and a full right chain continues where the left one fell short.
-    rows = np.flatnonzero((n_right == half) & (n_left < half) & ~failed)
-    if rows.size:
-        more, _ = walk(False, rows, half, half - n_left[rows])
-        n_right[rows] += more
-    short = failed | (n_left + n_right < n)
-    if short.any():
-        i = int(short.argmax())
+    n_left, n_right, failed, fits = _place(
+        solve, n, spacing, user.x, layout.field("feed_x"), layout.field("max_x")
+    )
+    if not fits.all():
+        i = int(fits.argmin())
         wg = layout[i]
         if failed[i]:
             raise FeasibilityError(_UNREACHABLE)
@@ -302,97 +333,45 @@ def refine_all(
     return config, results
 
 
-def _walk(
+def refine_batch(
     params: SystemParams,
     h_eff: np.ndarray,
     user_x: np.ndarray,
-    bounds: tuple[np.ndarray, np.ndarray],
-    delta: np.ndarray,
-    quota: int | np.ndarray,
-    outward: bool,
-    rows: slice | np.ndarray,
-) -> Generator[tuple[slice | np.ndarray, np.ndarray, np.ndarray], None, tuple]:
-    """One side's chain steps for the chains ``rows``, one :func:`_shift_batch` per PA.
+    feed_x: np.ndarray,
+    max_x: np.ndarray,
+    fold: Callable[[slice | np.ndarray, np.ndarray, np.ndarray], None],
+) -> np.ndarray:
+    """:func:`refine_all` for R (user, waveguide) rows at once; returns where the N PAs fit.
 
-    ``h_eff``, ``user_x``, the offset ``bounds`` (lo, hi) and the starting
-    offsets ``delta`` hold one value per chain of the whole batch; ``quota``
-    is an int or one value per chain in ``rows``.  Yields ``(rows, xs,
-    placed)`` per step: the step's PA positions and where the PA is part of
-    its chain, i.e. the chain has not yet hit its quota or left [lo, hi].
-    Returns (PAs placed, next offset, failed) for the chains in ``rows``,
-    ``failed`` marking chains that reached a feed-side step with no
-    alignment point (n_eff = 1), where :func:`refine_all` raises
+    ``h_eff``, ``user_x``, ``feed_x`` and ``max_x`` hold one value per row.
+    :func:`_place` over the rows, each side's chains walked one
+    :func:`_shift_batch` step per PA, keeping nothing: every step is handed
+    to ``fold(rows, xs, placed)``, so a caller can fold each PA into its
+    channel and drop it.  ``rows`` selects rows, ``xs`` holds one PA position
+    per selected row and ``placed`` marks where that PA is part of its
+    chain, i.e. the chain has not yet hit its quota or left its bounds.  The
+    first N/2 steps per side run on every row, the rest only on the rows that
+    need them.  The result is False where :func:`refine_all` raises
     :class:`FeasibilityError`.
     """
-    h_eff, user_x, delta = h_eff[rows], user_x[rows], delta[rows]
-    lo, hi = bounds[0][rows], bounds[1][rows]
-    placed = np.zeros(h_eff.shape, dtype=int)
-    failed = np.zeros(h_eff.shape, dtype=bool)
-    alive = np.ones(h_eff.shape, dtype=bool)
-    for step in range(int(np.max(quota, initial=0))):
-        final = delta + _shift_batch(h_eff, delta, params.n_eff, params.wavelength_m, outward)
-        alive = alive & (step < quota)
-        if outward and params.n_eff == 1.0:
-            unreachable = np.isnan(final)
-            failed |= alive & unreachable
-            alive &= ~unreachable
-            final[unreachable] = 0.0  # a finite position for the PA not placed
-        alive &= (lo <= final) & (final <= hi)
-        placed += alive
-        yield rows, user_x - final if outward else user_x + final, alive
-        delta = final + params.min_spacing_m
-    return placed, delta, failed
 
+    def walk(outward: bool, rows, col: int, delta, quota, bounds):
+        h, ux, (lo, hi) = h_eff[rows], user_x[rows], bounds
+        placed = np.zeros(h.shape, dtype=int)
+        failed = np.zeros(h.shape, dtype=bool)
+        alive = np.ones(h.shape, dtype=bool)
+        for step in range(int(np.max(quota, initial=0))):
+            final = delta + _shift_batch(h, delta, params.n_eff, params.wavelength_m, outward)
+            alive = alive & (step < quota)
+            if outward and params.n_eff == 1.0:
+                unreachable = np.isnan(final)
+                failed |= alive & unreachable
+                alive &= ~unreachable
+                final[unreachable] = 0.0  # a finite position for the PA not placed
+            alive &= (lo <= final) & (final <= hi)
+            placed += alive
+            fold(rows, ux - final if outward else ux + final, alive)
+            delta = final + params.min_spacing_m
+        return placed, delta, failed
 
-def refine_batch(
-    params: SystemParams,
-    layout: WaveguideLayout,
-    user_x: np.ndarray,
-    user_y: np.ndarray,
-    fits: np.ndarray,
-) -> Iterator[tuple[slice | np.ndarray, np.ndarray, np.ndarray]]:
-    """:func:`refine_all` for D users at once, overflow redistribution included.
-
-    ``user_x`` / ``user_y`` have shape (D,).  The D·M chains (draw d,
-    waveguide m) are flattened to index d·M + m.  Yields ``(rows, xs,
-    placed)`` one chain step at a time, so a caller can fold each PA into its
-    channel and drop it: ``rows`` selects chains of the flattened (D·M,)
-    arrays, ``xs`` holds one PA position per selected chain and ``placed``
-    marks where that PA is part of the placement.  The steps follow
-    :func:`refine_waveguide`: N/2 right of the user, then left of it up to
-    what the right chain did not place, then, where the right chain was full
-    and the left one fell short, the right chain again.  The first N/2 steps
-    per side run on every chain; the rest only on the chains that need them.
-    ``fits`` (shape (D·M,)) is cleared where the waveguide's N PAs do not all
-    fit, where :func:`refine_all` raises :class:`FeasibilityError`.
-    """
-    m, n = len(layout), params.num_pas
-    half = n // 2
-    ux, uy = np.repeat(user_x, m), np.repeat(user_y, m)
-    wg_y, height, feed_x, max_x = (
-        np.tile(layout.field(k), user_x.size) for k in ("y", "height", "feed_x", "max_x")
-    )
-    h_eff = np.hypot(wg_y - uy, height)
-    right = (feed_x - ux, max_x - ux)
-    left = (ux - max_x, ux - feed_x)
-    start = np.full_like(h_eff, params.min_spacing_m / 2.0)
-    every = slice(None)
-    n_right, right_next, _ = yield from _walk(params, h_eff, ux, right, start, half, False, every)
-    n_left, left_next, failed = yield from _walk(params, h_eff, ux, left, start, half, True, every)
-
-    # Redistribution: the left chain takes what the right one could not place ...
-    rows = np.flatnonzero((n_right < half) & (n_left == half))
-    if rows.size:
-        more, _, bad = yield from _walk(
-            params, h_eff, ux, left, left_next, half - n_right[rows], True, rows
-        )
-        n_left[rows] += more
-        failed[rows] |= bad
-    # ... and a full right chain continues where the left one fell short.
-    rows = np.flatnonzero((n_right == half) & (n_left < half) & ~failed)
-    if rows.size:
-        more, _, _ = yield from _walk(
-            params, h_eff, ux, right, right_next, half - n_left[rows], False, rows
-        )
-        n_right[rows] += more
-    fits &= (n_right + n_left == n) & ~failed
+    return _place(walk, params.num_pas, params.min_spacing_m, user_x, feed_x, max_x)[-1]

@@ -210,6 +210,71 @@ class TestEngineAgainstScalar:
             beamforming.multi_rf_snr(np.ones((3, 4), dtype=complex), SystemParams(num_rf_chains=1))
 
 
+DENSE = SystemParams(dx_m=4.0, num_pas=64)
+
+
+def edge_users(params):
+    # users within 0.2 m of either end of [-2, 2] m: one side runs out of room
+    ux, uy = users(params, 5, 40)
+    return np.concatenate([1.9 + ux / 20.0, -1.9 + ux / 20.0]), np.concatenate([uy, uy])
+
+
+def ragged_dense_users(params):
+    ux, uy = users(params, 11, 100)
+    return ux * 5.2 / 25.0, uy
+
+
+@pytest.mark.parametrize(
+    "params, layout, at",
+    [
+        (DENSE, None, None),
+        (DENSE, None, edge_users(DENSE)),
+        (SystemParams(kappa_db_per_m=0.0, num_pas=64), RAGGED,
+         ragged_dense_users(SystemParams(kappa_db_per_m=0.0))),
+        (SystemParams(n_eff=1.0, num_pas=16), None, None),
+    ],
+    ids=["dense", "edge-overflow", "ragged-dense", "unit-index"],
+)
+def test_folded_steps_are_the_refine_all_placement(monkeypatch, params, layout, at):
+    """The PAs the engine folds in are ``refine_all``'s, bit for bit, and so is each split.
+
+    The engine takes each row's elevation from ``np.hypot``, ``refine_all``
+    from ``math.hypot``; the two differ in the last bit on about 0.6% of
+    rows, so ``refine_all`` is given the engine's elevation here.
+    """
+    layout = WaveguideLayout.from_params(params) if layout is None else layout
+    ux, uy = users(params, 3, 60) if at is None else at
+    calls = []
+    original = placement.refine_batch
+    monkeypatch.setattr(
+        Waveguide, "effective_elevation", lambda wg, user: float(np.hypot(wg.y - user.y, wg.height))
+    )
+
+    def recording(params, h_eff, user_x, feed_x, max_x, fold):
+        def record(rows, xs, placed):
+            calls.append((np.arange(user_x.size)[rows], xs.copy(), placed.copy()))
+            fold(rows, xs, placed)
+
+        return original(params, h_eff, user_x, feed_x, max_x, record)
+
+    monkeypatch.setattr(placement, "refine_batch", recording)
+    _, feasible = experiments.draw_snrs(params, layout, ux, uy, ("single",))
+    rows, xs, placed = (np.concatenate(column) for column in zip(*calls))
+    rows, xs = rows[placed], xs[placed]
+    m, uneven = len(layout), 0
+    for d in np.flatnonzero(feasible):
+        _, results = refine_all(params, layout, UserPosition(ux[d], uy[d]))
+        for w, result in enumerate(results):
+            got = np.sort(xs[rows == d * m + w])
+            assert np.array_equal(got, result.positions), (d, w)
+            n_left = int(np.count_nonzero(got < ux[d]))
+            assert (n_left, got.size - n_left) == (result.n_left, result.n_right), (d, w)
+            uneven += result.n_left != result.n_right
+    assert feasible.any()
+    if params.num_pas == 64:
+        assert uneven > 0  # redistributed rows are among those compared
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     dx=st.floats(0.3, 60.0),

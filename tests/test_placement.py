@@ -1,6 +1,7 @@
 """Position-refinement algorithm: shifts, alignment, spacing, feasibility."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -83,6 +84,19 @@ class TestRefineShift:
             refine_shift(0.0, 0.1, 1.4, LAM)
         with pytest.raises(ValueError):
             refine_shift(3.0, -0.1, 1.4, LAM)
+
+    @pytest.mark.parametrize("h", [1e-16, 1e-170])
+    def test_path_on_grid_line_zero_is_unreachable(self, h):
+        # n_eff = 1, elevation and offset far below 1e-12 lambda: the path
+        # rounds to grid line 0, where the aligned offset divides by zero
+        # (1e-170 also underflows h^2 to 0/0); raise, and warn nothing
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FeasibilityError, match="right of the user"):
+                refine_shift(h, 0.0, 1.0, LAM)
+            with pytest.raises(FeasibilityError, match="feed side"):
+                refine_shift_outward(h, 0.0, 1.0, LAM)
+            assert refine_shift(h, 0.0, 1.4, LAM) == 0.0
 
 
 def one_waveguide(params):
