@@ -2,8 +2,9 @@
 
 Subcommands: ``sweep`` (batch evaluation to CSV), ``placement`` (refined PA
 coordinate dump), ``bounds`` (analysis-only certificate table), ``selftest``
-(runtime invariant suite).  Exit codes: 0 success, 2 configuration error,
-3 infeasible geometry, 4 selftest failure.
+(runtime invariant suite).  Exit codes: 0 success, 2 configuration error
+(an unreadable ``--config`` or an unwritable ``--out`` included), 3 infeasible
+geometry, 4 selftest failure.
 """
 
 from __future__ import annotations
@@ -78,25 +79,29 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
 
+    ok = True
     try:
         if args.command == "sweep":
-            _emit(experiments.render_sweep_csv(config, experiments.run_sweep(config)), args.out)
+            text = experiments.render_sweep_csv(config, experiments.run_sweep(config))
         elif args.command == "placement":
-            _emit(experiments.dump_placement(config), args.out)
+            text = experiments.dump_placement(config)
         elif args.command == "bounds":
-            _emit(experiments.bounds_table(config), args.out)
-        elif args.command == "selftest":
+            text = experiments.bounds_table(config)
+        else:
             ok, lines = experiments.selftest(config)
-            _emit("\n".join(lines) + "\n", args.out)
-            if not ok:
-                return EXIT_SELFTEST
+            text = "\n".join(lines) + "\n"
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except FeasibilityError as err:
         print(f"infeasible geometry: {err}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    return EXIT_OK
+    try:
+        _emit(text, args.out)
+    except OSError as err:
+        print(f"cannot write {args.out or 'stdout'}: {err.strerror or err}", file=sys.stderr)
+        return EXIT_CONFIG
+    return EXIT_OK if ok else EXIT_SELFTEST
 
 
 if __name__ == "__main__":

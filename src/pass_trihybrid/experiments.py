@@ -74,9 +74,13 @@ def draw_snrs(
 
     The batched engine: :func:`placement.refine_batch` runs the placement
     policy that :func:`placement.refine_all` runs, over the D·M (draw,
-    waveguide) rows tiled here, one chain step at a time.  ``fold`` adds
-    each placed PA's terms to the effective rows, which the closed-form SNRs
-    then read; no placement is kept.  ``feasible`` is False where a
+    waveguide) rows tiled here, one chain step at a time.  ``fold(rows, xs,
+    placed)`` gets a (steps, rows) block of those steps at once: one
+    :func:`pa_terms` call over the block, the per-row constants broadcast
+    along its step axis, then each placed PA's term added to its effective
+    row one step at a time, so every row is summed in the same order as one
+    step per call would sum it.  The closed-form SNRs then read the rows; no
+    placement is kept.  ``feasible`` is False where a
     waveguide's PAs do not all fit, i.e. where :func:`placement.refine_all`
     raises :class:`FeasibilityError`; those draws' SNRs mean nothing.
     """
@@ -95,7 +99,11 @@ def draw_snrs(
                 params, xs, wg_y[rows], height[rows], feed_x[rows], ux[rows], uy[rows],
                 params.num_pas,
             )
-            inner[rows] += np.where(placed, channel * guide, 0.0)
+            terms = np.where(placed, channel * guide, 0.0)
+            acc = inner[rows]
+            for term in terms:  # step by step: each row's sum in chain order
+                acc += term
+            inner[rows] = acc
 
         h_eff = np.hypot(wg_y - uy, height)
         fits = placement.refine_batch(params, h_eff, ux, feed_x, max_x, fold)

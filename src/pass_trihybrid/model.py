@@ -212,6 +212,20 @@ class PinchingConfig:
         return self.positions.shape[1]
 
 
+def _trusted_pinching(positions: np.ndarray, min_spacing_m: float, feed_x, max_x) -> PinchingConfig:
+    """A :class:`PinchingConfig` whose float (M, N) rows are known to be valid.
+
+    For placements built ascending, spaced and in range by construction
+    (``placement.refine_all``); it skips the sort and both range checks of
+    ``__post_init__``, which every other construction runs.
+    """
+    config = object.__new__(PinchingConfig)  # frozen: set the fields past __setattr__
+    config.__dict__.update(
+        positions=positions, min_spacing_m=min_spacing_m, feed_x=feed_x, max_x=max_x
+    )
+    return config
+
+
 @dataclass(frozen=True)
 class EffectiveChannel:
     """Per-PA channels, in-waveguide vectors, and their per-waveguide products.

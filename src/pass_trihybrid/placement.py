@@ -40,6 +40,7 @@ from .model import (
     UserPosition,
     Waveguide,
     WaveguideLayout,
+    _trusted_pinching,
     check_user_in_region,
 )
 
@@ -47,6 +48,10 @@ from .model import (
 # treated as exact, so v = 0 instead of a full extra wavelength of shift.
 _GRID_EPS = 1e-12
 _UNREACHABLE = "no reachable alignment point on the feed side"
+# Entries (steps x rows) per block that :func:`refine_batch` hands to its fold:
+# large enough that a fold's per-call overhead is shared by many steps,
+# small enough that its per-entry cost stays near its minimum.
+_BLOCK_ENTRIES = 4096
 
 
 def _grid_index(h_eff, delta, n_eff: float, wavelength: float, outward: bool) -> np.ndarray:
@@ -60,26 +65,35 @@ def _grid_index(h_eff, delta, n_eff: float, wavelength: float, outward: bool) ->
     return np.ceil(((ndelta - hyp) if outward else (ndelta + hyp)) / wavelength - _GRID_EPS)
 
 
-def _aligned_offset(h_eff, t, n_eff: float, outward: bool) -> np.ndarray:
+def _elevation_term(h_eff, n_eff: float):
+    """The elevation's term of :func:`_aligned_offset`: h^2 s, or h^2 for n_eff = 1.
+
+    It depends only on the row, so chain solvers compute it once per chain.
+    """
+    h2 = h_eff * h_eff
+    return h2 if n_eff == 1.0 else h2 * (n_eff * n_eff - 1.0)
+
+
+def _aligned_offset(h2s, t, n_eff: float, outward: bool) -> np.ndarray:
     """Offset (t n_eff - sign sqrt(t^2 + h^2 s)) / s, s = n_eff^2 - 1, on target ``t``.
 
     (t^2 - h^2) / (2 t) for n_eff = 1, and NaN on the feed side where t >= 0:
     that path only decays asymptotically to zero, so a non-positive grid
-    line is never reached.
+    line is never reached.  ``h2s`` is :func:`_elevation_term` of the rows.
     """
     if n_eff == 1.0:
         if outward:
             t = np.where(t < 0.0, t, np.nan)
-        return (t * t - h_eff * h_eff) / (2.0 * t)
-    s = n_eff * n_eff - 1.0
-    root = np.sqrt(t * t + h_eff * h_eff * s)
-    return ((t * n_eff + root) if outward else (t * n_eff - root)) / s
+        return (t * t - h2s) / (2.0 * t)
+    root = np.sqrt(t * t + h2s)
+    return ((t * n_eff + root) if outward else (t * n_eff - root)) / (n_eff * n_eff - 1.0)
 
 
 def _shift_batch(h_eff, delta, n_eff: float, wavelength: float, outward: bool) -> np.ndarray:
     """Smallest shift v >= 0 aligning a PA at offset ``delta`` (NaN: unreachable)."""
     t = wavelength * _grid_index(h_eff, delta, n_eff, wavelength, outward)
-    return np.maximum(_aligned_offset(h_eff, t, n_eff, outward) - delta, 0.0)
+    d = _aligned_offset(_elevation_term(h_eff, n_eff), t, n_eff, outward)
+    return np.maximum(d - delta, 0.0)
 
 
 def _one_shift(h_eff: float, delta: float, n_eff: float, wavelength: float, outward: bool) -> float:
@@ -158,12 +172,13 @@ def _solve(
     prefix grows every pass, so at most quota + 1 passes run.
     """
     h, lo, hi = h_eff[:, None], bounds[0][:, None], bounds[1][:, None]
+    h2s = _elevation_term(h, n_eff)
     width = int(quota.max()) + 1  # one column more, where every chain has ended
     cols = np.arange(width)
     in_quota = cols < quota[:, None]
     row_starts = np.arange(h_eff.size) * width  # in the flattened (R, width) arrays
     index = _grid_index(h_eff, start, n_eff, wavelength, outward)[:, None] + cols
-    f = _aligned_offset(h, wavelength * index, n_eff, outward)
+    f = _aligned_offset(h2s, wavelength * index, n_eff, outward)
     f[:, 0] = start + np.maximum(f[:, 0] - start, 0.0)  # not f_0 itself when d_0 - start rounds
     delta = np.empty_like(f)
     delta[:, 0] = start
@@ -171,7 +186,7 @@ def _solve(
     while True:
         np.add(f[:, :-1], min_spacing, out=delta[:, 1:])
         new_index = _grid_index(h, delta, n_eff, wavelength, outward)
-        d = _aligned_offset(h, wavelength * new_index, n_eff, outward)
+        d = _aligned_offset(h2s, wavelength * new_index, n_eff, outward)
         shifts = np.maximum(d - delta, 0.0)
         new_f = delta + shifts
         placing = (lo <= new_f) & (new_f <= hi) & in_quota  # False at NaN
@@ -188,7 +203,7 @@ def _solve(
             later[:, 1:], np.fmax(new_index[:, 1:] - index[:, :-1], 1.0), np.diff(new_index)
         )
         index = np.cumsum(steps, axis=1)
-        f = np.where(later, _aligned_offset(h, wavelength * index, n_eff, outward), new_f)
+        f = np.where(later, _aligned_offset(h2s, wavelength * index, n_eff, outward), new_f)
     failed = (first < quota) & np.isnan(new_f.ravel()[row_starts + first])
     return new_f[:, :-1], shifts[:, :-1], first, failed
 
@@ -324,11 +339,9 @@ def refine_all(
     """Refine every waveguide independently and assemble the pinching matrix."""
     check_user_in_region(params, user)
     positions, results = _refine(params, layout, user, num_pas)
-    config = PinchingConfig(
-        positions=positions,
-        min_spacing_m=params.min_spacing_m,
-        feed_x=layout.field("feed_x"),
-        max_x=layout.field("max_x"),
+    # Ascending, spaced and in range by construction: not validated again.
+    config = _trusted_pinching(
+        positions, params.min_spacing_m, layout.field("feed_x"), layout.field("max_x")
     )
     return config, results
 
@@ -345,33 +358,50 @@ def refine_batch(
 
     ``h_eff``, ``user_x``, ``feed_x`` and ``max_x`` hold one value per row.
     :func:`_place` over the rows, each side's chains walked one
-    :func:`_shift_batch` step per PA, keeping nothing: every step is handed
-    to ``fold(rows, xs, placed)``, so a caller can fold each PA into its
-    channel and drop it.  ``rows`` selects rows, ``xs`` holds one PA position
-    per selected row and ``placed`` marks where that PA is part of its
-    chain, i.e. the chain has not yet hit its quota or left its bounds.  The
-    first N/2 steps per side run on every row, the rest only on the rows that
-    need them.  The result is False where :func:`refine_all` raises
-    :class:`FeasibilityError`.
+    :func:`_shift_batch` step per PA, keeping nothing: the steps are handed
+    in blocks to ``fold(rows, xs, placed)``, so a caller can fold the PAs
+    into its channel and drop them.  ``rows`` selects R' rows; ``xs`` and
+    ``placed`` are (steps, R') arrays, row k the block's k-th step: one PA
+    position per selected row, and whether that PA is part of its chain,
+    i.e. the chain has not yet hit its quota or left its bounds.  A block
+    holds about :data:`_BLOCK_ENTRIES` entries (at least one step), the last
+    block of a walk what is left; both arrays are overwritten by the next
+    call.  The first N/2 steps per side run on every row, the rest only on
+    the rows that need them.  The result is False where :func:`refine_all`
+    raises :class:`FeasibilityError`.
     """
+    n_eff, wavelength, spacing = params.n_eff, params.wavelength_m, params.min_spacing_m
+    h2s = _elevation_term(h_eff, n_eff)
 
     def walk(outward: bool, rows, col: int, delta, quota, bounds):
-        h, ux, (lo, hi) = h_eff[rows], user_x[rows], bounds
-        placed = np.zeros(h.shape, dtype=int)
-        failed = np.zeros(h.shape, dtype=bool)
-        alive = np.ones(h.shape, dtype=bool)
-        for step in range(int(np.max(quota, initial=0))):
-            final = delta + _shift_batch(h, delta, params.n_eff, params.wavelength_m, outward)
-            alive = alive & (step < quota)
-            if outward and params.n_eff == 1.0:
-                unreachable = np.isnan(final)
-                failed |= alive & unreachable
-                alive &= ~unreachable
-                final[unreachable] = 0.0  # a finite position for the PA not placed
-            alive &= (lo <= final) & (final <= hi)
-            placed += alive
-            fold(rows, ux - final if outward else ux + final, alive)
-            delta = final + params.min_spacing_m
+        h, hh, ux, (lo, hi) = h_eff[rows], h2s[rows], user_x[rows], bounds
+        position = np.subtract if outward else np.add  # of a PA at offset ``final``
+        limited = np.ndim(quota) > 0  # a scalar quota is every row's step count
+        steps, size = int(np.max(quota, initial=0)), h.size
+        block = max(1, _BLOCK_ENTRIES // max(size, 1))
+        xs = np.empty((min(block, steps), size))
+        live = np.empty(xs.shape, dtype=bool)
+        placed = np.zeros(size, dtype=int)
+        failed = np.zeros(size, dtype=bool)
+        alive = np.ones(size, dtype=bool)
+        for first in range(0, steps, block):
+            count = min(block, steps - first)
+            for k in range(count):
+                t = wavelength * _grid_index(h, delta, n_eff, wavelength, outward)
+                final = delta + np.maximum(_aligned_offset(hh, t, n_eff, outward) - delta, 0.0)
+                if limited:
+                    alive &= first + k < quota
+                if outward and n_eff == 1.0:
+                    unreachable = np.isnan(final)
+                    failed |= alive & unreachable
+                    alive &= ~unreachable
+                    final[unreachable] = 0.0  # a finite position for the PA not placed
+                alive &= (lo <= final) & (final <= hi)
+                live[k] = alive
+                position(ux, final, out=xs[k])
+                delta = final + spacing
+            placed += live[:count].sum(axis=0)
+            fold(rows, xs[:count], live[:count])
         return placed, delta, failed
 
-    return _place(walk, params.num_pas, params.min_spacing_m, user_x, feed_x, max_x)[-1]
+    return _place(walk, params.num_pas, spacing, user_x, feed_x, max_x)[-1]

@@ -2,7 +2,8 @@
 
 The references here are the per-draw loops the engine replaced: one
 ``default_rng((seed, i))`` per draw, then refine_all -> effective_channel ->
-beamformer and ``baseline_capacity`` for each user, means summed with ``+=``.
+beamformer and ``baseline_capacity`` for each user, means summed with ``+=``;
+and the engine's earlier walk, which handed its fold one chain step per call.
 """
 
 import math
@@ -252,7 +253,9 @@ def test_folded_steps_are_the_refine_all_placement(monkeypatch, params, layout, 
 
     def recording(params, h_eff, user_x, feed_x, max_x, fold):
         def record(rows, xs, placed):
-            calls.append((np.arange(user_x.size)[rows], xs.copy(), placed.copy()))
+            # a (steps, rows) block: the row ids repeat along the step axis
+            ids = np.broadcast_to(np.arange(user_x.size)[rows], xs.shape)
+            calls.append((ids.ravel(), xs.flatten(), placed.flatten()))
             fold(rows, xs, placed)
 
         return original(params, h_eff, user_x, feed_x, max_x, record)
@@ -273,6 +276,102 @@ def test_folded_steps_are_the_refine_all_placement(monkeypatch, params, layout, 
     assert feasible.any()
     if params.num_pas == 64:
         assert uneven > 0  # redistributed rows are among those compared
+
+
+# --- Reference: the one-step-per-call walk and fold, copied verbatim ---------
+
+
+def reference_refine_batch(params, h_eff, user_x, feed_x, max_x, fold):
+    def walk(outward: bool, rows, col: int, delta, quota, bounds):
+        h, ux, (lo, hi) = h_eff[rows], user_x[rows], bounds
+        placed = np.zeros(h.shape, dtype=int)
+        failed = np.zeros(h.shape, dtype=bool)
+        alive = np.ones(h.shape, dtype=bool)
+        for step in range(int(np.max(quota, initial=0))):
+            final = delta + placement._shift_batch(
+                h, delta, params.n_eff, params.wavelength_m, outward
+            )
+            alive = alive & (step < quota)
+            if outward and params.n_eff == 1.0:
+                unreachable = np.isnan(final)
+                failed |= alive & unreachable
+                alive &= ~unreachable
+                final[unreachable] = 0.0  # a finite position for the PA not placed
+            alive &= (lo <= final) & (final <= hi)
+            placed += alive
+            fold(rows, ux - final if outward else ux + final, alive)
+            delta = final + params.min_spacing_m
+        return placed, delta, failed
+
+    return placement._place(walk, params.num_pas, params.min_spacing_m, user_x, feed_x, max_x)[-1]
+
+
+def reference_draw_snrs(params, layout, user_x, user_y, modes, baseline_elements=None):
+    feasible = np.ones(user_x.size, dtype=bool)
+    inner = None
+    if any(mode != "baseline" for mode in modes):
+        m = len(layout)
+        ux, uy = np.repeat(user_x, m), np.repeat(user_y, m)
+        wg_y, height, feed_x, max_x = (
+            np.tile(layout.field(k), user_x.size) for k in ("y", "height", "feed_x", "max_x")
+        )
+        inner = np.zeros(ux.size, dtype=complex)
+
+        def fold(rows, xs, placed):
+            channel, guide = experiments.pa_terms(
+                params, xs, wg_y[rows], height[rows], feed_x[rows], ux[rows], uy[rows],
+                params.num_pas,
+            )
+            inner[rows] += np.where(placed, channel * guide, 0.0)
+
+        h_eff = np.hypot(wg_y - uy, height)
+        fits = reference_refine_batch(params, h_eff, ux, feed_x, max_x, fold)
+        feasible = fits.reshape(-1, m).all(axis=1)
+        inner = inner.reshape(-1, m)
+    return experiments._snrs(params, inner, user_x, user_y, modes, baseline_elements), feasible
+
+
+@pytest.mark.parametrize(
+    "params, layout, at, block",
+    [
+        (DENSE, None, None, None),
+        (DENSE, None, edge_users(DENSE), None),
+        (SystemParams(kappa_db_per_m=0.0, num_pas=64), RAGGED,
+         ragged_dense_users(SystemParams(kappa_db_per_m=0.0)), None),
+        (SystemParams(n_eff=1.0, num_pas=16), None, None, None),
+        # 4 x 1025 rows: one step per block; 4 x 300 rows: 3-step blocks, 8 steps a side
+        (SystemParams(num_pas=8), None, users(SystemParams(), 13, 1025), 1),
+        (SystemParams(num_pas=16), None, users(SystemParams(), 13, 300), 3),
+    ],
+    ids=["dense", "edge-overflow", "ragged-dense", "unit-index", "block-of-one", "ragged-block"],
+)
+def test_blocked_fold_is_bit_identical_to_one_step_per_call(monkeypatch, params, layout, at, block):
+    """Every row is summed in the same order as one step per fold call would sum it."""
+    layout = WaveguideLayout.from_params(params) if layout is None else layout
+    ux, uy = users(params, 3, 60) if at is None else at
+    rows = ux.size * len(layout)
+    if block is not None:  # the block size the case is about, and a partial last block
+        assert max(1, placement._BLOCK_ENTRIES // rows) == block
+        assert block == 1 or (params.num_pas // 2) % block != 0
+    shapes = []
+    original = placement.refine_batch
+
+    def recording(params, h_eff, user_x, feed_x, max_x, fold):
+        def record(rows, xs, placed):
+            shapes.append(xs.shape)
+            fold(rows, xs, placed)
+
+        return original(params, h_eff, user_x, feed_x, max_x, record)
+
+    monkeypatch.setattr(placement, "refine_batch", recording)
+    snrs, feasible = experiments.draw_snrs(params, layout, ux, uy, ALL_MODES)
+    want, want_feasible = reference_draw_snrs(params, layout, ux, uy, ALL_MODES)
+    assert np.array_equal(feasible, want_feasible)
+    assert feasible.any()
+    for mode in ALL_MODES:
+        assert np.array_equal(snrs[mode], want[mode]), mode
+    # the first block of the first phase: every row, as many steps as fit
+    assert shapes[0] == (min(max(1, placement._BLOCK_ENTRIES // rows), params.num_pas // 2), rows)
 
 
 @settings(max_examples=40, deadline=None)

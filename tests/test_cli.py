@@ -123,6 +123,16 @@ class TestErrors:
         assert main(["sweep", "--config", str(cfg), "--mode", "single"]) == EXIT_INFEASIBLE
         assert "only" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["sweep", "placement", "bounds"])
+    def test_unwritable_out_path(self, mini_config, tmp_path, capsys, command):
+        # the parent directory does not exist: a message and exit 2, no traceback
+        out = tmp_path / "missing" / "rows.csv"
+        assert main([command, "--config", mini_config, "--out", str(out)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"cannot write {out}: ")
+        assert not out.exists()
+
     def test_invalid_flag_value(self):
         with pytest.raises(SystemExit):
             main(["sweep", "--case", "9"])

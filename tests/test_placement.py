@@ -5,11 +5,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.optimize import brentq
 
 from pass_trihybrid import (
     FeasibilityError,
+    PinchingConfig,
     SystemParams,
     UserPosition,
     Waveguide,
@@ -244,3 +247,33 @@ class TestRefineAll:
         layout = WaveguideLayout.from_params(LOSSLESS)
         with pytest.raises(ValueError):
             refine_all(LOSSLESS, layout, UserPosition(26.0, 0.0))
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        n_eff=st.sampled_from([1.0, 1.0 + 1e-6, 1.4, 2.0]),
+        half_n=st.integers(1, 256),
+        m=st.integers(1, 4),
+        dx=st.floats(0.5, 60.0),
+        height=st.floats(0.05, 8.0),
+        spacing=st.sampled_from([None, 0.002, 0.02]),
+        x_frac=st.one_of(st.sampled_from([-0.5, 0.5]), st.floats(-0.5, 0.5)),
+        y_frac=st.one_of(st.sampled_from([-0.5, 0.5]), st.floats(-0.5, 0.5)),
+    )
+    def test_placements_pass_the_full_validation(
+        self, n_eff, half_n, m, dx, height, spacing, x_frac, y_frac
+    ):
+        # refine_all skips PinchingConfig's checks; its rows must pass them anyway
+        params = SystemParams(
+            n_eff=n_eff, num_pas=2 * half_n, num_waveguides=m, dx_m=dx, height_m=height,
+            min_spacing_m=spacing,
+        )
+        layout = WaveguideLayout.from_params(params)
+        user = UserPosition(x_frac * dx, y_frac * params.dy_m)
+        try:
+            pin, _ = refine_all(params, layout, user)
+        except FeasibilityError:
+            return
+        checked = PinchingConfig(pin.positions, pin.min_spacing_m, pin.feed_x, pin.max_x)
+        assert np.array_equal(checked.positions, pin.positions)
+        assert pin.positions.dtype == float and pin.positions.shape == (m, 2 * half_n)
+        assert (np.diff(pin.positions, axis=1) > 0).all()
