@@ -38,11 +38,7 @@ def _check_even(n: int) -> None:
 
 
 def _upper_sum(params: SystemParams, h_eff, n: int, spacing):
-    """sum_k 2 sqrt(eta) / (sqrt(N) sqrt((k - 1/2)^2 s^2 + h_eff^2)), k = 1..N/2.
-
-    ``h_eff`` and ``spacing`` broadcast; the sum runs over a new last axis,
-    so (M, 1) columns give one sum per waveguide.
-    """
+    """sum_k 2 sqrt(eta) / (sqrt(N) sqrt((k - 1/2)^2 s^2 + h_eff^2)), k = 1..N/2."""
     k = np.arange(1, n // 2 + 1)
     terms = 2.0 * math.sqrt(params.eta_m2) / (
         math.sqrt(n) * np.sqrt((k - 0.5) ** 2 * spacing * spacing + h_eff * h_eff)
@@ -120,7 +116,6 @@ class BoundsReport:
     min_spacing_m: float
     max_spacing_m: np.ndarray
     max_spacing_is_surrogate: bool
-    gain_lower_per_wg: np.ndarray
     snr1_upper: float | None = None
     snr1_lower: float | None = None
     snr1_linear: float | None = None
@@ -164,7 +159,6 @@ def snr_bounds(
     h = layout.elevations(user)
     ub = _approx(params, h, n, params.min_spacing_m)
     lb = _approx(params, h, n, dmax)
-    lower_sum = _upper_sum(params, h[:, None], n, dmax[:, None])
 
     p, s2 = params.power_w, params.noise_w
     report = {
@@ -172,7 +166,6 @@ def snr_bounds(
         "min_spacing_m": params.min_spacing_m,
         "max_spacing_m": dmax,
         "max_spacing_is_surrogate": surrogate,
-        "gain_lower_per_wg": lower_sum,
     }
     if mode in ("single", "both"):
         up = p / (m * s2) * float(np.sum(ub)) ** 2

@@ -7,7 +7,6 @@ criteria execute.
 import time
 
 import numpy as np
-import pytest
 
 from pass_trihybrid import (
     ExperimentConfig,
@@ -15,10 +14,10 @@ from pass_trihybrid import (
     UserPosition,
     Waveguide,
     WaveguideLayout,
-    direct_phase_chain,
     effective_channel,
     gain_kernel,
     grid_search_gain,
+    invariants,
     multi_rf_solution,
     refine_all,
     run_sweep,
@@ -51,11 +50,7 @@ def _simulate(params: SystemParams, layout, user, n):
 def test_criterion_1_phase_alignment():
     t0 = time.monotonic()
     layout = WaveguideLayout.from_params(DEFAULTS)
-    worst = 0.0
-    for n in (2, 4, 8, 16, 32, 64):
-        _, results = refine_all(DEFAULTS, layout, CENTER, num_pas=n)
-        for wg, res in zip(layout.waveguides, results):
-            worst = max(worst, direct_phase_chain(res.positions, CENTER, wg, DEFAULTS))
+    worst = invariants.phase_residual(DEFAULTS, layout, CENTER, (2, 4, 8, 16, 32, 64))
     elapsed = time.monotonic() - t0
     ok = worst < 1e-6 * LAM and elapsed < 1.0
     _report(1, f"phase alignment residual {worst:.2e} m over N up to 64", ok, elapsed, 1.0)
@@ -64,14 +59,9 @@ def test_criterion_1_phase_alignment():
 def test_criterion_2_bound_sandwich():
     t0 = time.monotonic()
     layout = WaveguideLayout.from_params(DEFAULTS)
-    violations = []
-    for n in [2**k for k in range(1, 11)]:
-        snr1, snr2, dmax, _ = _simulate(DEFAULTS, layout, CENTER, n)
-        rep = snr_bounds(DEFAULTS, layout, CENTER, n, dmax)
-        if not rep.snr1_lower <= snr1 <= rep.snr1_upper:
-            violations.append(("single", n))
-        if not rep.snr2_lower <= snr2 <= rep.snr2_upper:
-            violations.append(("multi", n))
+    violations = invariants.sandwich_violations(
+        DEFAULTS, layout, CENTER, [2**k for k in range(1, 11)]
+    )
     elapsed = time.monotonic() - t0
     ok = not violations and elapsed < 10.0
     _report(2, f"SNR sandwich over N in 2..1024, violations={violations}", ok, elapsed, 10.0)
@@ -160,28 +150,18 @@ def test_criterion_5_oracle_near_optimality():
 def test_criterion_6_ordering_properties():
     t0 = time.monotonic()
     rng = np.random.default_rng(20250809)
-    lossy = DEFAULTS.replace(kappa_db_per_m=0.08)
-    ok = True
-    for _ in range(1000):
-        n = int(rng.choice([2, 4, 8, 16]))
-        m = int(rng.choice([1, 2, 4]))
-        params = DEFAULTS.replace(num_waveguides=m, num_pas=n)
-        layout = WaveguideLayout.from_params(params)
-        user = UserPosition(rng.uniform(-24, 24), rng.uniform(-10, 10))
-        pin, _ = refine_all(params, layout, user)
-        eff = effective_channel(params, layout, pin, user)
-        s1 = single_rf_solution(eff, params)
-        s2 = multi_rf_solution(eff, params)
-        ok &= s1.snr <= s2.snr * (1 + 1e-12)
-        # identical placement, in-waveguide loss switched on
-        eff_lossy = effective_channel(lossy.replace(num_waveguides=m, num_pas=n), layout, pin, user)
-        ok &= single_rf_solution(eff_lossy, lossy).snr <= s1.snr
-        ok &= multi_rf_solution(eff_lossy, lossy).snr <= s2.snr
-        ok &= np.max(np.abs(np.abs(s2.analog) - 1.0)) < 1e-12
-        ok &= np.max(np.abs(np.abs(s1.analog) - 1.0)) < 1e-12
-        ok &= abs(s1.transmit_power() - params.power_w) <= 1e-9 * params.power_w
-        ok &= abs(s2.transmit_power() - params.power_w) <= 1e-9 * params.power_w
+
+    def scenarios():
+        for _ in range(1000):
+            n = int(rng.choice([2, 4, 8, 16]))
+            m = int(rng.choice([1, 2, 4]))
+            user = UserPosition(rng.uniform(-24, 24), rng.uniform(-10, 10))
+            yield DEFAULTS.replace(num_waveguides=m, num_pas=n), user
+
+    # each property also on the same placement with 0.08 dB/m in-waveguide loss
+    violations = invariants.beamformer_violations(scenarios())
     elapsed = time.monotonic() - t0
+    ok = not violations
     _report(6, "ordering, loss monotonicity, unit modulus, power on 1000 scenarios", ok, elapsed, None)
 
 

@@ -2,8 +2,9 @@
 
 The references here are the per-draw loops the engine replaced: one
 ``default_rng((seed, i))`` per draw, then refine_all -> effective_channel ->
-beamformer and ``baseline_capacity`` for each user, means summed with ``+=``;
-and the engine's earlier walk, which handed its fold one chain step per call.
+beamformer and ``baseline_capacity`` for each user
+(``invariants.reference_snrs``), means summed with ``+=``; and the engine's
+earlier walk, which handed its fold one chain step per call.
 """
 
 import math
@@ -16,20 +17,15 @@ from hypothesis import strategies as st
 from pass_trihybrid import (
     CapacityReport,
     ExperimentConfig,
-    FeasibilityError,
     SystemParams,
     UserPosition,
     Waveguide,
     WaveguideLayout,
-    baseline_capacity,
-    effective_channel,
-    multi_rf_solution,
     refine_all,
     render_sweep_csv,
     run_sweep,
-    single_rf_solution,
 )
-from pass_trihybrid import beamforming, experiments, placement
+from pass_trihybrid import beamforming, experiments, invariants, placement
 from pass_trihybrid.sampler import uniform_pairs
 
 ALL_MODES = ("single", "multi", "baseline")
@@ -45,26 +41,6 @@ RAGGED = WaveguideLayout(
 
 def reference_units(seed, draws):
     return np.array([np.random.default_rng((seed, i)).random(2) for i in range(draws)])
-
-
-def reference_snrs(params, layout, user, modes, baseline_elements=None):
-    """Per-mode SNR of one draw through the scalar path; None if infeasible."""
-    out = {}
-    if any(mode != "baseline" for mode in modes):
-        try:
-            pin, _ = refine_all(params, layout, user)
-        except FeasibilityError:
-            return None
-        eff = effective_channel(params, layout, pin, user)
-    for mode in modes:
-        if mode == "single":
-            out[mode] = single_rf_solution(eff, params).snr
-        elif mode == "multi":
-            out[mode] = multi_rf_solution(eff, params).snr
-        else:
-            base_mode = "multi" if params.num_rf_chains >= 2 else "single"
-            out[mode] = baseline_capacity(params, user, base_mode, baseline_elements).snr
-    return out
 
 
 def users(params, seed, draws):
@@ -84,30 +60,16 @@ def assert_engine_matches_scalar(
     """
     layout = WaveguideLayout.from_params(params) if layout is None else layout
     ux, uy = users(params, seed, draws) if at is None else at
-    calls = []
-    original = placement.refine_all
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
-    placement.refine_all = counting
+    original, placement.refine_all = placement.refine_all, None  # the engine must not call it
     try:
         snrs, feasible = experiments.draw_snrs(params, layout, ux, uy, modes, **kw)
     finally:
         placement.refine_all = original
-    assert len(calls) == 0
     assert set(snrs) == set(modes)
+    assert invariants.draw_mismatches(params, layout, ux, uy, modes, **kw) == []
     to_left = to_right = 0
-    for d in range(len(ux)):
-        user = UserPosition(ux[d], uy[d])
-        ref = reference_snrs(params, layout, user, modes, **kw)
-        assert feasible[d] == (ref is not None), d
-        if ref is None:
-            continue
-        for mode, snr in ref.items():
-            assert abs(snrs[mode][d] - snr) <= 1e-12 * snr, (d, mode)
-        _, results = refine_all(params, layout, user)
+    for d in np.flatnonzero(feasible):
+        _, results = refine_all(params, layout, UserPosition(ux[d], uy[d]))
         to_left += any(r.n_left > r.n_right for r in results)
         to_right += any(r.n_right > r.n_left for r in results)
     return int(feasible.sum()), to_left, to_right
@@ -404,7 +366,9 @@ def reference_sweep_csv(config):
         counted = infeasible = 0
         for ux, uy in units:
             user = UserPosition((ux - 0.5) * params.dx_m, (uy - 0.5) * params.dy_m)
-            snrs = reference_snrs(params, layout, user, config.modes, config.baseline_elements)
+            snrs = invariants.reference_snrs(
+                params, layout, user, config.modes, config.baseline_elements
+            )
             if snrs is None:
                 infeasible += 1
                 continue

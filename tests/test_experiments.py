@@ -1,6 +1,8 @@
 """Config parsing, sweep runner, CSV contracts, Monte Carlo accounting."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -224,3 +226,21 @@ class TestSelftest:
         assert ok
         assert len(lines) == 7
         assert all(line.startswith("[PASS]") for line in lines)
+
+    def test_one_rf_chain(self):
+        # the multi-RF properties are skipped, not built
+        ok, lines = selftest(ExperimentConfig(num_rf_chains=1))
+        assert ok
+        assert len(lines) == 7
+        assert all(line.startswith("[PASS]") for line in lines)
+
+    def test_package_import_loads_no_verifier(self):
+        code = (
+            "import sys, pass_trihybrid; "
+            "print('mpmath' in sys.modules, 'pass_trihybrid.invariants' in sys.modules)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "False"]

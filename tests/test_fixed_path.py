@@ -193,7 +193,6 @@ def ref_snr_bounds(params, layout, user, n, max_spacing=None, mode="both"):
     h = layout.elevations(user)
     ub = np.array([ref_gain_approx(params, h[i], n, params.min_spacing_m) for i in range(m)])
     lb = np.array([ref_gain_approx(params, h[i], n, dmax[i]) for i in range(m)])
-    lower_sum = np.array([ref_gain_upper(params, h[i], n, dmax[i]) for i in range(m)])
 
     p, s2 = params.power_w, params.noise_w
     report = {
@@ -201,7 +200,6 @@ def ref_snr_bounds(params, layout, user, n, max_spacing=None, mode="both"):
         "min_spacing_m": params.min_spacing_m,
         "max_spacing_m": dmax,
         "max_spacing_is_surrogate": surrogate,
-        "gain_lower_per_wg": lower_sum,
     }
     if mode in ("single", "both"):
         up = p / (m * s2) * float(np.sum(ub)) ** 2
@@ -285,13 +283,19 @@ def solve_chain(h_eff, n_eff, wavelength, min_spacing, start_delta, quota, bound
     return f[0, : placed[0]].tolist(), v[0, : placed[0]].tolist()
 
 
-def assert_same_report(a: BoundsReport, b: BoundsReport) -> None:
+def assert_same_bounds(params, layout, user, n, dmax, mode="both") -> None:
+    """``snr_bounds`` and the per-waveguide gain sums equal the reference loops."""
+    a = snr_bounds(params, layout, user, n, dmax, mode)
+    b = ref_snr_bounds(params, layout, user, n, dmax, mode)
     for f in dataclasses.fields(BoundsReport):
         x, y = getattr(a, f.name), getattr(b, f.name)
         if isinstance(y, np.ndarray):
             assert np.array_equal(x, y), f.name
         else:
             assert x == y, f.name
+    for h, d in zip(layout.elevations(user), b.max_spacing_m):
+        assert analysis.gain_upper(params, h, n) == ref_gain_upper(params, h, n)
+        assert analysis.gain_lower(params, h, n, d) == ref_gain_upper(params, h, n, d)
 
 
 class TestChain:
@@ -482,10 +486,7 @@ class TestSnrBounds:
             }[spacing]
             for user in self.USERS:
                 for n in (2, 4, 16, 64, 1024, 4096):
-                    assert_same_report(
-                        snr_bounds(params, layout, user, n, dmax, mode),
-                        ref_snr_bounds(params, layout, user, n, dmax, mode),
-                    )
+                    assert_same_bounds(params, layout, user, n, dmax, mode)
 
     def test_matches_on_refined_spacings(self):
         params = SystemParams(kappa_db_per_m=0.0)
@@ -496,10 +497,7 @@ class TestSnrBounds:
                 user = UserPosition(rng.uniform(-25, 25), rng.uniform(-10, 10))
                 _, results = refine_all(params, layout, user, num_pas=n)
                 dmax = np.array([r.max_spacing_m for r in results])
-                assert_same_report(
-                    snr_bounds(params, layout, user, n, dmax),
-                    ref_snr_bounds(params, layout, user, n, dmax),
-                )
+                assert_same_bounds(params, layout, user, n, dmax)
 
     def test_out_of_range_warns_only_in_gain_approx(self):
         params = SystemParams()

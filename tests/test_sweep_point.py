@@ -1,4 +1,4 @@
-"""Fixed-user sweep points against a verbatim copy of their earlier code.
+"""Fixed-user sweep points against their earlier code.
 
 A fixed-user sweep point now shares the Monte Carlo path's SNR step and
 report builder: the closed-form SNRs on the effective row instead of the
@@ -14,65 +14,46 @@ from pass_trihybrid import (
     ExperimentConfig,
     FeasibilityError,
     WaveguideLayout,
-    effective_channel,
     render_sweep_csv,
     run_sweep,
 )
-from pass_trihybrid import analysis, baseline, beamforming, experiments, placement
+from pass_trihybrid import analysis, baseline, beamforming, experiments, invariants, placement
 from pass_trihybrid.reporting import CapacityReport
 
-# --- Reference: the earlier fixed-user point, copied verbatim ---------------
-
-
-def _baseline_mode(params):
-    return "multi" if params.num_rf_chains >= 2 else "single"
-
-
-def _tri_snr(eff, params, mode):
-    if mode == "single":
-        return beamforming.single_rf_solution(eff, params).snr
-    return beamforming.multi_rf_solution(eff, params).snr
+# --- Reference: the earlier fixed-user point --------------------------------
 
 
 def _fixed_point_reports(config, value, scenario):
+    """The earlier point: the per-user beamformer solutions and ``baseline_capacity``
+    (``invariants.reference_snrs``) and ``math.log2``, and a placement even for
+    a baseline-only user."""
     params = config.params_for_case(value)
     layout = WaveguideLayout.from_params(params)
     user = experiments._fixed_user(config, params)
-    pin, results = placement.refine_all(params, layout, user)
-    eff = effective_channel(params, layout, pin, user)
+    _, results = placement.refine_all(params, layout, user)
+    snrs = invariants.reference_snrs(params, layout, user, config.modes, config.baseline_elements)
     max_spacing = np.array([r.max_spacing_m for r in results])
     residual = max(r.alignment_residual_m for r in results)
     bounds = analysis.snr_bounds(params, layout, user, params.num_pas, max_spacing)
 
     reports = []
     for mode in config.modes:
+        snr = snrs[mode]
+        common = dict(
+            scenario=scenario, case=config.case, snr=snr, capacity_bits=beamforming.capacity(snr),
+            draws=1, infeasible_draws=0,
+        )
         if mode == "baseline":
-            base = baseline.baseline_capacity(
-                params, user, _baseline_mode(params), config.baseline_elements
-            )
             reports.append(
-                CapacityReport(
-                    scenario=scenario,
-                    mode=base.mode,
-                    case=config.case,
-                    snr=base.snr,
-                    capacity_bits=base.capacity_bits,
-                    draws=1,
-                    infeasible_draws=0,
-                )
+                CapacityReport(mode=f"baseline_{experiments._baseline_mode(params)}", **common)
             )
             continue
-        snr = _tri_snr(eff, params, mode)
         lo = bounds.snr1_lower if mode == "single" else bounds.snr2_lower
         up = bounds.snr1_upper if mode == "single" else bounds.snr2_upper
         lin = bounds.snr1_linear if mode == "single" else bounds.snr2_linear
         reports.append(
             CapacityReport(
-                scenario=scenario,
                 mode=mode,
-                case=config.case,
-                snr=snr,
-                capacity_bits=beamforming.capacity(snr),
                 snr_lower=lo,
                 snr_upper=up,
                 capacity_lower=beamforming.capacity(lo),
@@ -80,8 +61,7 @@ def _fixed_point_reports(config, value, scenario):
                 snr_linear_law=lin,
                 max_spacing_m=float(max_spacing.max()),
                 alignment_residual_m=residual,
-                draws=1,
-                infeasible_draws=0,
+                **common,
             )
         )
     return reports
