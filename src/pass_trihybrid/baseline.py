@@ -9,12 +9,13 @@ studies that want a different phase-shifter accounting.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .beamforming import capacity
-from .model import SystemParams, UserPosition, distance, free_space_coefficient
+from .model import SystemParams, UserPosition, distance
 from .reporting import CapacityReport
 
 
@@ -57,7 +58,7 @@ def baseline_snr(
     ex, ey, ez = array.positions.T
     ux = np.expand_dims(user_x, -1)
     uy = np.expand_dims(user_y, -1)
-    mags = np.abs(free_space_coefficient(params, distance(ex - ux, ey - uy, ez)))
+    mags = math.sqrt(params.eta_m2) / distance(ex - ux, ey - uy, ez)  # |h| = sqrt(eta) / r
     if mode == "single":
         return params.power_w / (ex.size * params.noise_w) * np.sum(mags, axis=-1) ** 2
     return params.power_w / params.noise_w * np.sum(mags**2, axis=-1)

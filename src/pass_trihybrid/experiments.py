@@ -15,12 +15,13 @@ import numpy as np
 from . import analysis, baseline, beamforming, placement, sampler
 from .config import SCHEMA_VERSION, ConfigError, ExperimentConfig
 from .model import (
+    FeasibilityError,
     SystemParams,
     UserPosition,
     WaveguideLayout,
     check_user_in_region,
     effective_channel,
-    pa_terms,
+    pa_amplitudes,
 )
 from .reporting import CapacityReport
 
@@ -39,6 +40,11 @@ def _fixed_user(config: ExperimentConfig, params: SystemParams) -> UserPosition:
         raise ConfigError(str(err)) from err
     return user
 
+
+# Alignment residual, in wavelengths, up to which a waveguide's PAs count as
+# co-phased at the user, so that the magnitude of its inner product is the
+# sum of their amplitudes.
+_COPHASED = 1e-6
 
 _BATCH_SNR = {"single": beamforming.single_rf_snr, "multi": beamforming.multi_rf_snr}
 
@@ -74,31 +80,40 @@ def draw_snrs(
     The batched engine: :func:`placement.refine_batch` runs the placement
     policy that :func:`placement.refine_all` runs, over the D·M (draw,
     waveguide) rows tiled here, one chain step at a time.  ``fold(rows, xs,
-    placed)`` gets a (steps, rows) block of those steps at once: one
-    :func:`pa_terms` call over the block, the per-row constants broadcast
-    along its step axis, then each placed PA's term added to its effective
-    row one step at a time, so every row is summed in the same order as one
-    step per call would sum it.  The closed-form SNRs then read the rows; no
-    placement is kept.  ``feasible`` is False where a
+    placed)`` gets a (steps, rows) block of those steps at once.  The
+    refined PAs of a waveguide are co-phased at the user, so the magnitude
+    of its inner product is the sum of the PAs' real amplitudes
+    (:func:`pa_amplitudes`, one call per block): each placed PA's amplitude
+    is added to its row one step at a time, so every row is summed in chain
+    order whatever the block size.  The same pass takes each placed PA's
+    distance of r + n_eff (x - x_u) from the wavelength grid; a feasible
+    draw with a PA farther than :data:`_COPHASED` wavelengths from it is not
+    summed as co-phased but re-evaluated through :func:`placement.refine_all`
+    and the complex :func:`effective_channel`.  The closed-form SNRs then
+    read the rows; no placement is kept.  ``feasible`` is False where a
     waveguide's PAs do not all fit, i.e. where :func:`placement.refine_all`
     raises :class:`FeasibilityError`; those draws' SNRs mean nothing.
     """
     feasible = np.ones(user_x.size, dtype=bool)
     inner = None
     if any(mode != "baseline" for mode in modes):
-        m = len(layout)
+        m, n_eff, lam = len(layout), params.n_eff, params.wavelength_m
         ux, uy = np.repeat(user_x, m), np.repeat(user_y, m)
         wg_y, height, feed_x, max_x = (
             np.tile(layout.field(k), user_x.size) for k in ("y", "height", "feed_x", "max_x")
         )
-        inner = np.zeros(ux.size, dtype=complex)
+        inner = np.zeros(ux.size)
+        off_grid = np.zeros(ux.size)  # per row, its placed PAs' worst distance, in wavelengths
 
         def fold(rows, xs, placed):
-            channel, guide = pa_terms(
-                params, xs, wg_y[rows], height[rows], feed_x[rows], ux[rows], uy[rows],
-                params.num_pas,
+            x_u = ux[rows]
+            amplitude, r = pa_amplitudes(
+                params, xs, wg_y[rows], height[rows], feed_x[rows], x_u, uy[rows], params.num_pas
             )
-            terms = np.where(placed, channel * guide, 0.0)
+            cycles = (r + n_eff * (xs - x_u)) / lam
+            miss = np.where(placed, np.abs(cycles - np.rint(cycles)), 0.0)
+            off_grid[rows] = np.maximum(off_grid[rows], miss.max(axis=0))
+            terms = np.where(placed, amplitude, 0.0)
             acc = inner[rows]
             for term in terms:  # step by step: each row's sum in chain order
                 acc += term
@@ -108,6 +123,14 @@ def draw_snrs(
         fits = placement.refine_batch(params, h_eff, ux, feed_x, max_x, fold)
         feasible = fits.reshape(-1, m).all(axis=1)
         inner = inner.reshape(-1, m)
+        for d in np.flatnonzero(feasible & (off_grid.reshape(-1, m).max(axis=1) > _COPHASED)):
+            user = UserPosition(user_x[d], user_y[d])
+            try:
+                pin, _ = placement.refine_all(params, layout, user)
+            except FeasibilityError:  # at a fit's edge; refine_all's elevation may differ
+                feasible[d] = False
+                continue
+            inner[d] = effective_channel(params, layout, pin, user).gains
     return _snrs(params, inner, user_x, user_y, modes, baseline_elements), feasible
 
 
@@ -154,7 +177,11 @@ def _point_reports(
     :func:`placement.refine_all` (a batch of one through the engine is
     several times slower) unless no tri-hybrid mode is asked for; it raises
     :class:`FeasibilityError` if its PAs do not fit, and its tri-hybrid rows
-    also carry the closed-form bounds and the placement diagnostics.
+    also carry the closed-form bounds and the placement diagnostics.  Its
+    effective row sums the real amplitudes of :func:`pa_amplitudes` over
+    ``refine_all``'s positions, as the engine does, unless the placement's
+    alignment residual exceeds :data:`_COPHASED` wavelengths; then it is
+    ``|inner|`` of the complex :func:`effective_channel`.
     """
     params = config.params_for_case(value)
     layout = WaveguideLayout.from_params(params)
@@ -164,8 +191,15 @@ def _point_reports(
         inner, columns = None, {}
         if any(mode != "baseline" for mode in modes):
             pin, results = placement.refine_all(params, layout, user)
-            inner = effective_channel(params, layout, pin, user).inner[None]
             columns = _fixed_columns(params, layout, user, results)
+            if max(r.alignment_residual_m for r in results) > _COPHASED * params.wavelength_m:
+                inner = effective_channel(params, layout, pin, user).gains[None]
+            else:
+                wg_y, height, feed_x = (layout.field(k)[:, None] for k in ("y", "height", "feed_x"))
+                amplitude, _ = pa_amplitudes(
+                    params, pin.positions, wg_y, height, feed_x, user.x, user.y, params.num_pas
+                )
+                inner = amplitude.sum(axis=1)[None]
         snrs = _snrs(params, inner, np.array([user.x]), np.array([user.y]), modes, elements)
         feasible = np.ones(1, dtype=bool)
     else:

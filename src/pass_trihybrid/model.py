@@ -298,19 +298,22 @@ def waveguide_vector(
     return _in_waveguide(params, np.maximum(run, 0.0), xs.size)
 
 
-def pa_terms(params: SystemParams, xs, wg_y, wg_height, feed_x, user_x, user_y, num_pas: int):
-    """Free-space coefficients and in-waveguide factors of PAs at x = ``xs``.
+def pa_amplitudes(params: SystemParams, xs, wg_y, wg_height, feed_x, user_x, user_y, num_pas: int):
+    """Amplitudes sqrt(eta alpha_n) / r_n of PAs at x = ``xs``, and their distances r_n.
 
-    The per-PA channel kernel shared by :func:`effective_channel` and the
-    batched Monte Carlo engine.  Every argument but ``params`` and
-    ``num_pas`` (PAs sharing the waveguide's feed power) broadcasts, so one
-    call covers a whole (M, N) placement or one PA per waveguide of D draws.
-    Returns (channel, guide); their product is each PA's term of the
-    waveguide's inner product.
+    The magnitude of each PA's term of :func:`effective_channel`'s inner
+    product, with no phase.  Where a waveguide's PAs are co-phased at the
+    user, as the refined placement puts them, the magnitude of that inner
+    product is the plain sum of these amplitudes; both draw paths of
+    :mod:`experiments` sum them.  Every argument but ``params`` and
+    ``num_pas`` (PAs sharing the waveguide's feed power) broadcasts.
     """
     r = distance(xs - user_x, wg_y - user_y, wg_height)
-    run = np.maximum(xs - feed_x, 0.0)
-    return free_space_coefficient(params, r), _in_waveguide(params, run, num_pas)
+    amplitude = math.sqrt(params.eta_m2 / num_pas) / r
+    if params.kappa_db_per_m == 0.0:
+        return amplitude, r
+    # sqrt(10^(-kappa run / 10)) = e^(-kappa ln(10) run / 20), run the PA's distance from the feed
+    return amplitude * np.exp(-params.kappa_db_per_m * math.log(10.0) / 20.0 * (xs - feed_x)), r
 
 
 def effective_channel(
@@ -326,6 +329,7 @@ def effective_channel(
     wg_y, height, feed_x = (layout.field(k)[:, None] for k in ("y", "height", "feed_x"))
     if np.any(pos - feed_x < -PinchingConfig._SLACK):
         raise FeasibilityError("PA positions must not precede the waveguide feed point")
-    channel, guide = pa_terms(params, pos, wg_y, height, feed_x, user.x, user.y, pos.shape[1])
+    channel = free_space_coefficient(params, distance(pos - user.x, wg_y - user.y, height))
+    guide = _in_waveguide(params, np.maximum(pos - feed_x, 0.0), pos.shape[1])
     inner = np.sum(channel * guide, axis=1)
     return EffectiveChannel(channel=channel, guide=guide, inner=inner)

@@ -360,10 +360,12 @@ def refine_batch(
     :func:`_place` over the rows, each side's chains walked one
     :func:`_shift_batch` step per PA, keeping nothing: the steps are handed
     in blocks to ``fold(rows, xs, placed)``, so a caller can fold the PAs
-    into its channel and drop them.  ``rows`` selects R' rows; ``xs`` and
-    ``placed`` are (steps, R') arrays, row k the block's k-th step: one PA
-    position per selected row, and whether that PA is part of its chain,
-    i.e. the chain has not yet hit its quota or left its bounds.  A block
+    into its effective rows and drop them (the Monte Carlo engine sums
+    their real amplitudes and checks that they sit on the wavelength
+    grid).  ``rows`` selects R' rows; ``xs`` and ``placed`` are (steps,
+    R') arrays, row k the block's k-th step: one PA position per selected
+    row, and whether that PA is part of its chain, i.e. the chain has not
+    yet hit its quota or left its bounds.  A block
     holds about :data:`_BLOCK_ENTRIES` entries (at least one step), the last
     block of a walk what is left; both arrays are overwritten by the next
     call.  The first N/2 steps per side run on every row, the rest only on

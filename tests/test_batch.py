@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from pass_trihybrid import (
     CapacityReport,
     ExperimentConfig,
+    FeasibilityError,
     SystemParams,
     UserPosition,
     Waveguide,
@@ -240,7 +241,7 @@ def test_folded_steps_are_the_refine_all_placement(monkeypatch, params, layout, 
         assert uneven > 0  # redistributed rows are among those compared
 
 
-# --- Reference: the one-step-per-call walk and fold, copied verbatim ---------
+# --- Reference: the one-step-per-call walk and the real-amplitude fold -------
 
 
 def reference_refine_batch(params, h_eff, user_x, feed_x, max_x, fold):
@@ -277,14 +278,14 @@ def reference_draw_snrs(params, layout, user_x, user_y, modes, baseline_elements
         wg_y, height, feed_x, max_x = (
             np.tile(layout.field(k), user_x.size) for k in ("y", "height", "feed_x", "max_x")
         )
-        inner = np.zeros(ux.size, dtype=complex)
+        inner = np.zeros(ux.size)
 
         def fold(rows, xs, placed):
-            channel, guide = experiments.pa_terms(
+            amplitude, _ = experiments.pa_amplitudes(
                 params, xs, wg_y[rows], height[rows], feed_x[rows], ux[rows], uy[rows],
                 params.num_pas,
             )
-            inner[rows] += np.where(placed, channel * guide, 0.0)
+            inner[rows] += np.where(placed, amplitude, 0.0)
 
         h_eff = np.hypot(wg_y - uy, height)
         fits = reference_refine_batch(params, h_eff, ux, feed_x, max_x, fold)
@@ -334,6 +335,91 @@ def test_blocked_fold_is_bit_identical_to_one_step_per_call(monkeypatch, params,
         assert np.array_equal(snrs[mode], want[mode]), mode
     # the first block of the first phase: every row, as many steps as fit
     assert shapes[0] == (min(max(1, placement._BLOCK_ENTRIES // rows), params.num_pas // 2), rows)
+
+
+@pytest.fixture
+def refine_all_users(monkeypatch):
+    """The users ``placement.refine_all`` is called for, as (x, y) pairs."""
+    calls = []
+    original = placement.refine_all
+
+    def counting(params, layout, user, *args, **kwargs):
+        calls.append((user.x, user.y))
+        return original(params, layout, user, *args, **kwargs)
+
+    monkeypatch.setattr(placement, "refine_all", counting)
+    return calls
+
+
+def shift_one_pa_off_the_grid(monkeypatch, row):
+    """Moves row ``row``'s first PA a quarter wavelength before the engine folds it."""
+    original = placement.refine_batch
+
+    def shifting(params, h_eff, user_x, feed_x, max_x, fold):
+        first = []
+
+        def shift_once(rows, xs, placed):
+            if not first:  # the first block holds every row's first PA
+                first.append(True)
+                assert placed[0, row]
+                xs = xs.copy()
+                xs[0, row] += params.wavelength_m / 4.0
+            fold(rows, xs, placed)
+
+        return original(params, h_eff, user_x, feed_x, max_x, shift_once)
+
+    monkeypatch.setattr(placement, "refine_batch", shifting)
+
+
+class TestCophasedGuard:
+    """A draw is summed as co-phased only while its PAs sit on the wavelength grid."""
+
+    def test_off_grid_pa_is_evaluated_through_the_complex_path(
+        self, monkeypatch, refine_all_users
+    ):
+        params = SystemParams()
+        layout = WaveguideLayout.from_params(params)
+        ux, uy = users(params, 3, 30)
+        shift_one_pa_off_the_grid(monkeypatch, row=5)  # draw 1, waveguide 1
+        _, feasible = experiments.draw_snrs(params, layout, ux, uy, ALL_MODES)
+        assert refine_all_users == [(ux[1], uy[1])]
+        assert feasible.all()
+        assert invariants.draw_mismatches(params, layout, ux, uy, ALL_MODES) == []
+
+    def test_fallback_that_does_not_fit_is_infeasible(self, monkeypatch):
+        params = SystemParams()
+        ux, uy = users(params, 3, 30)
+        shift_one_pa_off_the_grid(monkeypatch, row=5)
+
+        def no_fit(*args, **kwargs):
+            raise FeasibilityError("does not fit")
+
+        monkeypatch.setattr(placement, "refine_all", no_fit)
+        _, feasible = experiments.draw_snrs(
+            params, WaveguideLayout.from_params(params), ux, uy, ALL_MODES
+        )
+        assert np.flatnonzero(~feasible).tolist() == [1]
+
+    @pytest.mark.parametrize("kappa", [0.0, 0.08])
+    def test_default_geometry_takes_no_fallback(self, refine_all_users, kappa):
+        params = SystemParams(kappa_db_per_m=kappa)
+        ux, uy = users(params, 424242, 2000)
+        _, feasible = experiments.draw_snrs(
+            params, WaveguideLayout.from_params(params), ux, uy, ALL_MODES
+        )
+        assert feasible.all()
+        assert refine_all_users == []
+
+    def test_near_unit_index_takes_the_complex_path(self, refine_all_users):
+        # n_eff = 1 + 1e-10: the shift root cancels and leaves every chain
+        # about 1e-5 wavelengths off the grid
+        params = SystemParams(n_eff=1.0 + 1e-10)
+        layout = WaveguideLayout.from_params(params)
+        ux, uy = users(params, 3, 40)
+        _, feasible = experiments.draw_snrs(params, layout, ux, uy, ALL_MODES)
+        assert feasible.all()
+        assert refine_all_users == list(zip(ux, uy))
+        assert invariants.draw_mismatches(params, layout, ux, uy, ALL_MODES) == []
 
 
 @settings(max_examples=40, deadline=None)

@@ -146,3 +146,47 @@ def test_infeasible_fixed_user_raises():
     )
     with pytest.raises(FeasibilityError, match="only 487 of 1024 PAs fit"):
         run_sweep(config)
+
+
+@pytest.fixture
+def channel_calls(monkeypatch):
+    """Counts the sweep's calls of the complex ``effective_channel``."""
+    calls = []
+    original = experiments.effective_channel
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "effective_channel", counting)
+    return calls
+
+
+@pytest.mark.parametrize("case", (1, 2))
+def test_aligned_fixed_user_sums_real_amplitudes(channel_calls, case):
+    config = ExperimentConfig(user="fixed", case=case, user_x=7.3, user_y=-4.1, **N_SWEEP)
+    run_sweep(config)
+    assert channel_calls == []
+
+
+@pytest.mark.parametrize("case", (1, 2))
+def test_off_grid_fixed_user_takes_the_complex_path(channel_calls, case):
+    # n_eff = 1 + 1e-10: the shift root cancels and leaves the PAs about
+    # 1e-5 wavelengths off the grid, so they are not summed as co-phased
+    config = ExperimentConfig(
+        user="fixed", case=case, n_eff=1.0 + 1e-10, user_x=7.3, user_y=-4.1, modes=ALL,
+        sweep="N", sweep_values=(8, 64),
+    )
+    for value in config.sweep_values:
+        params = config.params_for_case(value)
+        layout = WaveguideLayout.from_params(params)
+        user = experiments._fixed_user(config, params)
+        _, results = placement.refine_all(params, layout, user)
+        assert max(r.alignment_residual_m for r in results) > 1e-6 * params.wavelength_m
+        before = len(channel_calls)
+        reports = experiments._point_reports(config, value, None)
+        assert len(channel_calls) == before + 1
+        ref = invariants.reference_snrs(params, layout, user, ("single", "multi", "baseline"))
+        for rep in reports:
+            snr = ref[rep.mode.split("_")[0]]
+            assert abs(rep.snr - snr) <= 1e-12 * snr, (value, rep.mode)
