@@ -103,12 +103,11 @@ def surrogate_max_spacing(params: SystemParams) -> float:
 
 @dataclass(frozen=True)
 class BoundsReport:
-    """Closed-form certificates for one (user, N) scenario.
+    """Closed-form certificates of both RF modes for one (user, N) scenario.
 
-    Single-RF quantities carry a 1/M power split; the multi-RF defaults keep
-    the full power budget, with ``snr2_upper_alt`` giving the alternate
-    normalization that divides by the waveguide count (the two differ by a
-    factor M; the default brackets the matched-filter simulation).
+    The ``snr1_*`` and ``capacity1_*`` fields bound the single-RF beamformer,
+    whose power is split 1/M over the waveguides; the ``snr2_*`` and
+    ``capacity2_*`` fields bound the multi-RF one at the full power budget.
     ``max_spacing_is_surrogate`` marks reports built without a placement.
     """
 
@@ -116,17 +115,16 @@ class BoundsReport:
     min_spacing_m: float
     max_spacing_m: np.ndarray
     max_spacing_is_surrogate: bool
-    snr1_upper: float | None = None
-    snr1_lower: float | None = None
-    snr1_linear: float | None = None
-    capacity1_upper: float | None = None
-    capacity1_lower: float | None = None
-    snr2_upper: float | None = None
-    snr2_lower: float | None = None
-    snr2_linear: float | None = None
-    capacity2_upper: float | None = None
-    capacity2_lower: float | None = None
-    snr2_upper_alt: float | None = None
+    snr1_upper: float
+    snr1_lower: float
+    snr1_linear: float
+    capacity1_upper: float
+    capacity1_lower: float
+    snr2_upper: float
+    snr2_lower: float
+    snr2_linear: float
+    capacity2_upper: float
+    capacity2_lower: float
 
 
 def snr_bounds(
@@ -135,17 +133,14 @@ def snr_bounds(
     user: UserPosition,
     n: int,
     max_spacing: float | np.ndarray | None = None,
-    mode: str = "both",
 ) -> BoundsReport:
-    """SNR and capacity envelopes from the integral-form gain bounds.
+    """SNR and capacity envelopes of both RF modes from the integral-form gain bounds.
 
     ``max_spacing`` is each waveguide's largest realized spacing (scalar or
     per-waveguide array); when omitted the worst-case surrogate is used and
-    flagged.  ``mode`` selects which system-level fields are filled.
+    flagged.
     """
     _check_even(n)
-    if mode not in ("single", "multi", "both"):
-        raise ValueError("mode must be 'single', 'multi', or 'both'")
     m = len(layout)
     surrogate = max_spacing is None
     if surrogate:
@@ -161,34 +156,18 @@ def snr_bounds(
     lb = _approx(params, h, n, dmax)
 
     p, s2 = params.power_w, params.noise_w
-    report = {
-        "n": n,
-        "min_spacing_m": params.min_spacing_m,
-        "max_spacing_m": dmax,
-        "max_spacing_is_surrogate": surrogate,
-    }
-    if mode in ("single", "both"):
-        up = p / (m * s2) * float(np.sum(ub)) ** 2
-        lo = p / (m * s2) * float(np.sum(lb)) ** 2
-        report.update(
-            snr1_upper=up,
-            snr1_lower=lo,
-            snr1_linear=_linear_law(params, h, n, "single"),
-            capacity1_upper=capacity(up),
-            capacity1_lower=capacity(lo),
-        )
-    if mode in ("multi", "both"):
-        up = p / s2 * float(np.sum(ub**2))
-        lo = p / s2 * float(np.sum(lb**2))
-        report.update(
-            snr2_upper=up,
-            snr2_lower=lo,
-            snr2_linear=_linear_law(params, h, n, "multi"),
-            capacity2_upper=capacity(up),
-            capacity2_lower=capacity(lo),
-            snr2_upper_alt=up / m,
-        )
-    return BoundsReport(**report)
+    up1 = p / (m * s2) * float(np.sum(ub)) ** 2
+    lo1 = p / (m * s2) * float(np.sum(lb)) ** 2
+    up2 = p / s2 * float(np.sum(ub**2))
+    lo2 = p / s2 * float(np.sum(lb**2))
+    return BoundsReport(
+        n=n, min_spacing_m=params.min_spacing_m, max_spacing_m=dmax,
+        max_spacing_is_surrogate=surrogate,
+        snr1_upper=up1, snr1_lower=lo1, snr1_linear=_linear_law(params, h, n, "single"),
+        capacity1_upper=capacity(up1), capacity1_lower=capacity(lo1),
+        snr2_upper=up2, snr2_lower=lo2, snr2_linear=_linear_law(params, h, n, "multi"),
+        capacity2_upper=capacity(up2), capacity2_lower=capacity(lo2),
+    )
 
 
 def _linear_law(params: SystemParams, h: np.ndarray, n: int, mode: str) -> float:
@@ -207,17 +186,18 @@ def snr_linear(
     user: UserPosition,
     n: int,
     mode: str = "single",
-    warn: bool = True,
 ) -> float:
     """Small-N scaling law: SNR grows linearly in N, independent of spacing.
 
     Single-RF: (P N eta / M sigma^2) (sum_m 1/H_m)^2.
     Multi-RF:  (P N eta / sigma^2) sum_m 1/H_m^2.
+
+    Warns (:class:`ApproximationWarning`) where N s / (2 H) > 0.05 on a waveguide.
     """
     _check_even(n)
     h = layout.elevations(user)
     ratio = float(np.max(n * params.min_spacing_m / (2.0 * h)))
-    if warn and ratio > 0.05:
+    if ratio > 0.05:
         warnings.warn(
             f"N*spacing/(2 H) = {ratio:.3g} exceeds 0.05; linear scaling law "
             "loses accuracy",
@@ -260,14 +240,19 @@ def asymptotic_envelope(
     mode: str = "single",
     max_spacing: float | np.ndarray | None = None,
 ) -> EnvelopeReport:
-    """Evaluate the SNR bounds over a range of even PA counts."""
+    """Evaluate one RF mode's SNR bounds, ``"single"`` or ``"multi"``, over a
+    range of even PA counts."""
+    if mode not in ("single", "multi"):
+        raise ValueError("mode must be 'single' or 'multi'")
     ns = np.asarray(list(n_values), dtype=int)
     upper = np.empty(len(ns))
     lower = np.empty(len(ns))
     for i, n in enumerate(ns):
-        rep = snr_bounds(params, layout, user, int(n), max_spacing=max_spacing, mode=mode)
-        upper[i] = rep.snr1_upper if mode == "single" else rep.snr2_upper
-        lower[i] = rep.snr1_lower if mode == "single" else rep.snr2_lower
+        rep = snr_bounds(params, layout, user, int(n), max_spacing)
+        if mode == "single":
+            upper[i], lower[i] = rep.snr1_upper, rep.snr1_lower
+        else:
+            upper[i], lower[i] = rep.snr2_upper, rep.snr2_lower
     return EnvelopeReport(
         n_values=ns,
         upper=upper,

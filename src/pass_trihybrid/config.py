@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 from dataclasses import dataclass, fields
 
 from .model import SPEED_OF_LIGHT, SystemParams
@@ -68,8 +69,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown sweep variable {self.sweep!r}")
         if not self.sweep_values:
             raise ConfigError("sweep_values must not be empty")
-        if any(v <= 0 for v in self.sweep_values):
-            raise ConfigError("sweep values must be positive")
+        if not all(0 < v < math.inf for v in self.sweep_values):  # NaN fails too
+            raise ConfigError("sweep values must be positive and finite")
         if self.sweep == "N" and any(int(v) != v or int(v) % 2 for v in self.sweep_values):
             raise ConfigError("PA-count sweep values must be even integers")
         if self.sweep == "M" and any(int(v) != v for v in self.sweep_values):
@@ -85,6 +86,10 @@ class ExperimentConfig:
         bad = [m for m in self.modes if m not in _MODES]
         if bad:
             raise ConfigError(f"unknown modes {bad}; valid: {_MODES}")
+        if not self.modes or len(set(self.modes)) != len(self.modes):
+            raise ConfigError(f"modes must be distinct and not empty, got {self.modes}")
+        if self.baseline_elements is not None and self.baseline_elements < 1:
+            raise ConfigError("baseline_elements must be positive")
 
     def system_params(self, sweep_value: float | None = None) -> SystemParams:
         """Base system parameters, optionally with the sweep variable applied."""

@@ -107,6 +107,9 @@ def draw_snrs(
 
         def fold(rows, xs, placed):
             x_u = ux[rows]
+            # An unplaced step may lie far past the feed (n_eff near 1), where
+            # case 2's loss overflows; take it at the feed, as it is dropped.
+            xs = np.where(placed, xs, feed_x[rows])
             amplitude, r = pa_amplitudes(
                 params, xs, wg_y[rows], height[rows], feed_x[rows], x_u, uy[rows], params.num_pas
             )
@@ -300,6 +303,13 @@ def dump_placement(config: ExperimentConfig, user: UserPosition | None = None) -
     )
 
 
+# The BoundsReport fields of the bounds table, in column order.
+_BOUNDS_FIELDS = (
+    "snr1_lower", "snr1_upper", "snr1_linear", "capacity1_lower", "capacity1_upper",
+    "snr2_lower", "snr2_upper", "snr2_linear", "capacity2_lower", "capacity2_upper",
+)
+
+
 def bounds_table(config: ExperimentConfig) -> str:
     """Analysis-only certificate table over the sweep (no simulation).
 
@@ -313,19 +323,12 @@ def bounds_table(config: ExperimentConfig) -> str:
         user = _fixed_user(config, params)
         rep = analysis.snr_bounds(params, layout, user, params.num_pas)
         rows.append(
-            (
-                config.sweep, f"{value:g}", params.num_pas, float(rep.max_spacing_m[0]),
-                rep.snr1_lower, rep.snr1_upper, rep.snr1_linear,
-                rep.capacity1_lower, rep.capacity1_upper,
-                rep.snr2_lower, rep.snr2_upper, rep.snr2_linear,
-                rep.capacity2_lower, rep.capacity2_upper,
-            )
+            (config.sweep, f"{value:g}", params.num_pas, float(rep.max_spacing_m[0]))
+            + tuple(getattr(rep, name) for name in _BOUNDS_FIELDS)
         )
     return _csv_table(
         config,
-        "sweep,value,n,max_spacing_surrogate_m,snr1_lower,snr1_upper,snr1_linear,"
-        "capacity1_lower,capacity1_upper,snr2_lower,snr2_upper,snr2_linear,"
-        "capacity2_lower,capacity2_upper",
+        ",".join(("sweep", "value", "n", "max_spacing_surrogate_m") + _BOUNDS_FIELDS),
         rows,
     )
 
@@ -397,7 +400,7 @@ def selftest(config: ExperimentConfig | None = None) -> tuple[bool, list[str]]:
     # The batched engine against the per-user path, on the configured geometry
     # and on a dense one where many draws need overflow redistribution.
     base = config.params_for_case()
-    tri = ("single", "multi") if base.num_rf_chains >= 2 else ("single",)
+    tri = invariants._tri_modes(base)
     bad = []
     for params, draws in ((base, 200), (base.replace(dx_m=4.0, num_pas=64), 60)):
         units = sampler.uniform_pairs(config.seed, draws)

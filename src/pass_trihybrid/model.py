@@ -44,6 +44,10 @@ class SystemParams:
     num_rf_chains: int = 2
 
     def __post_init__(self) -> None:
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.fc_hz <= 0:
             raise ValueError("carrier frequency must be positive")
         if self.n_eff < 1.0:
@@ -103,7 +107,8 @@ class UserPosition:
 
 
 def check_user_in_region(params: SystemParams, user: UserPosition) -> None:
-    if abs(user.x) > params.dx_m / 2.0 or abs(user.y) > params.dy_m / 2.0:
+    # Written so that a NaN coordinate fails too.
+    if not (abs(user.x) <= params.dx_m / 2.0 and abs(user.y) <= params.dy_m / 2.0):
         raise ValueError(
             f"user ({user.x}, {user.y}) outside service region "
             f"[{-params.dx_m / 2}, {params.dx_m / 2}] x [{-params.dy_m / 2}, {params.dy_m / 2}]"

@@ -16,13 +16,14 @@ The objective separates across waveguides, so each waveguide is refined
 independently of the others.  One driver, :func:`_place`, holds the
 placement policy over rows that are (user, waveguide) pairs: both sides'
 bounds, the start offset, N/2 PAs per side, the overflow redistribution
-across sides and the fit verdict.  The shift formulas exist once, in the
-numpy kernel :func:`_shift_batch`.  The driver's two side solvers compute
-the same chains and differ only in what they keep of a chain:
-:func:`refine_all` solves one user's chains as whole arrays
-(:func:`_solve`) and keeps every offset and shift; :func:`refine_batch`
-walks many users' chains one step at a time and keeps nothing, handing each
-step to the caller's ``fold``.
+across sides and the fit verdict.  The shift formulas exist once, in
+:func:`_grid_index` and :func:`_aligned_offset`: the side solvers call them
+directly, and :func:`_shift_batch` composes them for the one-PA solvers.
+The two side solvers of :func:`_place` compute the same chains and differ
+only in what they keep of a chain: :func:`refine_all` solves one user's
+chains as whole arrays (:func:`_solve`) and keeps every offset and shift;
+:func:`refine_batch` walks many users' chains one step at a time and keeps
+nothing, handing each step to the caller's ``fold``.
 """
 
 from __future__ import annotations
@@ -357,8 +358,9 @@ def refine_batch(
     """:func:`refine_all` for R (user, waveguide) rows at once; returns where the N PAs fit.
 
     ``h_eff``, ``user_x``, ``feed_x`` and ``max_x`` hold one value per row.
-    :func:`_place` over the rows, each side's chains walked one
-    :func:`_shift_batch` step per PA, keeping nothing: the steps are handed
+    :func:`_place` over the rows, each side's chains walked one step per PA
+    (:func:`_grid_index`, then :func:`_aligned_offset` on the chain's
+    elevation term), keeping nothing: the steps are handed
     in blocks to ``fold(rows, xs, placed)``, so a caller can fold the PAs
     into its effective rows and drop them (the Monte Carlo engine sums
     their real amplitudes and checks that they sit on the wavelength

@@ -111,7 +111,7 @@ def test_criterion_4_peak_and_decay():
         ok &= series[-1] < series[arg]  # strictly below the peak at N = 2^14
     for mode in ("single", "multi"):
         rep = [
-            snr_bounds(params, layout, CENTER, n, mode=mode) for n in ns
+            snr_bounds(params, layout, CENTER, n) for n in ns
         ]
         upper = [r.snr1_upper if mode == "single" else r.snr2_upper for r in rep]
         env_argmax = ns[int(np.argmax(upper))]

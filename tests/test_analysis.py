@@ -130,12 +130,6 @@ class TestSnrBounds:
         rep = snr_bounds(p, layout, USER, 8, p.min_spacing_m * 1.5)
         assert rep.snr1_upper == pytest.approx(rep.snr2_upper, rel=1e-14)
         assert rep.snr1_lower == pytest.approx(rep.snr2_lower, rel=1e-14)
-        assert rep.snr2_upper_alt == pytest.approx(rep.snr2_upper, rel=1e-14)
-
-    def test_alt_normalization_scales_by_waveguide_count(self):
-        layout = WaveguideLayout.from_params(LOSSLESS)
-        rep = snr_bounds(LOSSLESS, layout, USER, 8, LOSSLESS.min_spacing_m)
-        assert rep.snr2_upper_alt == pytest.approx(rep.snr2_upper / 4, rel=1e-14)
 
     def test_surrogate_spacing_flagged(self):
         layout = WaveguideLayout.from_params(LOSSLESS)
@@ -218,6 +212,12 @@ class TestEnvelope:
         layout = WaveguideLayout.from_params(LOSSLESS)
         env = asymptotic_envelope(LOSSLESS, layout, USER, [2**k for k in range(1, 22, 4)])
         assert env.upper[-1] < 1e-1 * env.upper.max()
+
+    @pytest.mark.parametrize("mode", ["both", "bogus"])
+    def test_rejects_modes_other_than_single_and_multi(self, mode):
+        layout = WaveguideLayout.from_params(LOSSLESS)
+        with pytest.raises(ValueError, match="mode"):
+            asymptotic_envelope(LOSSLESS, layout, USER, [2, 8, 32], mode=mode)
 
 
 class TestMidpointIntegralQuality:

@@ -133,6 +133,29 @@ class TestErrors:
         assert captured.err.startswith(f"cannot write {out}: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "n_eff = nan",
+            "dx_m = nan",
+            "sweep_values = inf",
+            "power_dbm = nan",
+            "kappa_db_per_m = nan; case = 2",
+            "user_x = nan",
+            "baseline_elements = 0",
+            "baseline_elements = 0; modes = single",
+            "modes = ,",
+            "modes = single,single",
+        ],
+    )
+    def test_invalid_value_exit_code(self, tmp_path, capsys, text):
+        cfg = tmp_path / "invalid.cfg"
+        cfg.write_text(text.replace("; ", "\n") + "\n")
+        assert main(["sweep", "--config", str(cfg)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error:")
+
     def test_invalid_flag_value(self):
         with pytest.raises(SystemExit):
             main(["sweep", "--case", "9"])

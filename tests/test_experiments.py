@@ -11,6 +11,8 @@ from pass_trihybrid import (
     ConfigError,
     ExperimentConfig,
     UserPosition,
+    WaveguideLayout,
+    analysis,
     bounds_table,
     dump_placement,
     parse_config_text,
@@ -19,6 +21,33 @@ from pass_trihybrid import (
     selftest,
 )
 from pass_trihybrid.config import dbm_to_watts, load_config
+from pass_trihybrid.experiments import _csv_table, _fixed_user
+
+
+def ref_bounds_table(config: ExperimentConfig) -> str:
+    """``bounds_table`` with its hand-written header and row, copied verbatim."""
+    rows = []
+    for value in config.sweep_values:
+        params = config.system_params(value)
+        layout = WaveguideLayout.from_params(params)
+        user = _fixed_user(config, params)
+        rep = analysis.snr_bounds(params, layout, user, params.num_pas)
+        rows.append(
+            (
+                config.sweep, f"{value:g}", params.num_pas, float(rep.max_spacing_m[0]),
+                rep.snr1_lower, rep.snr1_upper, rep.snr1_linear,
+                rep.capacity1_lower, rep.capacity1_upper,
+                rep.snr2_lower, rep.snr2_upper, rep.snr2_linear,
+                rep.capacity2_lower, rep.capacity2_upper,
+            )
+        )
+    return _csv_table(
+        config,
+        "sweep,value,n,max_spacing_surrogate_m,snr1_lower,snr1_upper,snr1_linear,"
+        "capacity1_lower,capacity1_upper,snr2_lower,snr2_upper,snr2_linear,"
+        "capacity2_lower,capacity2_upper",
+        rows,
+    )
 
 
 class TestConfig:
@@ -77,6 +106,21 @@ class TestConfig:
             parse_config_text("min_spacing_m = 0.005\nmin_spacing_wavelengths = 0.5\n")
         with pytest.raises(ConfigError):
             parse_config_text("power_dbm\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("sweep_values = 2,inf", "finite"),
+            ("sweep = Dx; sweep_values = nan", "finite"),
+            ("baseline_elements = 0", "baseline_elements"),
+            ("baseline_elements = -2", "baseline_elements"),
+            ("modes = ,", "not empty"),
+            ("modes = single,baseline,single", "distinct"),
+        ],
+    )
+    def test_invalid_values_rejected(self, text, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config_text(text.replace("; ", "\n") + "\n")
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):
@@ -218,6 +262,21 @@ class TestBoundsTable:
             assert float(cells[idx]) > surrogate.min_spacing_m
         caps = [float(line.split(",")[header.index("capacity1_upper")]) for line in lines[2:]]
         assert caps == sorted(caps)  # small-N envelope grows with N
+
+    @pytest.mark.parametrize("case", [1, 2])
+    @pytest.mark.parametrize(
+        "sweep, values",
+        [
+            ("N", (2, 4, 16, 128, 1024)),
+            ("Dx", (10.0, 25.0, 50.0, 100.0)),
+            ("M", (1, 2, 4, 7)),
+            ("min_spacing", (0.002, 0.005357, 0.02)),
+        ],
+        ids=["N", "Dx", "M", "min_spacing"],
+    )
+    def test_bytes_match_the_hand_written_table(self, sweep, values, case):
+        cfg = ExperimentConfig(sweep=sweep, sweep_values=values, case=case, user_x=1.5, user_y=-2.0)
+        assert bounds_table(cfg) == ref_bounds_table(cfg)
 
 
 class TestSelftest:

@@ -50,6 +50,15 @@ class TestSystemParams:
         with pytest.raises(ValueError):
             default_params(fc_hz=50e6)
 
+    @pytest.mark.parametrize(
+        "field", ["fc_hz", "n_eff", "kappa_db_per_m", "power_w", "noise_w", "min_spacing_m",
+                  "dx_m", "dy_m", "height_m"]
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            default_params(**{field: value})
+
     def test_region_edges(self):
         p = default_params()
         assert p.feed_x_m == -25.0

@@ -248,6 +248,12 @@ class TestRefineAll:
         with pytest.raises(ValueError):
             refine_all(LOSSLESS, layout, UserPosition(26.0, 0.0))
 
+    @pytest.mark.parametrize("x, y", [(math.nan, 0.0), (0.0, math.nan)])
+    def test_nan_user_outside_region(self, x, y):
+        layout = WaveguideLayout.from_params(LOSSLESS)
+        with pytest.raises(ValueError, match="outside service region"):
+            refine_all(LOSSLESS, layout, UserPosition(x, y))
+
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(
         n_eff=st.sampled_from([1.0, 1.0 + 1e-6, 1.4, 2.0]),
