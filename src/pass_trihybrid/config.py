@@ -93,12 +93,19 @@ class ExperimentConfig:
 
     def system_params(self, sweep_value: float | None = None) -> SystemParams:
         """Base system parameters, optionally with the sweep variable applied."""
+        watts = {}
+        for name in ("power_dbm", "noise_dbm"):
+            dbm = getattr(self, name)
+            try:
+                watts[name] = dbm_to_watts(dbm)
+            except OverflowError:
+                raise ConfigError(f"{name} = {dbm:g} is too large to express in watts") from None
         kw = dict(
             fc_hz=self.fc_ghz * 1e9,
             n_eff=self.n_eff,
             kappa_db_per_m=self.kappa_db_per_m,
-            power_w=dbm_to_watts(self.power_dbm),
-            noise_w=dbm_to_watts(self.noise_dbm),
+            power_w=watts["power_dbm"],
+            noise_w=watts["noise_dbm"],
             min_spacing_m=self.min_spacing_m,
             dx_m=self.dx_m,
             dy_m=self.dy_m,

@@ -17,17 +17,20 @@ independently of the others.  One driver, :func:`_place`, holds the
 placement policy over rows that are (user, waveguide) pairs: both sides'
 bounds, the start offset, N/2 PAs per side, the overflow redistribution
 across sides and the fit verdict.  The shift formulas exist once, in
-:func:`_grid_index` and :func:`_aligned_offset`: the side solvers call them
-directly, and :func:`_shift_batch` composes them for the one-PA solvers.
-The two side solvers of :func:`_place` compute the same chains and differ
-only in what they keep of a chain: :func:`refine_all` solves one user's
-chains as whole arrays (:func:`_solve`) and keeps every offset and shift;
-:func:`refine_batch` walks many users' chains one step at a time and keeps
-nothing, handing each step to the caller's ``fold``.
+:func:`_grid_index` and :func:`_aligned_offset`, which take the side through
+per-row signed constants (:func:`_side_constants`), so rows of both sides
+can share one call: the side solvers call them directly, and
+:func:`_shift_batch` composes them for the one-PA solvers.  The two side
+solvers of :func:`_place` compute the same chains and differ only in what
+they keep of a chain: :func:`refine_all` solves one user's chains as whole
+arrays (:func:`_solve`, one call per side) and keeps every offset and
+shift; :func:`refine_batch` walks many users' chains on both sides one step
+at a time and keeps nothing, handing each step to the caller's ``fold``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -55,15 +58,26 @@ _UNREACHABLE = "no reachable alignment point on the feed side"
 _BLOCK_ENTRIES = 4096
 
 
-def _grid_index(h_eff, delta, n_eff: float, wavelength: float, outward: bool) -> np.ndarray:
-    """Grid index I = ceil((sign r + n_eff delta) / lambda - eps) of a PA at offset ``delta``.
+def _side_constants(n_eff: float, wavelength: float, side):
+    """(side n_eff, side lambda, side s) of rows on ``side``: the kernels' only view of the side.
 
-    sign = +1 right of the user and -1 left of it, so the target t = lambda I
-    is the right side's path rounded up, and minus the left side's path
-    rounded down.  The sign enters through the operand order, not a product.
+    side = +1 right of the user and -1 left of it; s = n_eff^2 - 1, or 2 for
+    n_eff = 1.  Negation is exact, so a left row gets the bits of the
+    one-sided forms, whether it is walked alone or among right rows.
     """
-    hyp, ndelta = np.hypot(h_eff, delta), n_eff * delta
-    return np.ceil(((ndelta - hyp) if outward else (ndelta + hyp)) / wavelength - _GRID_EPS)
+    s = 2.0 if n_eff == 1.0 else n_eff * n_eff - 1.0
+    return side * n_eff, side * wavelength, side * s
+
+
+def _grid_index(h_eff, delta, sn, sl) -> np.ndarray:
+    """Grid index I = ceil((side n_eff delta + r) / (side lambda) - eps) of a PA at ``delta``.
+
+    r = hypot(h_eff, delta); ``sn`` and ``sl`` come from :func:`_side_constants`.
+    The signed target st = side lambda I is the right side's path r + n_eff
+    delta rounded up, and minus the left side's path r - n_eff delta rounded
+    down.
+    """
+    return np.ceil((sn * delta + np.hypot(h_eff, delta)) / sl - _GRID_EPS)
 
 
 def _elevation_term(h_eff, n_eff: float):
@@ -75,25 +89,26 @@ def _elevation_term(h_eff, n_eff: float):
     return h2 if n_eff == 1.0 else h2 * (n_eff * n_eff - 1.0)
 
 
-def _aligned_offset(h2s, t, n_eff: float, outward: bool) -> np.ndarray:
-    """Offset (t n_eff - sign sqrt(t^2 + h^2 s)) / s, s = n_eff^2 - 1, on target ``t``.
+def _aligned_offset(h2s, st, n_eff: float, ss) -> np.ndarray:
+    """Offset (st n_eff - sqrt(st^2 + h^2 s)) / ss on the signed target ``st`` = side lambda I.
 
-    (t^2 - h^2) / (2 t) for n_eff = 1, and NaN on the feed side where t >= 0:
-    that path only decays asymptotically to zero, so a non-positive grid
-    line is never reached.  ``h2s`` is :func:`_elevation_term` of the rows.
+    ``ss`` = side s of :func:`_side_constants`, whose sign is the row's side.
+    For n_eff = 1 the offset is (st^2 - h^2) / (ss st), and NaN on the feed
+    side (ss < 0) where st <= 0: that path only decays asymptotically to
+    zero, so a non-positive grid line is never reached.  ``h2s`` is
+    :func:`_elevation_term` of the rows.
     """
     if n_eff == 1.0:
-        if outward:
-            t = np.where(t < 0.0, t, np.nan)
-        return (t * t - h2s) / (2.0 * t)
-    root = np.sqrt(t * t + h2s)
-    return ((t * n_eff + root) if outward else (t * n_eff - root)) / (n_eff * n_eff - 1.0)
+        st = np.where((ss < 0.0) & (st <= 0.0), np.nan, st)
+        return (st * st - h2s) / (ss * st)
+    return (st * n_eff - np.sqrt(st * st + h2s)) / ss
 
 
 def _shift_batch(h_eff, delta, n_eff: float, wavelength: float, outward: bool) -> np.ndarray:
     """Smallest shift v >= 0 aligning a PA at offset ``delta`` (NaN: unreachable)."""
-    t = wavelength * _grid_index(h_eff, delta, n_eff, wavelength, outward)
-    d = _aligned_offset(_elevation_term(h_eff, n_eff), t, n_eff, outward)
+    sn, sl, ss = _side_constants(n_eff, wavelength, -1.0 if outward else 1.0)
+    st = sl * _grid_index(h_eff, delta, sn, sl)
+    d = _aligned_offset(_elevation_term(h_eff, n_eff), st, n_eff, ss)
     return np.maximum(d - delta, 0.0)
 
 
@@ -174,20 +189,21 @@ def _solve(
     """
     h, lo, hi = h_eff[:, None], bounds[0][:, None], bounds[1][:, None]
     h2s = _elevation_term(h, n_eff)
+    sn, sl, ss = _side_constants(n_eff, wavelength, -1.0 if outward else 1.0)
     width = int(quota.max()) + 1  # one column more, where every chain has ended
     cols = np.arange(width)
     in_quota = cols < quota[:, None]
     row_starts = np.arange(h_eff.size) * width  # in the flattened (R, width) arrays
-    index = _grid_index(h_eff, start, n_eff, wavelength, outward)[:, None] + cols
-    f = _aligned_offset(h2s, wavelength * index, n_eff, outward)
+    index = _grid_index(h_eff, start, sn, sl)[:, None] + cols
+    f = _aligned_offset(h2s, sl * index, n_eff, ss)
     f[:, 0] = start + np.maximum(f[:, 0] - start, 0.0)  # not f_0 itself when d_0 - start rounds
     delta = np.empty_like(f)
     delta[:, 0] = start
     steps = np.empty_like(f)
     while True:
         np.add(f[:, :-1], min_spacing, out=delta[:, 1:])
-        new_index = _grid_index(h, delta, n_eff, wavelength, outward)
-        d = _aligned_offset(h2s, wavelength * new_index, n_eff, outward)
+        new_index = _grid_index(h, delta, sn, sl)
+        d = _aligned_offset(h2s, sl * new_index, n_eff, ss)
         shifts = np.maximum(d - delta, 0.0)
         new_f = delta + shifts
         placing = (lo <= new_f) & (new_f <= hi) & in_quota  # False at NaN
@@ -204,7 +220,7 @@ def _solve(
             later[:, 1:], np.fmax(new_index[:, 1:] - index[:, :-1], 1.0), np.diff(new_index)
         )
         index = np.cumsum(steps, axis=1)
-        f = np.where(later, _aligned_offset(h2s, wavelength * index, n_eff, outward), new_f)
+        f = np.where(later, _aligned_offset(h2s, sl * index, n_eff, ss), new_f)
     failed = (first < quota) & np.isnan(new_f.ravel()[row_starts + first])
     return new_f[:, :-1], shifts[:, :-1], first, failed
 
@@ -215,36 +231,45 @@ def _place(solve: Callable, n: int, spacing: float, user_x, feed_x: np.ndarray, 
     N/2 PAs right of the user and N/2 left of it, each chain starting at
     half the minimum spacing and bounded by its waveguide's [feed_x, max_x];
     then the left chain takes what the right one could not place, and a full
-    right chain continues where the left one fell short.  ``solve(outward,
-    rows, col, start, quota, bounds)`` continues side ``outward``'s chains
-    ``rows`` from their PA ``col``: from offsets ``start``, at most ``quota``
-    more PAs each, within the offset ``bounds`` (lo, hi); it returns
-    (placed, next start, failed).  Returns (n_left, n_right, failed, fits)
-    per row: ``failed`` marks rows that reached a feed-side step with no
-    alignment point (n_eff = 1), and ``fits`` rows whose N PAs all fit,
-    which a failed row never does (its left chain stops short and nothing
-    continues it).
+    right chain continues where the left one fell short.  That is two
+    phases, each one call ``solve(requests)``: first both sides of every
+    row, then both continuation sets.  A request (outward, rows, col, start,
+    quota, bounds) continues side ``outward``'s chains ``rows`` from their
+    PA ``col``: from offsets ``start``, at most ``quota`` (per row) more PAs,
+    within the offset ``bounds`` (lo, hi); ``solve`` returns one (placed,
+    next start, failed) per request, in request order.  The continuation
+    sets are disjoint and fixed by the first phase: a row the left chain
+    continues has a short right chain, so it is never continued on the
+    right, and a row can only fail on the left.  Returns (n_left, n_right,
+    failed, fits) per row: ``failed`` marks rows that reached a feed-side
+    step with no alignment point (n_eff = 1), and ``fits`` rows whose N PAs
+    all fit, which a failed row never does (its left chain stops short and
+    nothing continues it).
     """
     half, every = n // 2, slice(None)
     bounds = {False: (feed_x - user_x, max_x - user_x), True: (user_x - max_x, user_x - feed_x)}
-    start = np.full(feed_x.shape, spacing / 2.0)
-    n_right, right_next, _ = solve(False, every, 0, start, half, bounds[False])
-    n_left, left_next, failed = solve(True, every, 0, start, half, bounds[True])
-
-    def more(outward, rows, next_start, quota):
-        lo, hi = bounds[outward]
-        return solve(outward, rows, half, next_start[rows], quota, (lo[rows], hi[rows]))
-
-    # Redistribution: the left chain takes what the right one could not place ...
-    rows = np.flatnonzero((n_right < half) & (n_left == half))
-    if rows.size:
-        placed, _, bad = more(True, rows, left_next, half - n_right[rows])
-        n_left[rows] += placed
-        failed[rows] |= bad
-    # ... and a full right chain continues where the left one fell short.
-    rows = np.flatnonzero((n_right == half) & (n_left < half) & ~failed)
-    if rows.size:
-        n_right[rows] += more(False, rows, right_next, half - n_left[rows])[0]
+    start, quota = np.full(feed_x.shape, spacing / 2.0), np.full(feed_x.shape, half)
+    (n_right, right_next, _), (n_left, left_next, failed) = solve(
+        [(side, every, 0, start, quota, bounds[side]) for side in (False, True)]
+    )
+    continued = (
+        (True, (n_right < half) & (n_left == half), left_next, n_right),
+        (False, (n_right == half) & (n_left < half) & ~failed, right_next, n_left),
+    )
+    requests = []
+    for outward, rows, next_start, other in continued:
+        rows = np.flatnonzero(rows)
+        if rows.size:
+            lo, hi = bounds[outward]
+            requests.append(
+                (outward, rows, half, next_start[rows], half - other[rows], (lo[rows], hi[rows]))
+            )
+    for (outward, rows, *_), (placed, _, bad) in zip(requests, solve(requests) if requests else ()):
+        if outward:
+            n_left[rows] += placed
+            failed[rows] |= bad
+        else:
+            n_right[rows] += placed
     return n_left, n_right, failed, n_left + n_right == n
 
 
@@ -253,7 +278,7 @@ def _refine(
 ) -> tuple[np.ndarray, list[RefinementResult]]:
     """(M, N) positions and one :class:`RefinementResult` per waveguide.
 
-    :func:`_place` over the M waveguides, each side's chains one
+    :func:`_place` over the M waveguides, each request of a phase one
     :func:`_solve` call whose offsets and shifts are kept.  The first
     waveguide in layout order whose PAs do not all fit raises
     :class:`FeasibilityError`.  Gaps, largest spacings and alignment
@@ -269,14 +294,17 @@ def _refine(
     offsets = {side: np.zeros((m, n)) for side in (False, True)}
     shifts = {side: np.zeros((m, n)) for side in (False, True)}
 
-    def solve(outward: bool, rows, col: int, start, quota, bounds):
-        quota = np.full(start.shape, quota)
-        f, v, placed, failed = _solve(
-            h_eff[rows], start, quota, bounds, params.n_eff, params.wavelength_m, spacing, outward
-        )
-        offsets[outward][rows, col : col + f.shape[1]] = f
-        shifts[outward][rows, col : col + f.shape[1]] = v
-        return placed, f[:, -1] + spacing, failed
+    def solve(requests):
+        results = []
+        for outward, rows, col, start, quota, bounds in requests:
+            f, v, placed, failed = _solve(
+                h_eff[rows], start, quota, bounds, params.n_eff, params.wavelength_m, spacing,
+                outward,
+            )
+            offsets[outward][rows, col : col + f.shape[1]] = f
+            shifts[outward][rows, col : col + f.shape[1]] = v
+            results.append((placed, f[:, -1] + spacing, failed))
+        return results
 
     n_left, n_right, failed, fits = _place(
         solve, n, spacing, user.x, layout.field("feed_x"), layout.field("max_x")
@@ -358,54 +386,89 @@ def refine_batch(
     """:func:`refine_all` for R (user, waveguide) rows at once; returns where the N PAs fit.
 
     ``h_eff``, ``user_x``, ``feed_x`` and ``max_x`` hold one value per row.
-    :func:`_place` over the rows, each side's chains walked one step per PA
+    :func:`_place` over the rows, each phase one walk of one step per PA
     (:func:`_grid_index`, then :func:`_aligned_offset` on the chain's
-    elevation term), keeping nothing: the steps are handed
-    in blocks to ``fold(rows, xs, placed)``, so a caller can fold the PAs
-    into its effective rows and drop them (the Monte Carlo engine sums
-    their real amplitudes and checks that they sit on the wavelength
-    grid).  ``rows`` selects R' rows; ``xs`` and ``placed`` are (steps,
-    R') arrays, row k the block's k-th step: one PA position per selected
-    row, and whether that PA is part of its chain, i.e. the chain has not
-    yet hit its quota or left its bounds.  A block
-    holds about :data:`_BLOCK_ENTRIES` entries (at least one step), the last
-    block of a walk what is left; both arrays are overwritten by the next
-    call.  The first N/2 steps per side run on every row, the rest only on
-    the rows that need them.  The result is False where :func:`refine_all`
-    raises :class:`FeasibilityError`.
+    elevation term) over a flat row axis that holds every request of the
+    phase, each row's side given by its signed constants: N/2 steps over
+    both sides of every row, then as many as the longest continuation over
+    the rows that need one.  The walk keeps nothing: the steps are handed in
+    blocks to ``fold(rows, xs, placed)``, so a caller can fold the PAs into
+    its effective rows and drop them (the Monte Carlo engine sums their
+    real amplitudes and checks that they sit on the wavelength grid).
+    ``rows`` selects R' rows; ``xs`` and ``placed`` are (steps, R') arrays,
+    row k the block's k-th step: one PA position per selected row, and
+    whether that PA is part of its chain, i.e. the chain has not yet hit
+    its quota or left its bounds.  A block holds about
+    :data:`_BLOCK_ENTRIES` entries (at least one step), the last block of a
+    request what is left; both arrays are overwritten by the next call.
+
+    The fold sees each row's PAs in chain order: the right chain outward
+    from the user, then the left chain, then the continuation, as one walk
+    per side and request would hand them.  The first request of a walk
+    goes to the fold block by block as the walk runs; the later ones'
+    positions are held, (steps, rows), and folded after it in request
+    order (N/2 by R entries in the first phase).  The result is
+    False where :func:`refine_all` raises :class:`FeasibilityError`.
     """
     n_eff, wavelength, spacing = params.n_eff, params.wavelength_m, params.min_spacing_m
     h2s = _elevation_term(h_eff, n_eff)
+    # Column int(outward): that side's (side n_eff, side lambda, side s)
+    signed = np.array([_side_constants(n_eff, wavelength, side) for side in (1.0, -1.0)]).T
 
-    def walk(outward: bool, rows, col: int, delta, quota, bounds):
-        h, hh, ux, (lo, hi) = h_eff[rows], h2s[rows], user_x[rows], bounds
-        position = np.subtract if outward else np.add  # of a PA at offset ``final``
-        limited = np.ndim(quota) > 0  # a scalar quota is every row's step count
-        steps, size = int(np.max(quota, initial=0)), h.size
-        block = max(1, _BLOCK_ENTRIES // max(size, 1))
-        xs = np.empty((min(block, steps), size))
+    def walk(requests):
+        outward, rows, _, starts, quotas, bounds = zip(*requests)
+        sizes = [start.size for start in starts]
+        ends = list(itertools.accumulate(sizes))
+        spans = list(zip([0] + ends[:-1], ends))  # each request's columns
+        sn, sl, ss = signed[:, list(map(int, outward))].repeat(sizes, axis=1)
+        h, hh = (np.concatenate([a[r] for r in rows]) for a in (h_eff, h2s))
+        lo, hi = (np.concatenate(b) for b in zip(*bounds))
+        delta, quota = np.concatenate(starts), np.concatenate(quotas)
+        steps, size, head = int(quota.max(initial=0)), h.size, sizes[0]
+        # The quota test matters only where a quota is shorter than the walk,
+        # the lower bound only where a chain starts below it (offsets only grow).
+        if quota.min(initial=steps) == steps:
+            quota = None
+        if (lo <= delta).all():
+            lo = None
+        block = max(1, _BLOCK_ENTRIES // max(head, 1))
+        xs = np.empty((min(block, steps), size))  # each step's offsets, then positions
         live = np.empty(xs.shape, dtype=bool)
+        held_xs = np.empty((steps, size - head))
         placed = np.zeros(size, dtype=int)
         failed = np.zeros(size, dtype=bool)
-        alive = np.ones(size, dtype=bool)
+        alive = True  # every chain, before its first step
         for first in range(0, steps, block):
             count = min(block, steps - first)
             for k in range(count):
-                t = wavelength * _grid_index(h, delta, n_eff, wavelength, outward)
-                final = delta + np.maximum(_aligned_offset(hh, t, n_eff, outward) - delta, 0.0)
-                if limited:
-                    alive &= first + k < quota
-                if outward and n_eff == 1.0:
+                st = sl * _grid_index(h, delta, sn, sl)
+                final = np.maximum(_aligned_offset(hh, st, n_eff, ss) - delta, 0.0)
+                final = np.add(delta, final, out=xs[k])
+                keep = alive if quota is None else alive & (first + k < quota)
+                if n_eff == 1.0:  # NaN only on the feed side
                     unreachable = np.isnan(final)
-                    failed |= alive & unreachable
-                    alive &= ~unreachable
+                    failed |= keep & unreachable
+                    keep = keep & ~unreachable
                     final[unreachable] = 0.0  # a finite position for the PA not placed
-                alive &= (lo <= final) & (final <= hi)
-                live[k] = alive
-                position(ux, final, out=xs[k])
+                if lo is not None:
+                    keep = keep & (lo <= final)
+                alive = np.logical_and(keep, final <= hi, out=live[k])
                 delta = final + spacing
-            placed += live[:count].sum(axis=0)
-            fold(rows, xs[:count], live[:count])
-        return placed, delta, failed
+            pa_x, pa_live = xs[:count], live[:count]
+            for left, r, (a, b) in zip(outward, rows, spans):  # offsets to positions
+                (np.subtract if left else np.add)(user_x[r], pa_x[:, a:b], out=pa_x[:, a:b])
+            placed += pa_live.sum(axis=0)
+            fold(rows[0], pa_x[:, :head], pa_live[:, :head])
+            held_xs[first : first + count] = pa_x[:, head:]
+        # The held requests, each in its own blocks.  A chain's placed PAs
+        # are its first ``placed`` steps: once dead, a row stays dead.
+        for r in range(1, len(requests)):
+            (a, b), last = spans[r], int(quotas[r].max(initial=0))
+            per_block = max(1, _BLOCK_ENTRIES // max(b - a, 1))
+            for first in range(0, last, per_block):
+                k = np.arange(first, min(first + per_block, last))
+                pa_x = held_xs[first : first + k.size, a - head : b - head]
+                fold(rows[r], pa_x, k[:, None] < placed[a:b])
+        return [(placed[a:b], delta[a:b], failed[a:b]) for a, b in spans]
 
     return _place(walk, params.num_pas, spacing, user_x, feed_x, max_x)[-1]

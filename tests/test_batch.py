@@ -188,26 +188,13 @@ def ragged_dense_users(params):
     return ux * 5.2 / 25.0, uy
 
 
-@pytest.mark.parametrize(
-    "params, layout, at",
-    [
-        (DENSE, None, None),
-        (DENSE, None, edge_users(DENSE)),
-        (SystemParams(kappa_db_per_m=0.0, num_pas=64), RAGGED,
-         ragged_dense_users(SystemParams(kappa_db_per_m=0.0))),
-        (SystemParams(n_eff=1.0, num_pas=16), None, None),
-    ],
-    ids=["dense", "edge-overflow", "ragged-dense", "unit-index"],
-)
-def test_folded_steps_are_the_refine_all_placement(monkeypatch, params, layout, at):
-    """The PAs the engine folds in are ``refine_all``'s, bit for bit, and so is each split.
+def folded_pas(monkeypatch, params, layout, ux, uy):
+    """(feasible, row ids, positions) of the placed PAs the engine folds, in fold order.
 
     The engine takes each row's elevation from ``np.hypot``, ``refine_all``
     from ``math.hypot``; the two differ in the last bit on about 0.6% of
-    rows, so ``refine_all`` is given the engine's elevation here.
+    rows, so ``refine_all`` is given the engine's elevation from here on.
     """
-    layout = WaveguideLayout.from_params(params) if layout is None else layout
-    ux, uy = users(params, 3, 60) if at is None else at
     calls = []
     original = placement.refine_batch
     monkeypatch.setattr(
@@ -226,7 +213,25 @@ def test_folded_steps_are_the_refine_all_placement(monkeypatch, params, layout, 
     monkeypatch.setattr(placement, "refine_batch", recording)
     _, feasible = experiments.draw_snrs(params, layout, ux, uy, ("single",))
     rows, xs, placed = (np.concatenate(column) for column in zip(*calls))
-    rows, xs = rows[placed], xs[placed]
+    return feasible, rows[placed], xs[placed]
+
+
+@pytest.mark.parametrize(
+    "params, layout, at",
+    [
+        (DENSE, None, None),
+        (DENSE, None, edge_users(DENSE)),
+        (SystemParams(kappa_db_per_m=0.0, num_pas=64), RAGGED,
+         ragged_dense_users(SystemParams(kappa_db_per_m=0.0))),
+        (SystemParams(n_eff=1.0, num_pas=16), None, None),
+    ],
+    ids=["dense", "edge-overflow", "ragged-dense", "unit-index"],
+)
+def test_folded_steps_are_the_refine_all_placement(monkeypatch, params, layout, at):
+    """The PAs the engine folds in are ``refine_all``'s, bit for bit, and so is each split."""
+    layout = WaveguideLayout.from_params(params) if layout is None else layout
+    ux, uy = users(params, 3, 60) if at is None else at
+    feasible, rows, xs = folded_pas(monkeypatch, params, layout, ux, uy)
     m, uneven = len(layout), 0
     for d in np.flatnonzero(feasible):
         _, results = refine_all(params, layout, UserPosition(ux[d], uy[d]))
@@ -241,19 +246,85 @@ def test_folded_steps_are_the_refine_all_placement(monkeypatch, params, layout, 
         assert uneven > 0  # redistributed rows are among those compared
 
 
+@pytest.mark.parametrize(
+    "params, layout, at",
+    [
+        (DENSE, None, None),
+        (DENSE, None, edge_users(DENSE)),
+        (SystemParams(kappa_db_per_m=0.0, num_pas=64), RAGGED,
+         ragged_dense_users(SystemParams(kappa_db_per_m=0.0))),
+    ],
+    ids=["dense", "edge-overflow", "ragged-dense"],
+)
+def test_fold_sees_each_row_in_chain_order(monkeypatch, params, layout, at):
+    """Right chain outward from the user, then the left chain, then the continuation.
+
+    The order in which a row's PAs reach the fold is the order in which the
+    Monte Carlo engine sums them, so it fixes the bits of every SNR.
+    """
+    layout = WaveguideLayout.from_params(params) if layout is None else layout
+    ux, uy = users(params, 3, 60) if at is None else at
+    feasible, rows, xs = folded_pas(monkeypatch, params, layout, ux, uy)
+    m, half, continued = len(layout), params.num_pas // 2, set()
+    for d in np.flatnonzero(feasible):
+        _, results = refine_all(params, layout, UserPosition(ux[d], uy[d]))
+        for w, result in enumerate(results):
+            left = result.positions[: result.n_left][::-1]  # outward from the user
+            right = result.positions[result.n_left :]
+            chains = (right[:half], left[:half], left[half:], right[half:])
+            assert np.array_equal(xs[rows == d * m + w], np.concatenate(chains)), (d, w)
+            continued |= {side for side, n in (("left", result.n_left), ("right", result.n_right))
+                          if n > half}
+    if params is DENSE:
+        assert continued == {"left", "right"}
+    else:
+        assert continued
+
+
 # --- Reference: the one-step-per-call walk and the real-amplitude fold -------
 
 
-def reference_refine_batch(params, h_eff, user_x, feed_x, max_x, fold):
+def reference_place(solve, n, spacing, user_x, feed_x, max_x):
+    """The placement driver as it stood with one solver call per side and phase, copied verbatim."""
+    half, every = n // 2, slice(None)
+    bounds = {False: (feed_x - user_x, max_x - user_x), True: (user_x - max_x, user_x - feed_x)}
+    start = np.full(feed_x.shape, spacing / 2.0)
+    n_right, right_next, _ = solve(False, every, 0, start, half, bounds[False])
+    n_left, left_next, failed = solve(True, every, 0, start, half, bounds[True])
+
+    def more(outward, rows, next_start, quota):
+        lo, hi = bounds[outward]
+        return solve(outward, rows, half, next_start[rows], quota, (lo[rows], hi[rows]))
+
+    # Redistribution: the left chain takes what the right one could not place ...
+    rows = np.flatnonzero((n_right < half) & (n_left == half))
+    if rows.size:
+        placed, _, bad = more(True, rows, left_next, half - n_right[rows])
+        n_left[rows] += placed
+        failed[rows] |= bad
+    # ... and a full right chain continues where the left one fell short.
+    rows = np.flatnonzero((n_right == half) & (n_left < half) & ~failed)
+    if rows.size:
+        n_right[rows] += more(False, rows, right_next, half - n_left[rows])[0]
+    return n_left, n_right, failed, n_left + n_right == n
+
+
+def reference_refine_batch(params, h_eff, user_x, feed_x, max_x, fold, continued=None):
+    """One side per walk and one step per fold call, on the two-branch shift step.
+
+    ``continued``, if given, collects the side (outward) and row count of
+    every continuation walk.
+    """
     def walk(outward: bool, rows, col: int, delta, quota, bounds):
         h, ux, (lo, hi) = h_eff[rows], user_x[rows], bounds
+        if col and continued is not None:
+            continued.append((outward, h.size))
         placed = np.zeros(h.shape, dtype=int)
         failed = np.zeros(h.shape, dtype=bool)
         alive = np.ones(h.shape, dtype=bool)
         for step in range(int(np.max(quota, initial=0))):
-            final = delta + placement._shift_batch(
-                h, delta, params.n_eff, params.wavelength_m, outward
-            )
+            v = reference_shift_batch(h, delta, params.n_eff, params.wavelength_m, outward)
+            final = delta + v
             alive = alive & (step < quota)
             if outward and params.n_eff == 1.0:
                 unreachable = np.isnan(final)
@@ -266,10 +337,12 @@ def reference_refine_batch(params, h_eff, user_x, feed_x, max_x, fold):
             delta = final + params.min_spacing_m
         return placed, delta, failed
 
-    return placement._place(walk, params.num_pas, params.min_spacing_m, user_x, feed_x, max_x)[-1]
+    return reference_place(walk, params.num_pas, params.min_spacing_m, user_x, feed_x, max_x)[-1]
 
 
-def reference_draw_snrs(params, layout, user_x, user_y, modes, baseline_elements=None):
+def reference_draw_snrs(
+    params, layout, user_x, user_y, modes, baseline_elements=None, continued=None
+):
     feasible = np.ones(user_x.size, dtype=bool)
     inner = None
     if any(mode != "baseline" for mode in modes):
@@ -288,7 +361,7 @@ def reference_draw_snrs(params, layout, user_x, user_y, modes, baseline_elements
             inner[rows] += np.where(placed, amplitude, 0.0)
 
         h_eff = np.hypot(wg_y - uy, height)
-        fits = reference_refine_batch(params, h_eff, ux, feed_x, max_x, fold)
+        fits = reference_refine_batch(params, h_eff, ux, feed_x, max_x, fold, continued)
         feasible = fits.reshape(-1, m).all(axis=1)
         inner = inner.reshape(-1, m)
     return experiments._snrs(params, inner, user_x, user_y, modes, baseline_elements), feasible
@@ -328,8 +401,13 @@ def test_blocked_fold_is_bit_identical_to_one_step_per_call(monkeypatch, params,
 
     monkeypatch.setattr(placement, "refine_batch", recording)
     snrs, feasible = experiments.draw_snrs(params, layout, ux, uy, ALL_MODES)
-    want, want_feasible = reference_draw_snrs(params, layout, ux, uy, ALL_MODES)
+    continued = []
+    want, want_feasible = reference_draw_snrs(
+        params, layout, ux, uy, ALL_MODES, continued=continued
+    )
     assert np.array_equal(feasible, want_feasible)
+    if params is DENSE:  # rows in both continuation sets: a two-request continuation walk
+        assert sorted(side for side, _ in continued) == [False, True]
     assert feasible.any()
     for mode in ALL_MODES:
         assert np.array_equal(snrs[mode], want[mode]), mode
@@ -528,3 +606,46 @@ def test_side_signed_shift_step_is_bit_identical(n_eff, outward):
     assert np.array_equal(got, want, equal_nan=True)
     if n_eff == 1.0 and outward:
         assert np.isnan(got).any() and not np.isnan(got).all()
+
+
+def one_sided_grid_index(h_eff, delta, n_eff, wavelength, outward):
+    """The grid index with the side as a branch, copied verbatim."""
+    hyp, ndelta = np.hypot(h_eff, delta), n_eff * delta
+    return np.ceil(((ndelta - hyp) if outward else (ndelta + hyp)) / wavelength - 1e-12)
+
+
+def one_sided_aligned_offset(h2s, t, n_eff, outward):
+    """The aligned offset with the side as a branch, copied verbatim."""
+    if n_eff == 1.0:
+        if outward:
+            t = np.where(t < 0.0, t, np.nan)
+        return (t * t - h2s) / (2.0 * t)
+    root = np.sqrt(t * t + h2s)
+    return ((t * n_eff + root) if outward else (t * n_eff - root)) / (n_eff * n_eff - 1.0)
+
+
+@pytest.mark.parametrize("n_eff", [1.0, 1.0 + 1e-6, 1.4])
+def test_signed_constant_kernels_match_the_one_sided_forms(n_eff):
+    """Rows of both sides in one call get the bits of their own side's one-sided call."""
+    rng = np.random.default_rng(29)
+    # Elevations from a few centimetres (n_eff = 1 feed side unreachable) to metres,
+    # offsets from zero to beyond a waveguide, the sides mixed row by row.
+    h_eff = np.concatenate([rng.uniform(0.03, 0.1, 2000), rng.uniform(1.0, 12.0, 8000)])
+    delta = np.concatenate([rng.uniform(0.0, 0.05, 3000), rng.uniform(0.0, 60.0, 7000)])
+    delta[:50] = 0.0
+    left = rng.random(h_eff.size) < 0.5
+    lam = 0.0107
+    sn, sl, ss = placement._side_constants(n_eff, lam, np.where(left, -1.0, 1.0))
+    h2s = placement._elevation_term(h_eff, n_eff)
+    index = placement._grid_index(h_eff, delta, sn, sl)
+    offset = placement._aligned_offset(h2s, sl * index, n_eff, ss)
+    for outward in (False, True):
+        rows = left == outward
+        want = one_sided_grid_index(h_eff[rows], delta[rows], n_eff, lam, outward)
+        assert np.array_equal(index[rows], want)
+        want = one_sided_aligned_offset(h2s[rows], lam * want, n_eff, outward)
+        assert np.array_equal(offset[rows], want, equal_nan=True)
+    # the n_eff = 1 NaN rule: some feed-side rows have no grid line left, no right-side row
+    unreachable = np.isnan(offset)
+    assert not unreachable[~left].any()
+    assert unreachable[left].any() == (n_eff == 1.0) and not unreachable[left].all()

@@ -140,6 +140,8 @@ class TestErrors:
             "dx_m = nan",
             "sweep_values = inf",
             "power_dbm = nan",
+            "power_dbm = 4000",
+            "noise_dbm = 4000",
             "kappa_db_per_m = nan; case = 2",
             "user_x = nan",
             "baseline_elements = 0",
