@@ -77,8 +77,8 @@ class ExperimentConfig:
             raise ConfigError("waveguide-count sweep values must be integers")
         if self.user not in ("fixed", "uniform"):
             raise ConfigError("user model must be 'fixed' or 'uniform'")
-        if self.draws < 1:
-            raise ConfigError("draws must be positive")
+        if not 1 <= self.draws <= 2**32:  # the sampler's draw index is 32-bit
+            raise ConfigError("draws must be between 1 and 2**32")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must fit in 64 bits")
         if self.case not in (1, 2):

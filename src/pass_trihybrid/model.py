@@ -15,6 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 SPEED_OF_LIGHT = 2.99792458e8  # m/s
+# The longest path, in meters, that SystemParams accepts (see its docstring).
+MAX_PATH_M = 1e150
 
 
 class FeasibilityError(ValueError):
@@ -28,6 +30,17 @@ class SystemParams:
     ``min_spacing_m`` defaults to half the free-space wavelength when left
     unset.  ``num_pas`` is the number of active pinching antennas per
     waveguide and must be even.
+
+    The model squares lengths.  The longest path it squares is a PA's
+    r + n_eff |x - x_u| rounded up to a wavelength, the placement's grid
+    target.  A PA's free-space leg r is at most dx + dy + height, and the
+    placement walk takes at most N steps of at most a minimum spacing plus a
+    wavelength, so that target, the elevation term n_eff h and the bounds'
+    (N/2) spacing all stay within 3 L for
+    L = n_eff (dx + dy + height + N (min spacing + wavelength)).  With L
+    and n_eff (squared too) at most :data:`MAX_PATH_M` = 1e150 m, every
+    square, and every sum of a few, stays below the largest float (about
+    1.8e308); larger values raise ValueError.
     """
 
     fc_hz: float = 28e9
@@ -70,6 +83,15 @@ class SystemParams:
             raise ValueError("minimum PA spacing must be positive")
         if self.wavelength_m >= self.height_m:
             raise ValueError("wavelength must be small compared to the deployment height")
+        longest = self.n_eff * (
+            self.dx_m + self.dy_m + self.height_m
+            + self.num_pas * (self.min_spacing_m + self.wavelength_m)
+        )
+        if max(longest, self.n_eff) > MAX_PATH_M:
+            raise ValueError(
+                f"longest path n_eff (dx + dy + height + N (min spacing + wavelength)) = "
+                f"{longest:.6g} m exceeds {MAX_PATH_M:g} m: its square would overflow"
+            )
 
     @property
     def wavelength_m(self) -> float:

@@ -232,19 +232,21 @@ def _place(solve: Callable, n: int, spacing: float, user_x, feed_x: np.ndarray, 
     half the minimum spacing and bounded by its waveguide's [feed_x, max_x];
     then the left chain takes what the right one could not place, and a full
     right chain continues where the left one fell short.  That is two
-    phases, each one call ``solve(requests)``: first both sides of every
-    row, then both continuation sets.  A request (outward, rows, col, start,
-    quota, bounds) continues side ``outward``'s chains ``rows`` from their
-    PA ``col``: from offsets ``start``, at most ``quota`` (per row) more PAs,
-    within the offset ``bounds`` (lo, hi); ``solve`` returns one (placed,
-    next start, failed) per request, in request order.  The continuation
-    sets are disjoint and fixed by the first phase: a row the left chain
-    continues has a short right chain, so it is never continued on the
-    right, and a row can only fail on the left.  Returns (n_left, n_right,
-    failed, fits) per row: ``failed`` marks rows that reached a feed-side
-    step with no alignment point (n_eff = 1), and ``fits`` rows whose N PAs
-    all fit, which a failed row never does (its left chain stops short and
-    nothing continues it).
+    phases, each one call ``solve(requests)``: first two requests, the right
+    and the left side of every row, then one request that holds both
+    continuation sets.  A request (outward, rows, col, start, quota, bounds)
+    continues the chains ``rows`` from their PA ``col`` on side ``outward``
+    (one bool, or one per row): from offsets ``start``, at most ``quota``
+    (per row) more PAs, within the offset ``bounds`` (lo, hi); ``solve``
+    returns one (placed, next start, failed) per request, each per row in
+    request order, where next start is the offset at which a chain of the
+    request's longest quota continues.  The continuation sets are disjoint
+    and fixed by the first phase: a row the left chain continues has a short
+    right chain, so it is never continued on the right, and a row can only
+    fail on the left.  Returns (n_left, n_right, failed, fits) per row:
+    ``failed`` marks rows that reached a feed-side step with no alignment
+    point (n_eff = 1), and ``fits`` rows whose N PAs all fit, which a failed
+    row never does (its left chain stops short and nothing continues it).
     """
     half, every = n // 2, slice(None)
     bounds = {False: (feed_x - user_x, max_x - user_x), True: (user_x - max_x, user_x - feed_x)}
@@ -252,24 +254,23 @@ def _place(solve: Callable, n: int, spacing: float, user_x, feed_x: np.ndarray, 
     (n_right, right_next, _), (n_left, left_next, failed) = solve(
         [(side, every, 0, start, quota, bounds[side]) for side in (False, True)]
     )
-    continued = (
-        (True, (n_right < half) & (n_left == half), left_next, n_right),
-        (False, (n_right == half) & (n_left < half) & ~failed, right_next, n_left),
-    )
-    requests = []
-    for outward, rows, next_start, other in continued:
-        rows = np.flatnonzero(rows)
-        if rows.size:
-            lo, hi = bounds[outward]
-            requests.append(
-                (outward, rows, half, next_start[rows], half - other[rows], (lo[rows], hi[rows]))
-            )
-    for (outward, rows, *_), (placed, _, bad) in zip(requests, solve(requests) if requests else ()):
-        if outward:
-            n_left[rows] += placed
-            failed[rows] |= bad
-        else:
-            n_right[rows] += placed
+    # The left chain takes what the right one could not place, and a full
+    # right chain continues where the left one fell short: one request.
+    left_more = (n_right < half) & (n_left == half)
+    rows = np.flatnonzero(left_more | ((n_right == half) & (n_left < half) & ~failed))
+    if rows.size:
+        outward = left_more[rows]
+
+        def per_side(left, right):
+            return np.where(outward, left[rows], right[rows])
+
+        lo, hi = (per_side(*b) for b in zip(bounds[True], bounds[False]))
+        quota = half - per_side(n_right, n_left)
+        request = (outward, rows, half, per_side(left_next, right_next), quota, (lo, hi))
+        ((placed, _, bad),) = solve([request])
+        n_left[rows] += np.where(outward, placed, 0)
+        n_right[rows] += np.where(outward, 0, placed)
+        failed[rows] |= bad
     return n_left, n_right, failed, n_left + n_right == n
 
 
@@ -278,7 +279,7 @@ def _refine(
 ) -> tuple[np.ndarray, list[RefinementResult]]:
     """(M, N) positions and one :class:`RefinementResult` per waveguide.
 
-    :func:`_place` over the M waveguides, each request of a phase one
+    :func:`_place` over the M waveguides, each side of a request one
     :func:`_solve` call whose offsets and shifts are kept.  The first
     waveguide in layout order whose PAs do not all fit raises
     :class:`FeasibilityError`.  Gaps, largest spacings and alignment
@@ -294,16 +295,31 @@ def _refine(
     offsets = {side: np.zeros((m, n)) for side in (False, True)}
     shifts = {side: np.zeros((m, n)) for side in (False, True)}
 
+    def solve_side(outward, rows, col, start, quota, bounds):
+        f, v, placed, failed = _solve(
+            h_eff[rows], start, quota, bounds, params.n_eff, params.wavelength_m, spacing, outward
+        )
+        offsets[outward][rows, col : col + f.shape[1]] = f
+        shifts[outward][rows, col : col + f.shape[1]] = v
+        return placed, f[:, -1] + spacing, failed
+
     def solve(requests):
         results = []
-        for outward, rows, col, start, quota, bounds in requests:
-            f, v, placed, failed = _solve(
-                h_eff[rows], start, quota, bounds, params.n_eff, params.wavelength_m, spacing,
-                outward,
-            )
-            offsets[outward][rows, col : col + f.shape[1]] = f
-            shifts[outward][rows, col : col + f.shape[1]] = v
-            results.append((placed, f[:, -1] + spacing, failed))
+        for outward, rows, col, start, quota, (lo, hi) in requests:
+            if np.ndim(outward) == 0:
+                results.append(solve_side(outward, rows, col, start, quota, (lo, hi)))
+                continue
+            # A side per row: one one-sided request per side, merged back in request order.
+            merged = np.zeros(rows.size, dtype=int), np.empty(rows.size), np.zeros(rows.size, bool)
+            for side in (False, True):
+                mine = np.flatnonzero(outward == side)
+                if mine.size:
+                    part = solve_side(
+                        side, rows[mine], col, start[mine], quota[mine], (lo[mine], hi[mine])
+                    )
+                    for whole, values in zip(merged, part):
+                        whole[mine] = values
+            results.append(merged)
         return results
 
     n_left, n_right, failed, fits = _place(
@@ -390,25 +406,33 @@ def refine_batch(
     (:func:`_grid_index`, then :func:`_aligned_offset` on the chain's
     elevation term) over a flat row axis that holds every request of the
     phase, each row's side given by its signed constants: N/2 steps over
-    both sides of every row, then as many as the longest continuation over
-    the rows that need one.  The walk keeps nothing: the steps are handed in
-    blocks to ``fold(rows, xs, placed)``, so a caller can fold the PAs into
-    its effective rows and drop them (the Monte Carlo engine sums their
-    real amplitudes and checks that they sit on the wavelength grid).
-    ``rows`` selects R' rows; ``xs`` and ``placed`` are (steps, R') arrays,
-    row k the block's k-th step: one PA position per selected row, and
-    whether that PA is part of its chain, i.e. the chain has not yet hit
-    its quota or left its bounds.  A block holds about
-    :data:`_BLOCK_ENTRIES` entries (at least one step), the last block of a
-    request what is left; both arrays are overwritten by the next call.
+    both sides of every row, then as many as the longest quota of the one
+    continuation request.  A walk of one request orders its rows by the
+    block in which their quota ends, latest first and ties in request order
+    (a counting sort), so the rows whose quota reaches a block are a prefix
+    of them, and the block walks only that prefix; the first phase's quotas
+    are all N/2, so it skips the sort.  The walk keeps
+    nothing: the steps are handed in blocks to ``fold(rows, xs, placed)``,
+    so a caller can fold the PAs into its effective rows and drop them (the
+    Monte Carlo engine sums their real amplitudes and checks that they sit
+    on the wavelength grid).  ``rows`` selects R' rows; ``xs`` and
+    ``placed`` are (steps, R') arrays, row k the block's k-th step: one PA
+    position per selected row, and whether that PA is part of its chain,
+    i.e. the chain has not yet hit its quota or left its bounds.  A block is
+    as many steps (at least one) as make about :data:`_BLOCK_ENTRIES`
+    entries over the rows it hands over: the first request's in the first
+    phase, the rows whose quota reaches it in the continuation, so blocks
+    grow as chains end; the last block is what is left.  Both arrays are
+    overwritten by the next call.
 
     The fold sees each row's PAs in chain order: the right chain outward
-    from the user, then the left chain, then the continuation, as one walk
-    per side and request would hand them.  The first request of a walk
-    goes to the fold block by block as the walk runs; the later ones'
-    positions are held, (steps, rows), and folded after it in request
-    order (N/2 by R entries in the first phase).  The result is
-    False where :func:`refine_all` raises :class:`FeasibilityError`.
+    from the user, then the left chain, then the continuation.  The first
+    phase's right request goes to the fold block by block as the walk runs;
+    its left request's positions are held, (N/2, R), and folded after the
+    walk.  The continuation rows are disjoint, so they go to the fold as the
+    walk runs, each row's PAs in one stream, and nothing is held.  The
+    result is False where :func:`refine_all` raises
+    :class:`FeasibilityError`.
     """
     n_eff, wavelength, spacing = params.n_eff, params.wavelength_m, params.min_spacing_m
     h2s = _elevation_term(h_eff, n_eff)
@@ -420,46 +444,94 @@ def refine_batch(
         sizes = [start.size for start in starts]
         ends = list(itertools.accumulate(sizes))
         spans = list(zip([0] + ends[:-1], ends))  # each request's columns
-        sn, sl, ss = signed[:, list(map(int, outward))].repeat(sizes, axis=1)
         h, hh = (np.concatenate([a[r] for r in rows]) for a in (h_eff, h2s))
         lo, hi = (np.concatenate(b) for b in zip(*bounds))
         delta, quota = np.concatenate(starts), np.concatenate(quotas)
-        steps, size, head = int(quota.max(initial=0)), h.size, sizes[0]
+        size, head, fold_rows = delta.size, sizes[0], rows[0]
+        steps, order = int(quota.max(initial=0)), None
+        block = max(1, _BLOCK_ENTRIES // max(head, 1))
+        # (first step, end step, rows walked) of each block
+        blocks = [(first, min(first + block, steps), size) for first in range(0, steps, block)]
+        if np.ndim(outward[0]) == 0:  # requests of one side each
+            sn, sl, ss = signed[:, list(map(int, outward))].repeat(sizes, axis=1)
+            sign = None
+        else:  # the continuation: one request, a side per row
+            sign, ux = np.where(outward[0], -1.0, 1.0), user_x[fold_rows]
+            if steps > block:
+                # A block takes about _BLOCK_ENTRIES entries over the rows
+                # whose quota reaches it, so blocks grow as chains end.
+                blocks, first = [], 0
+                while first < steps:
+                    n = int(np.count_nonzero(quota > first))
+                    blocks.append((first, min(first + max(1, _BLOCK_ENTRIES // n), steps), n))
+                    first = blocks[-1][1]
+                lengths = [stop - first for first, stop, _ in blocks]
+                last_block = np.repeat(np.arange(len(blocks)), lengths)[quota - 1]
+                # Later last block first, ties in request order (a counting
+                # sort): the rows whose quota reaches a block are a prefix.
+                keys = np.arange(last_block.max(), -1, -1)[:, None]
+                order = np.flatnonzero(last_block == keys) % size
+                fold_rows, sign, ux, h, hh, lo, hi, delta, quota = (
+                    a[order] for a in (fold_rows, sign, ux, h, hh, lo, hi, delta, quota)
+                )
+            sn, sl, ss = np.multiply.outer(signed[:, 0], sign)  # the right side's, signed
         # The quota test matters only where a quota is shorter than the walk,
         # the lower bound only where a chain starts below it (offsets only grow).
         if quota.min(initial=steps) == steps:
             quota = None
         if (lo <= delta).all():
             lo = None
-        block = max(1, _BLOCK_ENTRIES // max(head, 1))
-        xs = np.empty((min(block, steps), size))  # each step's offsets, then positions
+        # Each block's (steps, rows) offsets, then positions, and placed flags
+        xs = np.empty(max(min(block, steps) * size, _BLOCK_ENTRIES))
         live = np.empty(xs.shape, dtype=bool)
         held_xs = np.empty((steps, size - head))
         placed = np.zeros(size, dtype=int)
         failed = np.zeros(size, dtype=bool)
-        alive = True  # every chain, before its first step
-        for first in range(0, steps, block):
-            count = min(block, steps - first)
+        next_start = delta  # the rows' next starts, in walk order
+        alive, n = True, size  # every chain, before its first step; the rows walked
+        for first, stop, walked in blocks:
+            if walked < n:  # drop the rows whose quota ended in an earlier block
+                n = walked
+                fold_rows, h, hh, sn, sl, ss, sign, ux, hi, quota, delta, alive = (
+                    a[:n] for a in (fold_rows, h, hh, sn, sl, ss, sign, ux, hi, quota, delta, alive)
+                )
+                lo = lo if lo is None else lo[:n]
+            count = stop - first
+            pa_x, pa_live = (a[: count * n].reshape(count, n) for a in (xs, live))
             for k in range(count):
                 st = sl * _grid_index(h, delta, sn, sl)
                 final = np.maximum(_aligned_offset(hh, st, n_eff, ss) - delta, 0.0)
-                final = np.add(delta, final, out=xs[k])
-                keep = alive if quota is None else alive & (first + k < quota)
-                if n_eff == 1.0:  # NaN only on the feed side
+                final = np.add(delta, final, out=pa_x[k])
+                keep = alive
+                if n_eff == 1.0:  # NaN only on the feed side; past a quota it is no failure
+                    if quota is not None:
+                        keep = keep & (first + k < quota)
                     unreachable = np.isnan(final)
-                    failed |= keep & unreachable
+                    failed[:n] |= keep & unreachable
                     keep = keep & ~unreachable
                     final[unreachable] = 0.0  # a finite position for the PA not placed
                 if lo is not None:
                     keep = keep & (lo <= final)
-                alive = np.logical_and(keep, final <= hi, out=live[k])
+                alive = np.logical_and(keep, final <= hi, out=pa_live[k])
                 delta = final + spacing
-            pa_x, pa_live = xs[:count], live[:count]
-            for left, r, (a, b) in zip(outward, rows, spans):  # offsets to positions
-                (np.subtract if left else np.add)(user_x[r], pa_x[:, a:b], out=pa_x[:, a:b])
-            placed += pa_live.sum(axis=0)
-            fold(rows[0], pa_x[:, :head], pa_live[:, :head])
+            if quota is not None:  # a chain's steps past its quota place no PA
+                pa_live &= np.arange(first, first + count)[:, None] < quota
+            if sign is None:  # offsets to positions: x_u + f right of the user, x_u - f left
+                for left, r, (a, b) in zip(outward, rows, spans):
+                    (np.subtract if left else np.add)(user_x[r], pa_x[:, a:b], out=pa_x[:, a:b])
+            else:  # a side per row: x_u + (-f) is x_u - f bit for bit
+                np.multiply(pa_x, sign, out=pa_x)
+                np.add(pa_x, ux, out=pa_x)
+            placed[:n] += pa_live.sum(axis=0)
+            fold(fold_rows, pa_x[:, :head], pa_live[:, :head])
             held_xs[first : first + count] = pa_x[:, head:]
+        if order is None:
+            next_start = delta
+        else:  # back to request order
+            next_start[:n] = delta
+            back = np.empty_like(order)
+            back[order] = np.arange(size)
+            placed, next_start, failed = placed[back], next_start[back], failed[back]
         # The held requests, each in its own blocks.  A chain's placed PAs
         # are its first ``placed`` steps: once dead, a row stays dead.
         for r in range(1, len(requests)):
@@ -469,6 +541,6 @@ def refine_batch(
                 k = np.arange(first, min(first + per_block, last))
                 pa_x = held_xs[first : first + k.size, a - head : b - head]
                 fold(rows[r], pa_x, k[:, None] < placed[a:b])
-        return [(placed[a:b], delta[a:b], failed[a:b]) for a, b in spans]
+        return [(placed[a:b], next_start[a:b], failed[a:b]) for a, b in spans]
 
     return _place(walk, params.num_pas, spacing, user_x, feed_x, max_x)[-1]

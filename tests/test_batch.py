@@ -281,6 +281,113 @@ def test_fold_sees_each_row_in_chain_order(monkeypatch, params, layout, at):
         assert continued
 
 
+def recorded_place(monkeypatch):
+    """Each ``placement._place`` call as (its phases' requests, its result)."""
+    calls = []
+    original = placement._place
+
+    def recording(solve, *args):
+        phases = []
+
+        def solve_recorded(requests):
+            phases.append(requests)
+            return solve(requests)
+
+        calls.append((phases, original(solve_recorded, *args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(placement, "_place", recording)
+    return calls
+
+
+# One 4 m span at four heights.  At n_eff = 1 the feed-side path decays
+# below a wavelength within a few PAs of h = 8 cm, within the continuation
+# at 10 and 15 cm (at 15 cm also a step or two past some chains' quotas),
+# and nowhere at 3 m.
+MIXED = WaveguideLayout(tuple(Waveguide(-2.0, 0.0, h, 2.0) for h in (0.08, 0.1, 0.15, 3.0)))
+
+
+@pytest.mark.parametrize("n_eff", [1.0, 1.0 + 1e-6, 1.4])
+def test_mixed_continuation_request_matches_refine_all(monkeypatch, n_eff):
+    """One continuation request with both sides and unequal quotas: per row, refine_all's split."""
+    params = SystemParams(n_eff=n_eff, dx_m=4.0, dy_m=0.02, num_pas=16)
+    units = uniform_pairs(9, 150)
+    # users within 4 cm of either end: one side has room for fewer than N/2 PAs
+    ux = np.concatenate([1.999 - 0.04 * units[:, 0], -1.999 + 0.04 * units[:, 0]])
+    uy = np.concatenate([units[:, 1] - 0.5] * 2) * params.dy_m
+    monkeypatch.setattr(  # the engine's elevations, as in ``folded_pas``
+        Waveguide, "effective_elevation", lambda wg, user: float(np.hypot(wg.y - user.y, wg.height))
+    )
+    calls = recorded_place(monkeypatch)
+    experiments.draw_snrs(params, MIXED, ux, uy, ("single",))
+    (_, (request,)), engine = calls.pop()
+    outward, rows, _, _, quota, _ = request
+    assert outward.any() and not outward.all()
+    assert np.unique(quota[outward]).size > 1 and np.unique(quota[~outward]).size > 1
+    assert max(1, placement._BLOCK_ENTRIES // rows.size) < quota.max()  # the prefix shrinks
+    for x, y in zip(ux, uy):
+        try:
+            refine_all(params, MIXED, UserPosition(x, y))
+        except FeasibilityError:
+            pass
+    want = [np.concatenate(column) for column in zip(*(result for _, result in calls))]
+    for name, got, expected in zip(("n_left", "n_right", "failed", "fits"), engine, want):
+        assert np.array_equal(got, expected), name
+    _, _, failed, fits = engine
+    assert fits.any()
+    if n_eff == 1.0:  # the NaN rule stops left chains in both phases
+        continued_left = np.zeros(failed.shape, dtype=bool)
+        continued_left[rows[outward]] = True
+        assert (failed & continued_left).any() and (failed & ~continued_left).any()
+    else:
+        assert not failed.any()
+
+
+def test_continuation_walk_hands_the_fold_only_live_rows(monkeypatch):
+    """Each continuation block walks only the rows whose quota reaches it.
+
+    On the ``mc_dense`` perfbench geometry at N = 256: no row goes to the
+    fold once it has had as many steps as its quota, each fold call but the
+    last gets between half and all of :data:`placement._BLOCK_ENTRIES`
+    entries, and the walk still takes N steps in all.
+    """
+    params = SystemParams(dx_m=4.0, num_pas=256)
+    ux, uy = users(params, 424242, 200)
+    calls = recorded_place(monkeypatch)
+    blocks, grid = [], []
+    original_batch, original_grid = placement.refine_batch, placement._grid_index
+
+    def counting_grid(*args):
+        grid.append(None)
+        return original_grid(*args)
+
+    def recording(params, h_eff, user_x, feed_x, max_x, fold):
+        def record(rows, xs, placed):
+            if isinstance(rows, np.ndarray):  # the continuation phase's rows
+                blocks.append((rows.copy(), xs.shape[0]))
+            fold(rows, xs, placed)
+
+        return original_batch(params, h_eff, user_x, feed_x, max_x, record)
+
+    monkeypatch.setattr(placement, "_grid_index", counting_grid)
+    monkeypatch.setattr(placement, "refine_batch", recording)
+    experiments.draw_snrs(params, WaveguideLayout.from_params(params), ux, uy, ("single",))
+    ((phases, _),) = calls
+    _, rows, _, _, quota, _ = phases[1][0]
+    quota_of, walked = np.zeros(ux.size * 4, dtype=int), np.zeros(ux.size * 4, dtype=int)
+    quota_of[rows] = quota
+    for i, (block_rows, steps) in enumerate(blocks):
+        assert (walked[block_rows] < quota_of[block_rows]).all()
+        entries = block_rows.size * steps
+        assert entries <= max(placement._BLOCK_ENTRIES, block_rows.size)
+        assert i == len(blocks) - 1 or entries >= placement._BLOCK_ENTRIES // 2
+        walked[block_rows] += steps
+    assert (walked[rows] >= quota).all()
+    entries = sum(block_rows.size * steps for block_rows, steps in blocks)
+    assert entries <= 31_000  # every row walked to the longest quota: 49 094
+    assert len(grid) == params.num_pas
+
+
 # --- Reference: the one-step-per-call walk and the real-amplitude fold -------
 
 

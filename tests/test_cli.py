@@ -142,6 +142,12 @@ class TestErrors:
             "power_dbm = nan",
             "power_dbm = 4000",
             "noise_dbm = 4000",
+            "draws = 5000000000",
+            "draws = 5000000000; user = uniform",
+            "height_m = 1e160",
+            "height_m = 1e160; user = uniform",
+            "dy_m = 1e160; user = uniform",
+            "n_eff = 1e200; user = uniform",
             "kappa_db_per_m = nan; case = 2",
             "user_x = nan",
             "baseline_elements = 0",

@@ -89,6 +89,14 @@ class TestConfig:
         p = cfg.system_params()
         assert p.min_spacing_m == pytest.approx(p.wavelength_m, rel=1e-12)
 
+    @pytest.mark.parametrize("user", ["fixed", "uniform"])
+    def test_draw_count_fits_the_sampler_index(self, user):
+        # the sampler's draw index is 32-bit: 2**32 draws are the most it can number
+        assert ExperimentConfig(user=user, draws=2**32).draws == 2**32
+        for draws in (0, 2**32 + 1, 5_000_000_000):
+            with pytest.raises(ConfigError, match="draws must be between 1 and 2"):
+                ExperimentConfig(user=user, draws=draws)
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
             parse_config_text("frequency = 28\n")

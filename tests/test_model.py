@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from pass_trihybrid import (
+    ExperimentConfig,
     FeasibilityError,
     PinchingConfig,
     SystemParams,
@@ -15,8 +16,10 @@ from pass_trihybrid import (
     WaveguideLayout,
     effective_channel,
     los_coefficient,
+    run_sweep,
     waveguide_vector,
 )
+from pass_trihybrid.model import MAX_PATH_M
 
 C = 2.99792458e8
 
@@ -63,6 +66,24 @@ class TestSystemParams:
         p = default_params()
         assert p.feed_x_m == -25.0
         assert p.max_x_m == 25.0
+
+    @pytest.mark.parametrize("field", ["height_m", "dy_m", "dx_m", "n_eff"])
+    def test_longest_path_bound(self, field):
+        """Just above the bound is rejected; just below, both user models run warning-free."""
+        p = default_params()
+        lengths = p.dx_m + p.dy_m + p.height_m + p.num_pas * (p.min_spacing_m + p.wavelength_m)
+        if field == "n_eff":
+            at_bound = MAX_PATH_M / lengths
+        else:
+            at_bound = MAX_PATH_M / p.n_eff - lengths + getattr(p, field)
+        with pytest.raises(ValueError, match="longest path"):
+            default_params(**{field: at_bound * (1 + 1e-9)})
+        below = {field: at_bound * (1 - 1e-9)}
+        default_params(**below)
+        for user in ("fixed", "uniform"):  # the suite turns RuntimeWarnings into errors
+            config = ExperimentConfig(sweep_values=(p.num_pas,), user=user, draws=1, **below)
+            reports = run_sweep(config)
+            assert reports and all(r.draws == 1 for r in reports)
 
 
 class TestLayout:
