@@ -3,8 +3,8 @@
 Subcommands: ``sweep`` (batch evaluation to CSV), ``placement`` (refined PA
 coordinate dump), ``bounds`` (analysis-only certificate table), ``selftest``
 (runtime invariant suite).  Exit codes: 0 success, 2 configuration error
-(an unreadable ``--config`` or an unwritable ``--out`` included), 3 infeasible
-geometry, 4 selftest failure.
+(an unreadable ``--config``, an unwritable ``--out`` and a run that does not
+fit in memory included), 3 infeasible geometry, 4 selftest failure.
 """
 
 from __future__ import annotations
@@ -96,6 +96,9 @@ def main(argv: list[str] | None = None) -> int:
     except FeasibilityError as err:
         print(f"infeasible geometry: {err}", file=sys.stderr)
         return EXIT_INFEASIBLE
+    except MemoryError as err:
+        print(f"out of memory: {str(err) or 'an allocation failed'}", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         _emit(text, args.out)
     except OSError as err:

@@ -9,6 +9,7 @@ counted and excluded, never silently dropped.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -79,13 +80,14 @@ def draw_snrs(
 
     The batched engine: :func:`placement.refine_batch` runs the placement
     policy that :func:`placement.refine_all` runs, over the D·M (draw,
-    waveguide) rows tiled here, one chain step at a time.  ``fold(rows, xs,
-    placed)`` gets a (steps, rows) block of those steps at once.  The
-    refined PAs of a waveguide are co-phased at the user, so the magnitude
-    of its inner product is the sum of the PAs' real amplitudes
-    (:func:`pa_amplitudes`, one call per block): each placed PA's amplitude
-    is added to its row one step at a time, so every row is summed in chain
-    order whatever the block size.  The same pass takes each placed PA's
+    waveguide) rows tiled here, one chain step at a time.  ``fold(chains,
+    xs, placed)`` gets a block of those steps at once.  The refined PAs of a
+    waveguide are co-phased at the user, so the magnitude of its inner
+    product is the sum of the PAs' real amplitudes (:func:`pa_amplitudes`,
+    one call per block): each placed PA's amplitude is added to its chain's
+    accumulator one step at a time, so every chain is summed from 0.0 in
+    chain order whatever the block size, and a row's entry is its right
+    chain's sum plus its left chain's.  The same pass takes each placed PA's
     distance of r + n_eff (x - x_u) from the wavelength grid; a feasible
     draw with a PA farther than :data:`_COPHASED` wavelengths from it is not
     summed as co-phased but re-evaluated through :func:`placement.refine_all`
@@ -102,10 +104,12 @@ def draw_snrs(
         wg_y, height, feed_x, max_x = (
             np.tile(layout.field(k), user_x.size) for k in ("y", "height", "feed_x", "max_x")
         )
-        inner = np.zeros(ux.size)
-        off_grid = np.zeros(ux.size)  # per row, its placed PAs' worst distance, in wavelengths
+        # Per (side, row) chain: its sum, and its placed PAs' worst distance
+        # from the grid, in wavelengths.
+        inner, off_grid = np.zeros((2, ux.size)), np.zeros((2, ux.size))
 
-        def fold(rows, xs, placed):
+        def fold(chains, xs, placed):
+            rows = chains[1]
             x_u = ux[rows]
             # An unplaced step may lie far past the feed (n_eff near 1), where
             # case 2's loss overflows; take it at the feed, as it is dropped.
@@ -115,18 +119,19 @@ def draw_snrs(
             )
             cycles = (r + n_eff * (xs - x_u)) / lam
             miss = np.where(placed, np.abs(cycles - np.rint(cycles)), 0.0)
-            off_grid[rows] = np.maximum(off_grid[rows], miss.max(axis=0))
+            off_grid[chains] = np.maximum(off_grid[chains], miss.max(axis=0))
             terms = np.where(placed, amplitude, 0.0)
-            acc = inner[rows]
-            for term in terms:  # step by step: each row's sum in chain order
+            acc = inner[chains]
+            for term in terms:  # step by step: each chain's sum in chain order
                 acc += term
-            inner[rows] = acc
+            inner[chains] = acc
 
         h_eff = np.hypot(wg_y - uy, height)
         fits = placement.refine_batch(params, h_eff, ux, feed_x, max_x, fold)
         feasible = fits.reshape(-1, m).all(axis=1)
-        inner = inner.reshape(-1, m)
-        for d in np.flatnonzero(feasible & (off_grid.reshape(-1, m).max(axis=1) > _COPHASED)):
+        inner = (inner[0] + inner[1]).reshape(-1, m)
+        off_grid = off_grid.max(axis=0).reshape(-1, m).max(axis=1)
+        for d in np.flatnonzero(feasible & (off_grid > _COPHASED)):
             user = UserPosition(user_x[d], user_y[d])
             try:
                 pin, _ = placement.refine_all(params, layout, user)
@@ -247,6 +252,10 @@ _SWEEP_COLUMNS = (
     "capacity_bits", "snr_lower", "snr_upper", "capacity_lower", "capacity_upper",
     "snr_linear_law", "max_spacing_m", "alignment_residual_m",
 )
+# The CapacityReport attribute of each sweep column after ``sweep`` and ``value``
+_SWEEP_ATTRIBUTES = operator.attrgetter(
+    *("infeasible_draws" if c == "infeasible" else c for c in _SWEEP_COLUMNS[2:])
+)
 
 
 def _cell(value) -> str:
@@ -267,18 +276,11 @@ def _csv_table(config: ExperimentConfig, columns: str, rows) -> str:
 
 
 def render_sweep_csv(config: ExperimentConfig, reports: list[CapacityReport]) -> str:
+    """One line per report: ``sweep`` and ``value``, then :data:`_SWEEP_ATTRIBUTES`."""
     return _csv_table(
         config,
         ",".join(_SWEEP_COLUMNS),
-        (
-            (
-                config.sweep, rep.scenario.split("=", 1)[1], rep.case, rep.mode, rep.draws,
-                rep.infeasible_draws, rep.snr, rep.snr_db, rep.capacity_bits, rep.snr_lower,
-                rep.snr_upper, rep.capacity_lower, rep.capacity_upper, rep.snr_linear_law,
-                rep.max_spacing_m, rep.alignment_residual_m,
-            )
-            for rep in reports
-        ),
+        ((config.sweep, rep.scenario.split("=", 1)[1]) + _SWEEP_ATTRIBUTES(rep) for rep in reports),
     )
 
 

@@ -13,24 +13,24 @@ with a sub-wavelength-scale shift and both sides end up on one common phase
 chain.
 
 The objective separates across waveguides, so each waveguide is refined
-independently of the others.  One driver, :func:`_place`, holds the
-placement policy over rows that are (user, waveguide) pairs: both sides'
-bounds, the start offset, N/2 PAs per side, the overflow redistribution
-across sides and the fit verdict.  The shift formulas exist once, in
-:func:`_grid_index` and :func:`_aligned_offset`, which take the side through
-per-row signed constants (:func:`_side_constants`), so rows of both sides
-can share one call: the side solvers call them directly, and
-:func:`_shift_batch` composes them for the one-PA solvers.  The two side
-solvers of :func:`_place` compute the same chains and differ only in what
-they keep of a chain: :func:`refine_all` solves one user's chains as whole
-arrays (:func:`_solve`, one call per side) and keeps every offset and
-shift; :func:`refine_batch` walks many users' chains on both sides one step
-at a time and keeps nothing, handing each step to the caller's ``fold``.
+independently of the others.  A row is one (user, waveguide) pair and has
+two chains, one on each side of the user.  One driver, :func:`_place`,
+holds the placement policy over the chains: their bounds, the start offset,
+N/2 PAs per chain, the overflow redistribution across sides and the fit
+verdict.  The shift formulas exist once, in :func:`_grid_index` and
+:func:`_aligned_offset`, which take the side through per-chain signed
+constants (:func:`_side_constants`), so chains of both sides can share one
+call: the chain solvers call them directly, and :func:`_shift_batch`
+composes them for the one-PA solvers.  The two chain solvers of
+:func:`_place` compute the same chains and differ only in what they keep of
+a chain: :func:`refine_all` solves one user's chains as whole arrays
+(:func:`_solve`, one call per side) and keeps every offset and shift;
+:func:`refine_batch` walks many users' chains one step at a time and keeps
+nothing, handing each block of steps to the caller's ``fold``.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -52,18 +52,18 @@ from .model import (
 # treated as exact, so v = 0 instead of a full extra wavelength of shift.
 _GRID_EPS = 1e-12
 _UNREACHABLE = "no reachable alignment point on the feed side"
-# Entries (steps x rows) per block that :func:`refine_batch` hands to its fold:
+# Entries (steps x chains) per block that :func:`refine_batch` hands to its fold:
 # large enough that a fold's per-call overhead is shared by many steps,
 # small enough that its per-entry cost stays near its minimum.
 _BLOCK_ENTRIES = 4096
 
 
 def _side_constants(n_eff: float, wavelength: float, side):
-    """(side n_eff, side lambda, side s) of rows on ``side``: the kernels' only view of the side.
+    """(side n_eff, side lambda, side s) of chains on ``side``: the kernels' only view of the side.
 
     side = +1 right of the user and -1 left of it; s = n_eff^2 - 1, or 2 for
-    n_eff = 1.  Negation is exact, so a left row gets the bits of the
-    one-sided forms, whether it is walked alone or among right rows.
+    n_eff = 1.  Negation is exact, so a left chain gets the bits of the
+    one-sided forms, whether it is walked alone or among right chains.
     """
     s = 2.0 if n_eff == 1.0 else n_eff * n_eff - 1.0
     return side * n_eff, side * wavelength, side * s
@@ -172,12 +172,12 @@ def _solve(
     h_eff: np.ndarray, start: np.ndarray, quota: np.ndarray, bounds: tuple[np.ndarray, np.ndarray],
     n_eff: float, wavelength: float, min_spacing: float, outward: bool,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The chains :func:`refine_batch` walks, for R rows of one side, as whole arrays.
+    """The chains :func:`refine_batch` walks, for R chains of one side, as whole arrays.
 
-    Row r starts at offset ``start[r]`` and places ``quota[r]`` PAs or stops
+    Chain r starts at offset ``start[r]`` and places ``quota[r]`` PAs or stops
     before the first outside ``bounds`` (lo, hi).  Returns (offsets, shifts,
     placed, failed): (R, max quota) arrays whose first ``placed[r]`` entries
-    are row r's chain, and where it stopped at a feed-side NaN step.
+    are chain r's PAs, and where it stopped at a feed-side NaN step.
 
     A fixed-point iteration: guess grid indices I_k = I_0 + k and their
     offsets f_k, then run one step pass over delta_k = f_{k-1} + min_spacing.
@@ -226,52 +226,40 @@ def _solve(
 
 
 def _place(solve: Callable, n: int, spacing: float, user_x, feed_x: np.ndarray, max_x: np.ndarray):
-    """The placement policy over R rows, each one (user, waveguide) pair.
+    """The placement policy over R rows, each one (user, waveguide) pair, as 2R chains.
 
-    N/2 PAs right of the user and N/2 left of it, each chain starting at
-    half the minimum spacing and bounded by its waveguide's [feed_x, max_x];
-    then the left chain takes what the right one could not place, and a full
-    right chain continues where the left one fell short.  That is two
-    phases, each one call ``solve(requests)``: first two requests, the right
-    and the left side of every row, then one request that holds both
-    continuation sets.  A request (outward, rows, col, start, quota, bounds)
-    continues the chains ``rows`` from their PA ``col`` on side ``outward``
-    (one bool, or one per row): from offsets ``start``, at most ``quota``
-    (per row) more PAs, within the offset ``bounds`` (lo, hi); ``solve``
-    returns one (placed, next start, failed) per request, each per row in
-    request order, where next start is the offset at which a chain of the
-    request's longest quota continues.  The continuation sets are disjoint
-    and fixed by the first phase: a row the left chain continues has a short
-    right chain, so it is never continued on the right, and a row can only
-    fail on the left.  Returns (n_left, n_right, failed, fits) per row:
-    ``failed`` marks rows that reached a feed-side step with no alignment
-    point (n_eff = 1), and ``fits`` rows whose N PAs all fit, which a failed
-    row never does (its left chain stops short and nothing continues it).
+    Chain r is row r's chain right of the user and chain R + r its chain
+    left of it.  Every chain starts half the minimum spacing from the user
+    and stays inside its waveguide's [feed_x, max_x].  Two phases, each one
+    call ``solve(chains, col, start, quota, lo, hi)``: first every chain
+    (``chains`` a slice) takes N/2 PAs, then every full chain whose partner
+    fell short, and did not fail, takes the shortfall (``chains`` ascending
+    indices).  The call continues the chains from their PA ``col``: from
+    offsets ``start``, at most ``quota`` more PAs each, within the offsets
+    [``lo``, ``hi``].  It returns (placed, next start, failed) per chain:
+    next start is the offset at which a chain of the phase's longest quota
+    continues, and failed marks a chain that reached a feed-side step with
+    no alignment point (n_eff = 1), which only a left chain does.  Returns
+    (n_left, n_right, failed, fits) per row: ``fits`` marks rows whose N
+    PAs all fit, which a failed row never does (its left chain stops short
+    and nothing continues it).
     """
-    half, every = n // 2, slice(None)
-    bounds = {False: (feed_x - user_x, max_x - user_x), True: (user_x - max_x, user_x - feed_x)}
-    start, quota = np.full(feed_x.shape, spacing / 2.0), np.full(feed_x.shape, half)
-    (n_right, right_next, _), (n_left, left_next, failed) = solve(
-        [(side, every, 0, start, quota, bounds[side]) for side in (False, True)]
+    half, rows = n // 2, feed_x.size
+    lo = np.concatenate([feed_x - user_x, user_x - max_x])
+    hi = np.concatenate([max_x - user_x, user_x - feed_x])
+    placed, next_start, failed = solve(
+        slice(None), 0, np.full(2 * rows, spacing / 2.0), np.full(2 * rows, half), lo, hi
     )
-    # The left chain takes what the right one could not place, and a full
-    # right chain continues where the left one fell short: one request.
-    left_more = (n_right < half) & (n_left == half)
-    rows = np.flatnonzero(left_more | ((n_right == half) & (n_left < half) & ~failed))
-    if rows.size:
-        outward = left_more[rows]
-
-        def per_side(left, right):
-            return np.where(outward, left[rows], right[rows])
-
-        lo, hi = (per_side(*b) for b in zip(bounds[True], bounds[False]))
-        quota = half - per_side(n_right, n_left)
-        request = (outward, rows, half, per_side(left_next, right_next), quota, (lo, hi))
-        ((placed, _, bad),) = solve([request])
-        n_left[rows] += np.where(outward, placed, 0)
-        n_right[rows] += np.where(outward, 0, placed)
-        failed[rows] |= bad
-    return n_left, n_right, failed, n_left + n_right == n
+    # (side, row) views; [::-1] pairs each chain with its partner
+    by_side, failed_by_side = placed.reshape(2, rows), failed.reshape(2, rows)
+    chains = np.flatnonzero((by_side == half) & (by_side[::-1] < half) & ~failed_by_side[::-1])
+    if chains.size:
+        quota = half - by_side[::-1].ravel()[chains]
+        more, _, bad = solve(chains, half, next_start[chains], quota, lo[chains], hi[chains])
+        placed[chains] += more
+        failed[chains] |= bad
+    n_right, n_left = by_side
+    return n_left, n_right, failed[rows:], n_left + n_right == n
 
 
 def _refine(
@@ -279,10 +267,10 @@ def _refine(
 ) -> tuple[np.ndarray, list[RefinementResult]]:
     """(M, N) positions and one :class:`RefinementResult` per waveguide.
 
-    :func:`_place` over the M waveguides, each side of a request one
-    :func:`_solve` call whose offsets and shifts are kept.  The first
-    waveguide in layout order whose PAs do not all fit raises
-    :class:`FeasibilityError`.  Gaps, largest spacings and alignment
+    :func:`_place` over the M waveguides, each phase's chains split by side
+    into one :func:`_solve` call per side present, whose offsets and shifts
+    are kept.  The first waveguide in layout order whose PAs do not all fit
+    raises :class:`FeasibilityError`.  Gaps, largest spacings and alignment
     residuals are computed over the whole array at once.
     """
     n = params.num_pas if num_pas is None else num_pas
@@ -291,36 +279,25 @@ def _refine(
     m, spacing = len(layout), params.min_spacing_m
     h_effs = [wg.effective_elevation(user) for wg in layout.waveguides]
     h_eff = np.array(h_effs)
-    # Row m of a side holds its offsets from the user, innermost first.
-    offsets = {side: np.zeros((m, n)) for side in (False, True)}
-    shifts = {side: np.zeros((m, n)) for side in (False, True)}
+    # Chain (side, row)'s offsets from the user, innermost first; side 0 is right of the user.
+    offsets, shifts = np.zeros((2, m, n)), np.zeros((2, m, n))
 
-    def solve_side(outward, rows, col, start, quota, bounds):
-        f, v, placed, failed = _solve(
-            h_eff[rows], start, quota, bounds, params.n_eff, params.wavelength_m, spacing, outward
-        )
-        offsets[outward][rows, col : col + f.shape[1]] = f
-        shifts[outward][rows, col : col + f.shape[1]] = v
-        return placed, f[:, -1] + spacing, failed
-
-    def solve(requests):
-        results = []
-        for outward, rows, col, start, quota, (lo, hi) in requests:
-            if np.ndim(outward) == 0:
-                results.append(solve_side(outward, rows, col, start, quota, (lo, hi)))
-                continue
-            # A side per row: one one-sided request per side, merged back in request order.
-            merged = np.zeros(rows.size, dtype=int), np.empty(rows.size), np.zeros(rows.size, bool)
-            for side in (False, True):
-                mine = np.flatnonzero(outward == side)
-                if mine.size:
-                    part = solve_side(
-                        side, rows[mine], col, start[mine], quota[mine], (lo[mine], hi[mine])
-                    )
-                    for whole, values in zip(merged, part):
-                        whole[mine] = values
-            results.append(merged)
-        return results
+    def solve(chains, col, start, quota, lo, hi):
+        # Ascending chains, the right ones first; every chain in the first phase.
+        split = m if col == 0 else int(np.searchsorted(chains, m))
+        placed, failed = np.empty(start.size, dtype=int), np.empty(start.size, dtype=bool)
+        next_start = np.empty(start.size)
+        for side, part in enumerate((slice(None, split), slice(split, None))):
+            rows = slice(None) if col == 0 else chains[part] - side * m
+            if start[part].size:
+                f, v, placed[part], failed[part] = _solve(
+                    h_eff[rows], start[part], quota[part], (lo[part], hi[part]),
+                    params.n_eff, params.wavelength_m, spacing, side == 1,
+                )
+                offsets[side, rows, col : col + f.shape[1]] = f
+                shifts[side, rows, col : col + f.shape[1]] = v
+                next_start[part] = f[:, -1] + spacing
+        return placed, next_start, failed
 
     n_left, n_right, failed, fits = _place(
         solve, n, spacing, user.x, layout.field("feed_x"), layout.field("max_x")
@@ -337,8 +314,8 @@ def _refine(
 
     # Ascending positions: the left chain reversed, then the right one.
     take = ((2 * np.arange(m) + 1) * n - n_left)[:, None] + np.arange(n)
-    positions = np.hstack([user.x - offsets[True][:, ::-1], user.x + offsets[False]]).ravel()[take]
-    row_shifts = np.hstack([shifts[True][:, ::-1], shifts[False]]).ravel()[take]
+    positions = np.hstack([user.x - offsets[1, :, ::-1], user.x + offsets[0]]).ravel()[take]
+    row_shifts = np.hstack([shifts[1, :, ::-1], shifts[0]]).ravel()[take]
     max_spacing = np.diff(positions, axis=1).max(axis=1)
 
     # Max circular deviation of (r + n_eff x) mod lambda across each row;
@@ -397,68 +374,56 @@ def refine_batch(
     user_x: np.ndarray,
     feed_x: np.ndarray,
     max_x: np.ndarray,
-    fold: Callable[[slice | np.ndarray, np.ndarray, np.ndarray], None],
+    fold: Callable[[tuple, np.ndarray, np.ndarray], None],
 ) -> np.ndarray:
     """:func:`refine_all` for R (user, waveguide) rows at once; returns where the N PAs fit.
 
     ``h_eff``, ``user_x``, ``feed_x`` and ``max_x`` hold one value per row.
-    :func:`_place` over the rows, each phase one walk of one step per PA
-    (:func:`_grid_index`, then :func:`_aligned_offset` on the chain's
-    elevation term) over a flat row axis that holds every request of the
-    phase, each row's side given by its signed constants: N/2 steps over
-    both sides of every row, then as many as the longest quota of the one
-    continuation request.  A walk of one request orders its rows by the
-    block in which their quota ends, latest first and ties in request order
-    (a counting sort), so the rows whose quota reaches a block are a prefix
-    of them, and the block walks only that prefix; the first phase's quotas
-    are all N/2, so it skips the sort.  The walk keeps
-    nothing: the steps are handed in blocks to ``fold(rows, xs, placed)``,
-    so a caller can fold the PAs into its effective rows and drop them (the
-    Monte Carlo engine sums their real amplitudes and checks that they sit
-    on the wavelength grid).  ``rows`` selects R' rows; ``xs`` and
-    ``placed`` are (steps, R') arrays, row k the block's k-th step: one PA
-    position per selected row, and whether that PA is part of its chain,
-    i.e. the chain has not yet hit its quota or left its bounds.  A block is
-    as many steps (at least one) as make about :data:`_BLOCK_ENTRIES`
-    entries over the rows it hands over: the first request's in the first
-    phase, the rows whose quota reaches it in the continuation, so blocks
-    grow as chains end; the last block is what is left.  Both arrays are
-    overwritten by the next call.
+    :func:`_place` over the rows' 2R chains, each phase one walk of one step
+    per PA (:func:`_grid_index`, then :func:`_aligned_offset` on the chain's
+    elevation term) over a flat axis of the phase's chains, the side given
+    by each chain's signed constants, which are built once per call: N/2
+    steps over every chain, then as many as the longest quota of the
+    continuation.  The continuation orders its chains by the block in which
+    their quota ends, latest first and ties in chain order (a counting
+    sort), so the chains whose quota reaches a block are a prefix of them,
+    and the block walks only that prefix.
 
-    The fold sees each row's PAs in chain order: the right chain outward
-    from the user, then the left chain, then the continuation.  The first
-    phase's right request goes to the fold block by block as the walk runs;
-    its left request's positions are held, (N/2, R), and folded after the
-    walk.  The continuation rows are disjoint, so they go to the fold as the
-    walk runs, each row's PAs in one stream, and nothing is held.  The
-    result is False where :func:`refine_all` raises
+    The walk keeps nothing: the steps are handed in blocks to ``fold(chains,
+    xs, placed)``, so a caller can fold the PAs into its effective rows and
+    drop them (the Monte Carlo engine sums their real amplitudes and checks
+    that they sit on the wavelength grid).  ``chains`` indexes the (2, R)
+    grid of chains, side first (0 right of the user, 1 left of it): (side,
+    every row) in the first phase, one call per side, and a pair of (side,
+    row) index arrays in the continuation.  ``xs`` and ``placed`` are
+    (steps, chains) arrays: step k of a block holds one PA position x_u +
+    side offset per chain, and whether that PA is part of its chain, i.e.
+    the chain has not yet hit its quota or left its bounds.  A block is as
+    many steps (at least one) as make about :data:`_BLOCK_ENTRIES` entries
+    per fold call over the chains it hands over, in the continuation those
+    whose quota reaches it, so blocks grow as chains end; the last block is
+    what is left.  Both arrays are overwritten by the next call.  So the
+    fold sees each chain's PAs in chain order, outward from the user, its
+    continuation last.  The result is False where :func:`refine_all` raises
     :class:`FeasibilityError`.
     """
     n_eff, wavelength, spacing = params.n_eff, params.wavelength_m, params.min_spacing_m
-    h2s = _elevation_term(h_eff, n_eff)
-    # Column int(outward): that side's (side n_eff, side lambda, side s)
-    signed = np.array([_side_constants(n_eff, wavelength, side) for side in (1.0, -1.0)]).T
+    rows = h_eff.size
+    side = np.repeat([1.0, -1.0], rows)  # per chain: the right chains, then the left ones
+    h = np.concatenate([h_eff, h_eff])
+    per_chain = (h, _elevation_term(h, n_eff)) + _side_constants(n_eff, wavelength, side)
 
-    def walk(requests):
-        outward, rows, _, starts, quotas, bounds = zip(*requests)
-        sizes = [start.size for start in starts]
-        ends = list(itertools.accumulate(sizes))
-        spans = list(zip([0] + ends[:-1], ends))  # each request's columns
-        h, hh = (np.concatenate([a[r] for r in rows]) for a in (h_eff, h2s))
-        lo, hi = (np.concatenate(b) for b in zip(*bounds))
-        delta, quota = np.concatenate(starts), np.concatenate(quotas)
-        size, head, fold_rows = delta.size, sizes[0], rows[0]
-        steps, order = int(quota.max(initial=0)), None
-        block = max(1, _BLOCK_ENTRIES // max(head, 1))
-        # (first step, end step, rows walked) of each block
+    def walk(chains, col, delta, quota, lo, hi):
+        size, steps, order = delta.size, int(quota.max(initial=0)), None
+        # a fold call takes one side's chains in the first phase, all of them later
+        block = max(1, _BLOCK_ENTRIES // max(rows if col == 0 else size, 1))
+        # (first step, end step, chains walked) of each block
         blocks = [(first, min(first + block, steps), size) for first in range(0, steps, block)]
-        if np.ndim(outward[0]) == 0:  # requests of one side each
-            sn, sl, ss = signed[:, list(map(int, outward))].repeat(sizes, axis=1)
-            sign = None
-        else:  # the continuation: one request, a side per row
-            sign, ux = np.where(outward[0], -1.0, 1.0), user_x[fold_rows]
+        if col == 0:  # every chain, as (steps, 2, R) blocks
+            key, sign, ux = None, side.reshape(2, rows), user_x
+        else:
             if steps > block:
-                # A block takes about _BLOCK_ENTRIES entries over the rows
+                # A block takes about _BLOCK_ENTRIES entries over the chains
                 # whose quota reaches it, so blocks grow as chains end.
                 blocks, first = [], 0
                 while first < steps:
@@ -467,33 +432,33 @@ def refine_batch(
                     first = blocks[-1][1]
                 lengths = [stop - first for first, stop, _ in blocks]
                 last_block = np.repeat(np.arange(len(blocks)), lengths)[quota - 1]
-                # Later last block first, ties in request order (a counting
-                # sort): the rows whose quota reaches a block are a prefix.
+                # Later last block first, ties in chain order (a counting
+                # sort): the chains whose quota reaches a block are a prefix.
                 keys = np.arange(last_block.max(), -1, -1)[:, None]
                 order = np.flatnonzero(last_block == keys) % size
-                fold_rows, sign, ux, h, hh, lo, hi, delta, quota = (
-                    a[order] for a in (fold_rows, sign, ux, h, hh, lo, hi, delta, quota)
-                )
-            sn, sl, ss = np.multiply.outer(signed[:, 0], sign)  # the right side's, signed
+                chains, delta, quota, lo, hi = (a[order] for a in (chains, delta, quota, lo, hi))
+            key = divmod(chains, rows)
+            sign, ux = side[chains], user_x[key[1]]
+        h, hh, sn, sl, ss = (a[chains] for a in per_chain)
         # The quota test matters only where a quota is shorter than the walk,
         # the lower bound only where a chain starts below it (offsets only grow).
         if quota.min(initial=steps) == steps:
             quota = None
         if (lo <= delta).all():
             lo = None
-        # Each block's (steps, rows) offsets, then positions, and placed flags
+        # Each block's (steps, chains) offsets, then positions, and placed flags
         xs = np.empty(max(min(block, steps) * size, _BLOCK_ENTRIES))
         live = np.empty(xs.shape, dtype=bool)
-        held_xs = np.empty((steps, size - head))
         placed = np.zeros(size, dtype=int)
         failed = np.zeros(size, dtype=bool)
-        next_start = delta  # the rows' next starts, in walk order
-        alive, n = True, size  # every chain, before its first step; the rows walked
+        next_start = delta  # the chains' next starts, in walk order
+        alive, n = True, size  # every chain, before its first step; the chains walked
         for first, stop, walked in blocks:
-            if walked < n:  # drop the rows whose quota ended in an earlier block
+            if walked < n:  # drop the chains whose quota ended in an earlier block
                 n = walked
-                fold_rows, h, hh, sn, sl, ss, sign, ux, hi, quota, delta, alive = (
-                    a[:n] for a in (fold_rows, h, hh, sn, sl, ss, sign, ux, hi, quota, delta, alive)
+                key = tuple(k[:n] for k in key)
+                h, hh, sn, sl, ss, sign, ux, hi, quota, delta, alive = (
+                    a[:n] for a in (h, hh, sn, sl, ss, sign, ux, hi, quota, delta, alive)
                 )
                 lo = lo if lo is None else lo[:n]
             count = stop - first
@@ -516,31 +481,21 @@ def refine_batch(
                 delta = final + spacing
             if quota is not None:  # a chain's steps past its quota place no PA
                 pa_live &= np.arange(first, first + count)[:, None] < quota
-            if sign is None:  # offsets to positions: x_u + f right of the user, x_u - f left
-                for left, r, (a, b) in zip(outward, rows, spans):
-                    (np.subtract if left else np.add)(user_x[r], pa_x[:, a:b], out=pa_x[:, a:b])
-            else:  # a side per row: x_u + (-f) is x_u - f bit for bit
-                np.multiply(pa_x, sign, out=pa_x)
-                np.add(pa_x, ux, out=pa_x)
             placed[:n] += pa_live.sum(axis=0)
-            fold(fold_rows, pa_x[:, :head], pa_live[:, :head])
-            held_xs[first : first + count] = pa_x[:, head:]
+            # Offsets to positions x_u + side offset: x_u + (-f) is x_u - f bit for bit
+            pa_x, pa_live = (a.reshape((count,) + sign.shape) for a in (pa_x, pa_live))
+            np.multiply(pa_x, sign, out=pa_x)
+            np.add(pa_x, ux, out=pa_x)
+            if key is None:  # the first phase: one fold call per side, on views
+                for s in (0, 1):
+                    fold((s, slice(None)), pa_x[:, s], pa_live[:, s])
+            else:
+                fold(key, pa_x, pa_live)
         if order is None:
-            next_start = delta
-        else:  # back to request order
-            next_start[:n] = delta
-            back = np.empty_like(order)
-            back[order] = np.arange(size)
-            placed, next_start, failed = placed[back], next_start[back], failed[back]
-        # The held requests, each in its own blocks.  A chain's placed PAs
-        # are its first ``placed`` steps: once dead, a row stays dead.
-        for r in range(1, len(requests)):
-            (a, b), last = spans[r], int(quotas[r].max(initial=0))
-            per_block = max(1, _BLOCK_ENTRIES // max(b - a, 1))
-            for first in range(0, last, per_block):
-                k = np.arange(first, min(first + per_block, last))
-                pa_x = held_xs[first : first + k.size, a - head : b - head]
-                fold(rows[r], pa_x, k[:, None] < placed[a:b])
-        return [(placed[a:b], next_start[a:b], failed[a:b]) for a, b in spans]
+            return placed, delta, failed
+        next_start[:n] = delta  # back to chain order
+        back = np.empty_like(order)
+        back[order] = np.arange(size)
+        return placed[back], next_start[back], failed[back]
 
     return _place(walk, params.num_pas, spacing, user_x, feed_x, max_x)[-1]

@@ -169,6 +169,14 @@ class TestEngineAgainstScalar:
         assert 0 < feasible < 100
         assert to_left > 0 and to_right > 0
 
+    def test_no_draws(self):
+        params = SystemParams()
+        empty = np.zeros(0)
+        snrs, feasible = experiments.draw_snrs(
+            params, WaveguideLayout.from_params(params), empty, empty, ALL_MODES
+        )
+        assert feasible.shape == (0,) and all(snr.shape == (0,) for snr in snrs.values())
+
     def test_multi_snr_needs_two_chains(self):
         with pytest.raises(ValueError, match="2 RF chains"):
             beamforming.multi_rf_snr(np.ones((3, 4), dtype=complex), SystemParams(num_rf_chains=1))
@@ -189,7 +197,9 @@ def ragged_dense_users(params):
 
 
 def folded_pas(monkeypatch, params, layout, ux, uy):
-    """(feasible, row ids, positions) of the placed PAs the engine folds, in fold order.
+    """(feasible, chain ids, positions) of the placed PAs the engine folds, in fold order.
+
+    Chain r is row r's chain right of the user, chain R + r its left chain.
 
     The engine takes each row's elevation from ``np.hypot``, ``refine_all``
     from ``math.hypot``; the two differ in the last bit on about 0.6% of
@@ -202,48 +212,58 @@ def folded_pas(monkeypatch, params, layout, ux, uy):
     )
 
     def recording(params, h_eff, user_x, feed_x, max_x, fold):
-        def record(rows, xs, placed):
-            # a (steps, rows) block: the row ids repeat along the step axis
-            ids = np.broadcast_to(np.arange(user_x.size)[rows], xs.shape)
+        def record(chains, xs, placed):
+            # a (steps, chains) block: the chain ids repeat along the step axis
+            ids = np.broadcast_to(np.arange(2 * user_x.size).reshape(2, -1)[chains], xs.shape)
             calls.append((ids.ravel(), xs.flatten(), placed.flatten()))
-            fold(rows, xs, placed)
+            fold(chains, xs, placed)
 
         return original(params, h_eff, user_x, feed_x, max_x, record)
 
     monkeypatch.setattr(placement, "refine_batch", recording)
     _, feasible = experiments.draw_snrs(params, layout, ux, uy, ("single",))
-    rows, xs, placed = (np.concatenate(column) for column in zip(*calls))
-    return feasible, rows[placed], xs[placed]
+    chains, xs, placed = (np.concatenate(column) for column in zip(*calls))
+    return feasible, chains[placed], xs[placed]
 
 
-@pytest.mark.parametrize(
-    "params, layout, at",
-    [
-        (DENSE, None, None),
-        (DENSE, None, edge_users(DENSE)),
-        (SystemParams(kappa_db_per_m=0.0, num_pas=64), RAGGED,
-         ragged_dense_users(SystemParams(kappa_db_per_m=0.0))),
-        (SystemParams(n_eff=1.0, num_pas=16), None, None),
-    ],
-    ids=["dense", "edge-overflow", "ragged-dense", "unit-index"],
+@settings(max_examples=40, deadline=None)
+@given(
+    dx=st.floats(0.3, 60.0),
+    half=st.integers(1, 32),
+    m=st.integers(1, 6),
+    n_eff=st.sampled_from([1.0, 1.0 + 1e-6, 1.4, 2.0]),
+    spacing=st.floats(1e-3, 0.05),
+    height=st.floats(0.05, 5.0),
+    seed=st.integers(0, 2**32 - 1),
 )
-def test_folded_steps_are_the_refine_all_placement(monkeypatch, params, layout, at):
-    """The PAs the engine folds in are ``refine_all``'s, bit for bit, and so is each split."""
-    layout = WaveguideLayout.from_params(params) if layout is None else layout
-    ux, uy = users(params, 3, 60) if at is None else at
-    feasible, rows, xs = folded_pas(monkeypatch, params, layout, ux, uy)
-    m, uneven = len(layout), 0
-    for d in np.flatnonzero(feasible):
-        _, results = refine_all(params, layout, UserPosition(ux[d], uy[d]))
-        for w, result in enumerate(results):
-            got = np.sort(xs[rows == d * m + w])
-            assert np.array_equal(got, result.positions), (d, w)
-            n_left = int(np.count_nonzero(got < ux[d]))
-            assert (n_left, got.size - n_left) == (result.n_left, result.n_right), (d, w)
-            uneven += result.n_left != result.n_right
-    assert feasible.any()
-    if params.num_pas == 64:
-        assert uneven > 0  # redistributed rows are among those compared
+def test_folded_steps_are_the_refine_all_placement(dx, half, m, n_eff, spacing, height, seed):
+    """Per chain, the PAs the engine folds are ``refine_all``'s, bit for bit, outward
+    from the user; per row, so is the (n_left, n_right) split."""
+    params = SystemParams(
+        dx_m=dx, num_pas=2 * half, num_waveguides=m, n_eff=n_eff, min_spacing_m=spacing,
+        height_m=height,
+    )
+    layout = WaveguideLayout.from_params(params)
+    ux, uy = users(params, seed, 12)
+    # and 8 edge users, within N/2 spacings of either end: their chains continue
+    reach = min(dx, spacing * half) * uniform_pairs(seed, 4)
+    ux = np.concatenate([ux, dx / 2.0 - reach[:, 0], reach[:, 1] - dx / 2.0])
+    uy = np.concatenate([uy, uy[:8]])
+    rows = ux.size * m
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        feasible, chains, xs = folded_pas(monkeypatch, params, layout, ux, uy)
+        for d in range(ux.size):
+            try:
+                _, results = refine_all(params, layout, UserPosition(ux[d], uy[d]))
+            except FeasibilityError:
+                assert not feasible[d], d
+                continue
+            assert feasible[d], d
+            for w, result in enumerate(results):
+                right, left = xs[chains == d * m + w], xs[chains == rows + d * m + w]
+                assert np.array_equal(right, result.positions[result.n_left :]), (d, w)
+                assert np.array_equal(left, result.positions[: result.n_left][::-1]), (d, w)
+                assert (left.size, right.size) == (result.n_left, result.n_right), (d, w)
 
 
 @pytest.mark.parametrize(
@@ -257,22 +277,22 @@ def test_folded_steps_are_the_refine_all_placement(monkeypatch, params, layout, 
     ids=["dense", "edge-overflow", "ragged-dense"],
 )
 def test_fold_sees_each_row_in_chain_order(monkeypatch, params, layout, at):
-    """Right chain outward from the user, then the left chain, then the continuation.
+    """Each chain's PAs reach the fold outward from the user, its continuation last.
 
-    The order in which a row's PAs reach the fold is the order in which the
+    The order in which a chain's PAs reach the fold is the order in which the
     Monte Carlo engine sums them, so it fixes the bits of every SNR.
     """
     layout = WaveguideLayout.from_params(params) if layout is None else layout
     ux, uy = users(params, 3, 60) if at is None else at
-    feasible, rows, xs = folded_pas(monkeypatch, params, layout, ux, uy)
+    feasible, chains, xs = folded_pas(monkeypatch, params, layout, ux, uy)
     m, half, continued = len(layout), params.num_pas // 2, set()
     for d in np.flatnonzero(feasible):
         _, results = refine_all(params, layout, UserPosition(ux[d], uy[d]))
         for w, result in enumerate(results):
             left = result.positions[: result.n_left][::-1]  # outward from the user
             right = result.positions[result.n_left :]
-            chains = (right[:half], left[:half], left[half:], right[half:])
-            assert np.array_equal(xs[rows == d * m + w], np.concatenate(chains)), (d, w)
+            assert np.array_equal(xs[chains == d * m + w], right), (d, w)
+            assert np.array_equal(xs[chains == (ux.size + d) * m + w], left), (d, w)
             continued |= {side for side, n in (("left", result.n_left), ("right", result.n_right))
                           if n > half}
     if params is DENSE:
@@ -282,16 +302,16 @@ def test_fold_sees_each_row_in_chain_order(monkeypatch, params, layout, at):
 
 
 def recorded_place(monkeypatch):
-    """Each ``placement._place`` call as (its phases' requests, its result)."""
+    """Each ``placement._place`` call as (its phases' solver arguments, its result)."""
     calls = []
     original = placement._place
 
     def recording(solve, *args):
         phases = []
 
-        def solve_recorded(requests):
-            phases.append(requests)
-            return solve(requests)
+        def solve_recorded(*request):
+            phases.append(request)
+            return solve(*request)
 
         calls.append((phases, original(solve_recorded, *args)))
         return calls[-1][1]
@@ -309,7 +329,7 @@ MIXED = WaveguideLayout(tuple(Waveguide(-2.0, 0.0, h, 2.0) for h in (0.08, 0.1, 
 
 @pytest.mark.parametrize("n_eff", [1.0, 1.0 + 1e-6, 1.4])
 def test_mixed_continuation_request_matches_refine_all(monkeypatch, n_eff):
-    """One continuation request with both sides and unequal quotas: per row, refine_all's split."""
+    """One continuation call with both sides and unequal quotas: per row, refine_all's split."""
     params = SystemParams(n_eff=n_eff, dx_m=4.0, dy_m=0.02, num_pas=16)
     units = uniform_pairs(9, 150)
     # users within 4 cm of either end: one side has room for fewer than N/2 PAs
@@ -320,11 +340,12 @@ def test_mixed_continuation_request_matches_refine_all(monkeypatch, n_eff):
     )
     calls = recorded_place(monkeypatch)
     experiments.draw_snrs(params, MIXED, ux, uy, ("single",))
-    (_, (request,)), engine = calls.pop()
-    outward, rows, _, _, quota, _ = request
+    (_, request), engine = calls.pop()
+    chains, _, _, quota, _, _ = request
+    outward = chains >= ux.size * len(MIXED)  # the left chains
     assert outward.any() and not outward.all()
     assert np.unique(quota[outward]).size > 1 and np.unique(quota[~outward]).size > 1
-    assert max(1, placement._BLOCK_ENTRIES // rows.size) < quota.max()  # the prefix shrinks
+    assert max(1, placement._BLOCK_ENTRIES // chains.size) < quota.max()  # the prefix shrinks
     for x, y in zip(ux, uy):
         try:
             refine_all(params, MIXED, UserPosition(x, y))
@@ -337,16 +358,16 @@ def test_mixed_continuation_request_matches_refine_all(monkeypatch, n_eff):
     assert fits.any()
     if n_eff == 1.0:  # the NaN rule stops left chains in both phases
         continued_left = np.zeros(failed.shape, dtype=bool)
-        continued_left[rows[outward]] = True
+        continued_left[chains[outward] - ux.size * len(MIXED)] = True
         assert (failed & continued_left).any() and (failed & ~continued_left).any()
     else:
         assert not failed.any()
 
 
 def test_continuation_walk_hands_the_fold_only_live_rows(monkeypatch):
-    """Each continuation block walks only the rows whose quota reaches it.
+    """Each continuation block walks only the chains whose quota reaches it.
 
-    On the ``mc_dense`` perfbench geometry at N = 256: no row goes to the
+    On the ``mc_dense`` perfbench geometry at N = 256: no chain goes to the
     fold once it has had as many steps as its quota, each fold call but the
     last gets between half and all of :data:`placement._BLOCK_ENTRIES`
     entries, and the walk still takes N steps in all.
@@ -362,10 +383,11 @@ def test_continuation_walk_hands_the_fold_only_live_rows(monkeypatch):
         return original_grid(*args)
 
     def recording(params, h_eff, user_x, feed_x, max_x, fold):
-        def record(rows, xs, placed):
-            if isinstance(rows, np.ndarray):  # the continuation phase's rows
-                blocks.append((rows.copy(), xs.shape[0]))
-            fold(rows, xs, placed)
+        def record(chains, xs, placed):
+            sides, rows = chains
+            if isinstance(rows, np.ndarray):  # the continuation phase's chains
+                blocks.append((sides * user_x.size + rows, xs.shape[0]))
+            fold(chains, xs, placed)
 
         return original_batch(params, h_eff, user_x, feed_x, max_x, record)
 
@@ -373,18 +395,18 @@ def test_continuation_walk_hands_the_fold_only_live_rows(monkeypatch):
     monkeypatch.setattr(placement, "refine_batch", recording)
     experiments.draw_snrs(params, WaveguideLayout.from_params(params), ux, uy, ("single",))
     ((phases, _),) = calls
-    _, rows, _, _, quota, _ = phases[1][0]
-    quota_of, walked = np.zeros(ux.size * 4, dtype=int), np.zeros(ux.size * 4, dtype=int)
-    quota_of[rows] = quota
-    for i, (block_rows, steps) in enumerate(blocks):
-        assert (walked[block_rows] < quota_of[block_rows]).all()
-        entries = block_rows.size * steps
-        assert entries <= max(placement._BLOCK_ENTRIES, block_rows.size)
+    chains, _, _, quota, _, _ = phases[1]
+    quota_of, walked = np.zeros(ux.size * 8, dtype=int), np.zeros(ux.size * 8, dtype=int)
+    quota_of[chains] = quota
+    for i, (block_chains, steps) in enumerate(blocks):
+        assert (walked[block_chains] < quota_of[block_chains]).all()
+        entries = block_chains.size * steps
+        assert entries <= max(placement._BLOCK_ENTRIES, block_chains.size)
         assert i == len(blocks) - 1 or entries >= placement._BLOCK_ENTRIES // 2
-        walked[block_rows] += steps
-    assert (walked[rows] >= quota).all()
-    entries = sum(block_rows.size * steps for block_rows, steps in blocks)
-    assert entries <= 31_000  # every row walked to the longest quota: 49 094
+        walked[block_chains] += steps
+    assert (walked[chains] >= quota).all()
+    entries = sum(block_chains.size * steps for block_chains, steps in blocks)
+    assert entries <= 31_000  # every chain walked to the longest quota: 49 094
     assert len(grid) == params.num_pas
 
 
@@ -440,7 +462,7 @@ def reference_refine_batch(params, h_eff, user_x, feed_x, max_x, fold, continued
                 final[unreachable] = 0.0  # a finite position for the PA not placed
             alive &= (lo <= final) & (final <= hi)
             placed += alive
-            fold(rows, ux - final if outward else ux + final, alive)
+            fold((int(outward), rows), ux - final if outward else ux + final, alive)
             delta = final + params.min_spacing_m
         return placed, delta, failed
 
@@ -458,19 +480,20 @@ def reference_draw_snrs(
         wg_y, height, feed_x, max_x = (
             np.tile(layout.field(k), user_x.size) for k in ("y", "height", "feed_x", "max_x")
         )
-        inner = np.zeros(ux.size)
+        inner = np.zeros((2, ux.size))  # per chain: right of the user, left of it
 
-        def fold(rows, xs, placed):
+        def fold(chains, xs, placed):
+            rows = chains[1]
             amplitude, _ = experiments.pa_amplitudes(
                 params, xs, wg_y[rows], height[rows], feed_x[rows], ux[rows], uy[rows],
                 params.num_pas,
             )
-            inner[rows] += np.where(placed, amplitude, 0.0)
+            inner[chains] += np.where(placed, amplitude, 0.0)
 
         h_eff = np.hypot(wg_y - uy, height)
         fits = reference_refine_batch(params, h_eff, ux, feed_x, max_x, fold, continued)
         feasible = fits.reshape(-1, m).all(axis=1)
-        inner = inner.reshape(-1, m)
+        inner = (inner[0] + inner[1]).reshape(-1, m)
     return experiments._snrs(params, inner, user_x, user_y, modes, baseline_elements), feasible
 
 
@@ -489,7 +512,7 @@ def reference_draw_snrs(
     ids=["dense", "edge-overflow", "ragged-dense", "unit-index", "block-of-one", "ragged-block"],
 )
 def test_blocked_fold_is_bit_identical_to_one_step_per_call(monkeypatch, params, layout, at, block):
-    """Every row is summed in the same order as one step per fold call would sum it."""
+    """Every chain is summed in the same order as one step per fold call would sum it."""
     layout = WaveguideLayout.from_params(params) if layout is None else layout
     ux, uy = users(params, 3, 60) if at is None else at
     rows = ux.size * len(layout)
@@ -500,9 +523,9 @@ def test_blocked_fold_is_bit_identical_to_one_step_per_call(monkeypatch, params,
     original = placement.refine_batch
 
     def recording(params, h_eff, user_x, feed_x, max_x, fold):
-        def record(rows, xs, placed):
+        def record(chains, xs, placed):
             shapes.append(xs.shape)
-            fold(rows, xs, placed)
+            fold(chains, xs, placed)
 
         return original(params, h_eff, user_x, feed_x, max_x, record)
 
@@ -513,12 +536,12 @@ def test_blocked_fold_is_bit_identical_to_one_step_per_call(monkeypatch, params,
         params, layout, ux, uy, ALL_MODES, continued=continued
     )
     assert np.array_equal(feasible, want_feasible)
-    if params is DENSE:  # rows in both continuation sets: a two-request continuation walk
+    if params is DENSE:  # chains of both sides in the continuation
         assert sorted(side for side, _ in continued) == [False, True]
     assert feasible.any()
     for mode in ALL_MODES:
         assert np.array_equal(snrs[mode], want[mode]), mode
-    # the first block of the first phase: every row, as many steps as fit
+    # the first block of the first phase: every right chain, as many steps as fit
     assert shapes[0] == (min(max(1, placement._BLOCK_ENTRIES // rows), params.num_pas // 2), rows)
 
 
@@ -537,19 +560,20 @@ def refine_all_users(monkeypatch):
 
 
 def shift_one_pa_off_the_grid(monkeypatch, row):
-    """Moves row ``row``'s first PA a quarter wavelength before the engine folds it."""
+    """Moves the first PA right of the user on row ``row`` a quarter wavelength before the
+    engine folds it."""
     original = placement.refine_batch
 
     def shifting(params, h_eff, user_x, feed_x, max_x, fold):
         first = []
 
-        def shift_once(rows, xs, placed):
-            if not first:  # the first block holds every row's first PA
+        def shift_once(chains, xs, placed):
+            if not first:  # the first block holds every right chain's first PA
                 first.append(True)
                 assert placed[0, row]
                 xs = xs.copy()
                 xs[0, row] += params.wavelength_m / 4.0
-            fold(rows, xs, placed)
+            fold(chains, xs, placed)
 
         return original(params, h_eff, user_x, feed_x, max_x, shift_once)
 

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from pass_trihybrid import sampler
 from pass_trihybrid.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, main
 
 MINI_SWEEP = "\n".join(
@@ -132,6 +133,23 @@ class TestErrors:
         assert captured.out == ""
         assert captured.err.startswith(f"cannot write {out}: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "error",
+        [MemoryError("Unable to allocate 16.0 GiB for an array with shape (4294967296, 2)"),
+         MemoryError()],
+        ids=["numpy-message", "bare"],
+    )
+    def test_out_of_memory_exit_code(self, mini_config, monkeypatch, capsys, error):
+        # e.g. draws = 4294967296 with user = uniform: the samples need 16 GiB
+        def no_memory(seed, draws):
+            raise error
+
+        monkeypatch.setattr(sampler, "uniform_pairs", no_memory)
+        assert main(["sweep", "--config", mini_config]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("out of memory: ") and captured.err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "text",
