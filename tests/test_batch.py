@@ -226,6 +226,37 @@ def folded_pas(monkeypatch, params, layout, ux, uy):
     return feasible, chains[placed], xs[placed]
 
 
+@pytest.mark.parametrize(
+    "params, layout, at",
+    [
+        (DENSE, None, None),
+        (DENSE, None, edge_users(DENSE)),
+        (SystemParams(kappa_db_per_m=0.0, num_pas=64), RAGGED,
+         ragged_dense_users(SystemParams(kappa_db_per_m=0.0))),
+        (SystemParams(n_eff=1.0, num_pas=16), None, None),
+    ],
+    ids=["dense", "edge-overflow", "ragged-dense", "unit-index"],
+)
+def test_folded_steps_are_the_refine_all_placement(monkeypatch, params, layout, at):
+    """The PAs the engine folds in are ``refine_all``'s, bit for bit, and so is each split."""
+    layout = WaveguideLayout.from_params(params) if layout is None else layout
+    ux, uy = users(params, 3, 60) if at is None else at
+    feasible, chains, xs = folded_pas(monkeypatch, params, layout, ux, uy)
+    m, uneven = len(layout), 0
+    row = chains % (ux.size * m)  # both chains of a row
+    for d in np.flatnonzero(feasible):
+        _, results = refine_all(params, layout, UserPosition(ux[d], uy[d]))
+        for w, result in enumerate(results):
+            got = np.sort(xs[row == d * m + w])
+            assert np.array_equal(got, result.positions), (d, w)
+            n_left = int(np.count_nonzero(got < ux[d]))
+            assert (n_left, got.size - n_left) == (result.n_left, result.n_right), (d, w)
+            uneven += result.n_left != result.n_right
+    assert feasible.any()
+    if params.num_pas == 64:
+        assert uneven > 0  # redistributed rows are among those compared
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     dx=st.floats(0.3, 60.0),
@@ -236,7 +267,9 @@ def folded_pas(monkeypatch, params, layout, ux, uy):
     height=st.floats(0.05, 5.0),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_folded_steps_are_the_refine_all_placement(dx, half, m, n_eff, spacing, height, seed):
+def test_folded_steps_are_the_refine_all_placement_on_any_geometry(
+    dx, half, m, n_eff, spacing, height, seed
+):
     """Per chain, the PAs the engine folds are ``refine_all``'s, bit for bit, outward
     from the user; per row, so is the (n_left, n_right) split."""
     params = SystemParams(
