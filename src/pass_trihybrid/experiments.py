@@ -42,10 +42,21 @@ def _fixed_user(config: ExperimentConfig, params: SystemParams) -> UserPosition:
     return user
 
 
-# Alignment residual, in wavelengths, up to which a waveguide's PAs count as
-# co-phased at the user, so that the magnitude of its inner product is the
-# sum of their amplitudes.
-_COPHASED = 1e-6
+# Distance from the wavelength grid, in wavelengths, up to which a PA counts
+# as co-phased at the user, so that the magnitude of its waveguide's inner
+# product is the sum of the PAs' amplitudes.  PAs up to a phase of 2 pi t off
+# the grid overstate that magnitude by at most (2 pi t)^2 / 2 relative.  The
+# shift root's cancellation near n_eff = 1 leaves PAs up to 2.6e-7 off the
+# grid at n_eff = 1 + 1e-6, where the sums still match the complex ones to
+# 1e-12, and up to 1.4e-6 off at n_eff = 1 + 1e-7, where they do not.
+_COPHASED = 3e-7
+
+
+def _off_grid(params: SystemParams, r: np.ndarray, xs: np.ndarray, x_u) -> np.ndarray:
+    """Each PA's distance, in wavelengths, of its path r + n_eff (x - x_u) from the grid."""
+    cycles = (r + params.n_eff * (xs - x_u)) / params.wavelength_m
+    return np.abs(cycles - np.rint(cycles))
+
 
 _BATCH_SNR = {"single": beamforming.single_rf_snr, "multi": beamforming.multi_rf_snr}
 
@@ -99,7 +110,7 @@ def draw_snrs(
     feasible = np.ones(user_x.size, dtype=bool)
     inner = None
     if any(mode != "baseline" for mode in modes):
-        m, n_eff, lam = len(layout), params.n_eff, params.wavelength_m
+        m = len(layout)
         ux, uy = np.repeat(user_x, m), np.repeat(user_y, m)
         wg_y, height, feed_x, max_x = (
             np.tile(layout.field(k), user_x.size) for k in ("y", "height", "feed_x", "max_x")
@@ -117,8 +128,7 @@ def draw_snrs(
             amplitude, r = pa_amplitudes(
                 params, xs, wg_y[rows], height[rows], feed_x[rows], x_u, uy[rows], params.num_pas
             )
-            cycles = (r + n_eff * (xs - x_u)) / lam
-            miss = np.where(placed, np.abs(cycles - np.rint(cycles)), 0.0)
+            miss = np.where(placed, _off_grid(params, r, xs, x_u), 0.0)
             off_grid[chains] = np.maximum(off_grid[chains], miss.max(axis=0))
             terms = np.where(placed, amplitude, 0.0)
             acc = inner[chains]
@@ -187,9 +197,10 @@ def _point_reports(
     :class:`FeasibilityError` if its PAs do not fit, and its tri-hybrid rows
     also carry the closed-form bounds and the placement diagnostics.  Its
     effective row sums the real amplitudes of :func:`pa_amplitudes` over
-    ``refine_all``'s positions, as the engine does, unless the placement's
-    alignment residual exceeds :data:`_COPHASED` wavelengths; then it is
-    ``|inner|`` of the complex :func:`effective_channel`.
+    ``refine_all``'s positions, as the engine does, unless a PA lies farther
+    than :data:`_COPHASED` wavelengths from the grid (:func:`_off_grid`, the
+    engine's test); then it is ``|inner|`` of the complex
+    :func:`effective_channel`.
     """
     params = config.params_for_case(value)
     layout = WaveguideLayout.from_params(params)
@@ -200,13 +211,13 @@ def _point_reports(
         if any(mode != "baseline" for mode in modes):
             pin, results = placement.refine_all(params, layout, user)
             columns = _fixed_columns(params, layout, user, results)
-            if max(r.alignment_residual_m for r in results) > _COPHASED * params.wavelength_m:
+            wg_y, height, feed_x = (layout.field(k)[:, None] for k in ("y", "height", "feed_x"))
+            amplitude, r = pa_amplitudes(
+                params, pin.positions, wg_y, height, feed_x, user.x, user.y, params.num_pas
+            )
+            if _off_grid(params, r, pin.positions, user.x).max() > _COPHASED:
                 inner = effective_channel(params, layout, pin, user).gains[None]
             else:
-                wg_y, height, feed_x = (layout.field(k)[:, None] for k in ("y", "height", "feed_x"))
-                amplitude, _ = pa_amplitudes(
-                    params, pin.positions, wg_y, height, feed_x, user.x, user.y, params.num_pas
-                )
                 inner = amplitude.sum(axis=1)[None]
         snrs = _snrs(params, inner, np.array([user.x]), np.array([user.y]), modes, elements)
         feasible = np.ones(1, dtype=bool)

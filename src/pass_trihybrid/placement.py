@@ -20,13 +20,15 @@ N/2 PAs per chain, the overflow redistribution across sides and the fit
 verdict.  The shift formulas exist once, in :func:`_grid_index` and
 :func:`_aligned_offset`, which take the side through per-chain signed
 constants (:func:`_side_constants`), so chains of both sides can share one
-call: the chain solvers call them directly, and :func:`_shift_batch`
-composes them for the one-PA solvers.  The two chain solvers of
-:func:`_place` compute the same chains and differ only in what they keep of
-a chain: :func:`refine_all` solves one user's chains as whole arrays
-(:func:`_solve`, one call per side) and keeps every offset and shift;
-:func:`refine_batch` walks many users' chains one step at a time and keeps
-nothing, handing each block of steps to the caller's ``fold``.
+call; :func:`_shift_batch` composes them for the one-PA solvers.
+
+A chain's k-th PA lands on grid line I_0 + k wherever :func:`_on_lines`
+guarantees it, and :func:`_steps` turns that closed form into the walk's
+bits: the one chain kernel of both chain solvers, which otherwise walk.
+:func:`refine_all` solves one user's chains as whole arrays (:func:`_solve`,
+one call per side) and keeps every offset and shift; :func:`refine_batch`
+solves many users' chains in blocks and keeps nothing, handing each block
+of steps to the caller's ``fold``.
 """
 
 from __future__ import annotations
@@ -56,6 +58,9 @@ _UNREACHABLE = "no reachable alignment point on the feed side"
 # large enough that a fold's per-call overhead is shared by many steps,
 # small enough that its per-entry cost stays near its minimum.
 _BLOCK_ENTRIES = 4096
+# :func:`refine_batch` walks phases of at most this many steps: the closed
+# form's set-up costs about what so short a walk would save.
+_WALKED_STEPS = 8
 
 
 def _side_constants(n_eff: float, wavelength: float, side):
@@ -168,61 +173,108 @@ class RefinementResult:
     h_eff_m: float
 
 
+def _on_lines(h_eff, reach, right, largest: float, n_eff: float, wavelength: float, spacing: float):
+    """Chains whose every step up to offset ``reach`` lands on the next grid line, I + 1.
+
+    A step moves the path by ``spacing`` times its slope, n_eff + e/r right
+    of the user (``right``) and n_eff - e/r left of it; e/r grows with the
+    offset e.  The move must stay inside (tol, 1 - tol) wavelengths, tol
+    above the grid tolerance and the rounding of the path and of the root,
+    which grows with ``largest``, the largest |I|, and n_eff / (n_eff - 1).
+    """
+    if n_eff == 1.0:
+        return np.zeros(np.shape(h_eff), dtype=bool)
+    tol = 1e-9 + 32.0 * np.finfo(float).eps * n_eff / (n_eff - 1.0) * largest
+    per_step = wavelength / spacing  # wavelengths in one spacing
+    # the largest e/r on each side; -1 where the slope n_eff alone breaks a limit
+    steep = (1.0 - tol) * per_step - n_eff if n_eff >= tol * per_step else -1.0
+    flat = n_eff - tol * per_step if n_eff <= (1.0 - tol) * per_step else -1.0
+    return reach / np.hypot(h_eff, reach) <= np.where(right, steep, flat)
+
+
+def _steps(d: np.ndarray, start, spacing: float) -> tuple[np.ndarray, np.ndarray]:
+    """The walk's (offsets, shifts) of (steps, chains) aligned offsets ``d`` on known lines.
+
+    The walk stores f_k = delta_k + max(d_k - delta_k, 0), delta_0 = ``start``,
+    delta_k = f_{k-1} + ``spacing``.  A pass of that recurrence over the guess
+    f = d is exact one step past its first wrong entry, so repeating it until
+    it changes nothing gives the walk's bits, with no square root.
+    """
+    f = d
+    delta = np.empty_like(d)
+    delta[0] = start
+    while True:
+        np.add(f[:-1], spacing, out=delta[1:])
+        shifts = np.maximum(d - delta, 0.0)
+        new_f = delta + shifts
+        if not (new_f != f).any():
+            return new_f, shifts
+        f = new_f
+
+
 def _solve(
     h_eff: np.ndarray, start: np.ndarray, quota: np.ndarray, bounds: tuple[np.ndarray, np.ndarray],
     n_eff: float, wavelength: float, min_spacing: float, outward: bool,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The chains :func:`refine_batch` walks, for R chains of one side, as whole arrays.
+    """The chains :func:`refine_batch` places, for R chains of one side, as whole arrays.
 
     Chain r starts at offset ``start[r]`` and places ``quota[r]`` PAs or stops
     before the first outside ``bounds`` (lo, hi).  Returns (offsets, shifts,
     placed, failed): (R, max quota) arrays whose first ``placed[r]`` entries
     are chain r's PAs, and where it stopped at a feed-side NaN step.
 
-    A fixed-point iteration: guess grid indices I_k = I_0 + k and their
-    offsets f_k, then run one step pass over delta_k = f_{k-1} + min_spacing.
-    The pass is exact up to and including the first index it changes; that
-    prefix is kept and the indices past it are re-extrapolated by the steps
-    the pass took.  A pass that changes nothing before a chain's end is a
-    fixed point of the walk's recurrence, hence the walk's bits; the kept
-    prefix grows every pass, so at most quota + 1 passes run.
+    The guess puts step k on grid line I_0 + k, I_0 the first step's
+    :func:`_grid_index`.  Where :func:`_on_lines` guarantees every chain,
+    :func:`_steps` makes it the walk's offsets.  Otherwise a fixed-point
+    iteration verifies it: one step pass over delta_k = f_{k-1} + min_spacing, exact
+    up to and including the first index it changes; that prefix is kept and
+    the indices past it are re-extrapolated by the steps the pass took.  A
+    pass that changes nothing before a chain's end is a fixed point of the
+    walk's recurrence, hence the walk's bits; the kept prefix grows every
+    pass, so at most quota + 1 passes run.
     """
-    h, lo, hi = h_eff[:, None], bounds[0][:, None], bounds[1][:, None]
-    h2s = _elevation_term(h, n_eff)
+    lo, hi = bounds
+    h2s = _elevation_term(h_eff, n_eff)
     sn, sl, ss = _side_constants(n_eff, wavelength, -1.0 if outward else 1.0)
-    width = int(quota.max()) + 1  # one column more, where every chain has ended
-    cols = np.arange(width)
-    in_quota = cols < quota[:, None]
-    row_starts = np.arange(h_eff.size) * width  # in the flattened (R, width) arrays
-    index = _grid_index(h_eff, start, sn, sl)[:, None] + cols
-    f = _aligned_offset(h2s, sl * index, n_eff, ss)
-    f[:, 0] = start + np.maximum(f[:, 0] - start, 0.0)  # not f_0 itself when d_0 - start rounds
+    width = int(quota.max()) + 1  # one step more, where every chain has ended
+    cols = np.arange(width)[:, None]
+    in_quota = cols < quota
+    first_index = _grid_index(h_eff, start, sn, sl)
+    index = first_index + cols
+    f = _aligned_offset(h2s, sl * index, n_eff, ss)  # (steps, chains), as in the walk
+    last = f[quota - 1, np.arange(quota.size)]
+    reach = np.minimum(last, hi) + min_spacing
+    largest = float(np.abs(first_index).max() + width)
+    if _on_lines(h_eff, reach, not outward, largest, n_eff, wavelength, min_spacing).all():
+        f, shifts = _steps(f, start, min_spacing)
+        first = (~((lo <= f) & (f <= hi) & in_quota)).argmax(axis=0)  # offsets only grow
+        return f[:-1].T, shifts[:-1].T, first, np.zeros(quota.shape, dtype=bool)
+    chain_starts = np.arange(h_eff.size)  # in the flattened (steps, chains) arrays
+    f[0] = start + np.maximum(f[0] - start, 0.0)  # not f_0 itself when d_0 - start rounds
     delta = np.empty_like(f)
-    delta[:, 0] = start
+    delta[0] = start
     steps = np.empty_like(f)
     while True:
-        np.add(f[:, :-1], min_spacing, out=delta[:, 1:])
-        new_index = _grid_index(h, delta, sn, sl)
+        np.add(f[:-1], min_spacing, out=delta[1:])
+        new_index = _grid_index(h_eff, delta, sn, sl)
         d = _aligned_offset(h2s, sl * new_index, n_eff, ss)
         shifts = np.maximum(d - delta, 0.0)
         new_f = delta + shifts
         placing = (lo <= new_f) & (new_f <= hi) & in_quota  # False at NaN
         # The first index where the pass changed the guess or the chain ended;
         # every chain that ended there (unchanged before it) is solved.
-        first = (~placing | (new_f != f)).argmax(axis=1)
-        if not placing.ravel()[row_starts + first].any():
+        first = (~placing | (new_f != f)).argmax(axis=0)
+        if not placing.ravel()[first * h_eff.size + chain_starts].any():
             break
         # Keep the pass up to ``first``; extrapolate the indices past it by
         # the increments the pass just took (NaN, unreachable, counts as 1).
-        later = cols > first[:, None]
-        steps[:, 0] = new_index[:, 0]
-        steps[:, 1:] = np.where(
-            later[:, 1:], np.fmax(new_index[:, 1:] - index[:, :-1], 1.0), np.diff(new_index)
-        )
-        index = np.cumsum(steps, axis=1)
+        later = cols > first
+        steps[0] = new_index[0]
+        steps[1:] = np.where(later[1:], np.fmax(new_index[1:] - index[:-1], 1.0), np.diff(new_index, axis=0))
+        index = np.cumsum(steps, axis=0)
         f = np.where(later, _aligned_offset(h2s, sl * index, n_eff, ss), new_f)
-    failed = (first < quota) & np.isnan(new_f.ravel()[row_starts + first])
-    return new_f[:, :-1], shifts[:, :-1], first, failed
+    failed = (first < quota) & np.isnan(new_f.ravel()[first * h_eff.size + chain_starts])
+    return new_f[:-1].T, shifts[:-1].T, first, failed
 
 
 def _place(solve: Callable, n: int, spacing: float, user_x, feed_x: np.ndarray, max_x: np.ndarray):
@@ -379,17 +431,18 @@ def refine_batch(
     """:func:`refine_all` for R (user, waveguide) rows at once; returns where the N PAs fit.
 
     ``h_eff``, ``user_x``, ``feed_x`` and ``max_x`` hold one value per row.
-    :func:`_place` over the rows' 2R chains, each phase one walk of one step
-    per PA (:func:`_grid_index`, then :func:`_aligned_offset` on the chain's
-    elevation term) over a flat axis of the phase's chains, the side given
-    by each chain's signed constants, which are built once per call: N/2
-    steps over every chain, then as many as the longest quota of the
-    continuation.  The continuation orders its chains by the block in which
-    their quota ends, latest first and ties in chain order (a counting
-    sort), so the chains whose quota reaches a block are a prefix of them,
-    and the block walks only that prefix.
+    :func:`_place` over the rows' 2R chains, each phase over a flat axis of
+    its chains, the side given by each chain's signed constants, which are
+    built once per call.  A phase longer than :data:`_WALKED_STEPS` steps
+    whose chains :func:`_on_lines` all guarantees is solved in closed form,
+    block by block; its chains' ends are known in advance: the quota, or the
+    step onto the first line past hi.  Any other phase walks one step per PA
+    (:func:`_grid_index`, then :func:`_aligned_offset`).  The continuation
+    orders its chains by the block in which their steps end, latest first
+    and ties in chain order (a counting sort), so the chains whose steps
+    reach a block are a prefix of them, and the block solves only that prefix.
 
-    The walk keeps nothing: the steps are handed in blocks to ``fold(chains,
+    Nothing is kept: the steps are handed in blocks to ``fold(chains,
     xs, placed)``, so a caller can fold the PAs into its effective rows and
     drop them (the Monte Carlo engine sums their real amplitudes and checks
     that they sit on the wavelength grid).  ``chains`` indexes the (2, R)
@@ -401,8 +454,8 @@ def refine_batch(
     the chain has not yet hit its quota or left its bounds.  A block is as
     many steps (at least one) as make about :data:`_BLOCK_ENTRIES` entries
     per fold call over the chains it hands over, in the continuation those
-    whose quota reaches it, so blocks grow as chains end; the last block is
-    what is left.  Both arrays are overwritten by the next call.  So the
+    whose steps reach it, so blocks grow as chains end; the last block is
+    what is left.  Both arrays may be overwritten by the next call.  So the
     fold sees each chain's PAs in chain order, outward from the user, its
     continuation last.  The result is False where :func:`refine_all` raises
     :class:`FeasibilityError`.
@@ -414,7 +467,25 @@ def refine_batch(
     per_chain = (h, _elevation_term(h, n_eff)) + _side_constants(n_eff, wavelength, side)
 
     def walk(chains, col, delta, quota, lo, hi):
-        size, steps, order = delta.size, int(quota.max(initial=0)), None
+        size, order = delta.size, None
+        h, hh, sn, sl, ss = (a[chains] for a in per_chain)
+        steps = int(quota.max(initial=0))
+        index, closed = None, n_eff != 1.0 and steps > _WALKED_STEPS
+        if closed:
+            index = _grid_index(h, delta, sn, sl)  # the first step's line
+            # On known lines a chain's steps end at its quota, or at the step
+            # onto the first line past hi where the quota's line lies past hi.
+            last = _aligned_offset(hh, sl * (index + quota - 1), n_eff, ss)
+            ends, short = quota, last > hi
+            if short.any():
+                ends = quota.copy()
+                past = _grid_index(h[short], hi[short], sn[short], sl[short]) - index[short] + 1
+                ends[short] = np.clip(past, 1, quota[short])
+            reach = np.minimum(last, hi) + spacing
+            largest = float(np.abs(index).max(initial=0.0) + ends.max(initial=0))
+            closed = _on_lines(h, reach, sl > 0, largest, n_eff, wavelength, spacing).all()
+            if closed:
+                quota, steps = ends, int(ends.max(initial=0))
         # a fold call takes one side's chains in the first phase, all of them later
         block = max(1, _BLOCK_ENTRIES // max(rows if col == 0 else size, 1))
         # (first step, end step, chains walked) of each block
@@ -424,7 +495,7 @@ def refine_batch(
         else:
             if steps > block:
                 # A block takes about _BLOCK_ENTRIES entries over the chains
-                # whose quota reaches it, so blocks grow as chains end.
+                # whose steps reach it, so blocks grow as chains end.
                 blocks, first = [], 0
                 while first < steps:
                     n = int(np.count_nonzero(quota > first))
@@ -433,20 +504,24 @@ def refine_batch(
                 lengths = [stop - first for first, stop, _ in blocks]
                 last_block = np.repeat(np.arange(len(blocks)), lengths)[quota - 1]
                 # Later last block first, ties in chain order (a counting
-                # sort): the chains whose quota reaches a block are a prefix.
+                # sort): the chains whose steps reach a block are a prefix.
                 keys = np.arange(last_block.max(), -1, -1)[:, None]
                 order = np.flatnonzero(last_block == keys) % size
-                chains, delta, quota, lo, hi = (a[order] for a in (chains, delta, quota, lo, hi))
+                chains, delta, quota, lo, hi, index, h, hh, sn, sl, ss = (
+                    a if a is None else a[order]
+                    for a in (chains, delta, quota, lo, hi, index, h, hh, sn, sl, ss)
+                )
             key = divmod(chains, rows)
             sign, ux = side[chains], user_x[key[1]]
-        h, hh, sn, sl, ss = (a[chains] for a in per_chain)
         # The quota test matters only where a quota is shorter than the walk,
         # the lower bound only where a chain starts below it (offsets only grow).
         if quota.min(initial=steps) == steps:
             quota = None
         if (lo <= delta).all():
             lo = None
-        # Each block's (steps, chains) offsets, then positions, and placed flags
+        elif closed:  # a chain whose first PA lies below lo places none
+            lo = lo <= delta + np.maximum(_aligned_offset(hh, sl * index, n_eff, ss) - delta, 0.0)
+        # Each block's (steps, chains) positions and placed flags
         xs = np.empty(max(min(block, steps) * size, _BLOCK_ENTRIES))
         live = np.empty(xs.shape, dtype=bool)
         placed = np.zeros(size, dtype=int)
@@ -454,33 +529,41 @@ def refine_batch(
         next_start = delta  # the chains' next starts, in walk order
         alive, n = True, size  # every chain, before its first step; the chains walked
         for first, stop, walked in blocks:
-            if walked < n:  # drop the chains whose quota ended in an earlier block
+            if walked < n:  # drop the chains whose steps ended in an earlier block
                 n = walked
                 key = tuple(k[:n] for k in key)
-                h, hh, sn, sl, ss, sign, ux, hi, quota, delta, alive = (
-                    a[:n] for a in (h, hh, sn, sl, ss, sign, ux, hi, quota, delta, alive)
+                h, hh, sn, sl, ss, sign, ux, hi, quota, delta, alive, index, lo = (
+                    a[:n] if isinstance(a, np.ndarray) else a
+                    for a in (h, hh, sn, sl, ss, sign, ux, hi, quota, delta, alive, index, lo)
                 )
-                lo = lo if lo is None else lo[:n]
             count = stop - first
             pa_x, pa_live = (a[: count * n].reshape(count, n) for a in (xs, live))
-            for k in range(count):
-                st = sl * _grid_index(h, delta, sn, sl)
-                final = np.maximum(_aligned_offset(hh, st, n_eff, ss) - delta, 0.0)
-                final = np.add(delta, final, out=pa_x[k])
-                keep = alive
-                if n_eff == 1.0:  # NaN only on the feed side; past a quota it is no failure
-                    if quota is not None:
-                        keep = keep & (first + k < quota)
-                    unreachable = np.isnan(final)
-                    failed[:n] |= keep & unreachable
-                    keep = keep & ~unreachable
-                    final[unreachable] = 0.0  # a finite position for the PA not placed
+            if closed:  # every step on its known line, I_0 + k
+                k = np.arange(first, stop)[:, None]
+                pa_x, _ = _steps(_aligned_offset(hh, sl * (index + k), n_eff, ss), delta, spacing)
+                np.less_equal(pa_x, hi, out=pa_live)
                 if lo is not None:
-                    keep = keep & (lo <= final)
-                alive = np.logical_and(keep, final <= hi, out=pa_live[k])
-                delta = final + spacing
+                    pa_live &= lo
+                delta = pa_x[-1] + spacing
+            else:
+                for k in range(count):
+                    st = sl * _grid_index(h, delta, sn, sl)
+                    final = np.maximum(_aligned_offset(hh, st, n_eff, ss) - delta, 0.0)
+                    final = np.add(delta, final, out=pa_x[k])
+                    keep = alive
+                    if n_eff == 1.0:  # NaN only on the feed side; past a quota it is no failure
+                        if quota is not None:
+                            keep = keep & (first + k < quota)
+                        unreachable = np.isnan(final)
+                        failed[:n] |= keep & unreachable
+                        keep = keep & ~unreachable
+                        final[unreachable] = 0.0  # a finite position for the PA not placed
+                    if lo is not None:
+                        keep = keep & (lo <= final)
+                    alive = np.logical_and(keep, final <= hi, out=pa_live[k])
+                    delta = final + spacing
             if quota is not None:  # a chain's steps past its quota place no PA
-                pa_live &= np.arange(first, first + count)[:, None] < quota
+                pa_live &= np.arange(first, stop)[:, None] < quota
             placed[:n] += pa_live.sum(axis=0)
             # Offsets to positions x_u + side offset: x_u + (-f) is x_u - f bit for bit
             pa_x, pa_live = (a.reshape((count,) + sign.shape) for a in (pa_x, pa_live))

@@ -299,6 +299,127 @@ def test_folded_steps_are_the_refine_all_placement_on_any_geometry(
                 assert (left.size, right.size) == (result.n_left, result.n_right), (d, w)
 
 
+def reference_folded_pas(params, layout, ux, uy):
+    """(feasible, chain ids, positions) of the PAs :func:`reference_refine_batch` places,
+    one walk step per fold call, in fold order."""
+    m = len(layout)
+    rows = ux.size * m
+    row_ux, row_uy = np.repeat(ux, m), np.repeat(uy, m)
+    wg_y, height, feed_x, max_x = (
+        np.tile(layout.field(k), ux.size) for k in ("y", "height", "feed_x", "max_x")
+    )
+    calls = []
+
+    def record(chains, xs, placed):
+        side, row = chains
+        calls.append(((side * rows + np.arange(rows)[row])[placed], xs[placed]))
+
+    h_eff = np.hypot(wg_y - row_uy, height)
+    fits = reference_refine_batch(params, h_eff, row_ux, feed_x, max_x, record)
+    chains, xs = (np.concatenate(column) for column in zip(*calls))
+    return fits.reshape(-1, m).all(axis=1), chains, xs
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_eff=st.one_of(st.sampled_from([1.0, 1.0 + 1e-9]), st.floats(1.05, 3.0)),
+    spacing=st.floats(0.05, 2.0),  # in wavelengths
+    height=st.floats(0.05, 5.0),
+    dy=st.floats(0.02, 20.0),
+    dx=st.floats(0.3, 20.0),
+    half=st.integers(1, 48),
+    m=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_closed_form_chains_are_the_one_step_walk(n_eff, spacing, height, dy, dx, half, m, seed):
+    """Per chain, the PAs the engine folds are the one-step walk's and ``refine_all``'s,
+    bit for bit, wherever the closed form may or may not apply: n_eff at and just
+    above 1, spacings up to two wavelengths, elevations of a few centimetres under
+    chains many times longer, and edge users whose chains continue."""
+    params = SystemParams(
+        n_eff=n_eff, height_m=height, dx_m=dx, dy_m=dy, num_pas=2 * half, num_waveguides=m,
+        min_spacing_m=spacing * SystemParams().wavelength_m,
+    )
+    layout = WaveguideLayout.from_params(params)
+    ux, uy = users(params, seed, 12)
+    reach = min(dx, params.min_spacing_m * half) * uniform_pairs(seed, 4)
+    ux = np.concatenate([ux, dx / 2.0 - reach[:, 0], reach[:, 1] - dx / 2.0])
+    uy = np.concatenate([uy, uy[:8]])
+    want_feasible, want_chains, want_xs = reference_folded_pas(params, layout, ux, uy)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        feasible, chains, xs = folded_pas(monkeypatch, params, layout, ux, uy)
+        assert np.array_equal(feasible, want_feasible)
+        for chain in np.unique(np.concatenate([chains, want_chains])):
+            assert np.array_equal(xs[chains == chain], want_xs[want_chains == chain]), chain
+        rows = ux.size * m
+        for d in np.flatnonzero(feasible)[:4]:
+            _, results = refine_all(params, layout, UserPosition(ux[d], uy[d]))
+            for w, result in enumerate(results):
+                right, left = xs[chains == d * m + w], xs[chains == rows + d * m + w]
+                assert np.array_equal(np.concatenate([left[::-1], right]), result.positions)
+
+
+def chain_kinds(monkeypatch, params, draws=60):
+    """(closed-form chains, walked chains) over the engine's placement phases.
+
+    A phase's chains take the closed form when :func:`placement._on_lines`
+    guarantees all of them; every other phase walks its chains.
+    """
+    phases, guarantees = [], {}
+    original_place, original_lines = placement._place, placement._on_lines
+
+    def place(solve, *args):
+        def solve_recorded(chains, col, start, *rest):
+            phases.append(start.size)
+            return solve(chains, col, start, *rest)
+
+        return original_place(solve_recorded, *args)
+
+    def lines(*args):
+        guarantees[len(phases) - 1] = guaranteed = original_lines(*args)
+        return guaranteed
+
+    monkeypatch.setattr(placement, "_place", place)
+    monkeypatch.setattr(placement, "_on_lines", lines)
+    ux, uy = users(params, 424242, draws)
+    experiments.draw_snrs(params, WaveguideLayout.from_params(params), ux, uy, ("single",))
+    closed = sum(size for i, size in enumerate(phases) if i in guarantees and guarantees[i].all())
+    return closed, sum(phases) - closed
+
+
+@pytest.mark.parametrize(
+    "params, closed_form",
+    [
+        (SystemParams(dx_m=4.0, num_pas=256), True),
+        (DENSE, True),
+        (SystemParams(dx_m=4.0, num_pas=64, min_spacing_m=SystemParams().wavelength_m), False),
+        (SystemParams(dx_m=4.0, num_pas=64, n_eff=1.0), False),
+    ],
+    ids=["mc_dense", "dense", "one-wavelength-spacing", "unit-index"],
+)
+def test_closed_form_and_walked_chain_counts(monkeypatch, params, closed_form):
+    """Every chain of the ``mc_dense`` geometry takes the closed form; at a spacing of
+    one wavelength (a step moves the path by more than one) and at n_eff = 1 every
+    chain is walked.  Each case continues some chains, so both phases count."""
+    closed, walked = chain_kinds(monkeypatch, params)
+    assert closed + walked > 2 * 60 * params.num_waveguides  # a continuation phase ran
+    assert (closed, walked) == ((closed + walked, 0) if closed_form else (0, closed + walked))
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["default", "dense"])
+def test_near_unit_index_draws_match_the_scalar_path(dense):
+    """selftest's two geometries at n_eff = 1 + 1e-7: PAs about 1e-6 wavelengths off
+    the grid are not summed as co-phased, so every draw matches the scalar path."""
+    config = ExperimentConfig(n_eff=1.0 + 1e-7)
+    params, draws = config.params_for_case(), 200
+    if dense:
+        params, draws = params.replace(dx_m=4.0, num_pas=64), 60
+    units = uniform_pairs(config.seed, draws)
+    ux, uy = (units[:, 0] - 0.5) * params.dx_m, (units[:, 1] - 0.5) * params.dy_m
+    layout = WaveguideLayout.from_params(params)
+    assert invariants.draw_mismatches(params, layout, ux, uy, ALL_MODES) == []
+
+
 @pytest.mark.parametrize(
     "params, layout, at",
     [
@@ -403,7 +524,10 @@ def test_continuation_walk_hands_the_fold_only_live_rows(monkeypatch):
     On the ``mc_dense`` perfbench geometry at N = 256: no chain goes to the
     fold once it has had as many steps as its quota, each fold call but the
     last gets between half and all of :data:`placement._BLOCK_ENTRIES`
-    entries, and the walk still takes N steps in all.
+    entries, and every chain's steps are on known grid lines: the placement
+    evaluates :func:`placement._grid_index` at most twice per phase (the first
+    lines, and the lines past hi of the chains that stop short), where a
+    walk of one step per PA evaluated it N times.
     """
     params = SystemParams(dx_m=4.0, num_pas=256)
     ux, uy = users(params, 424242, 200)
@@ -440,7 +564,7 @@ def test_continuation_walk_hands_the_fold_only_live_rows(monkeypatch):
     assert (walked[chains] >= quota).all()
     entries = sum(block_chains.size * steps for block_chains, steps in blocks)
     assert entries <= 31_000  # every chain walked to the longest quota: 49 094
-    assert len(grid) == params.num_pas
+    assert 2 <= len(grid) <= 4
 
 
 # --- Reference: the one-step-per-call walk and the real-amplitude fold -------

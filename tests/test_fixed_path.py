@@ -388,6 +388,40 @@ class TestChain:
                 assert (f[r, : placed[r]].tolist(), v[r, : placed[r]].tolist()) == ref
 
 
+class TestClosedFormChains:
+    """``_solve`` evaluates ``_grid_index`` once for chains on known grid lines."""
+
+    @staticmethod
+    def counted(monkeypatch, params, user):
+        counts = {"_grid_index": 0, "_solve": 0}
+        for name in counts:
+            original = getattr(placement, name)
+
+            def counting(*args, name=name, original=original):
+                counts[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(placement, name, counting)
+        assert assert_same_placement(params, WaveguideLayout.from_params(params), user)
+        return counts
+
+    @pytest.mark.parametrize("n", [2, 64, 1024])
+    def test_one_grid_index_per_solve(self, monkeypatch, n):
+        """The centre user on the default geometry: each call's I_0 and no verify pass."""
+        counts = self.counted(monkeypatch, SystemParams(num_pas=n), UserPosition(0.0, 0.0))
+        assert counts["_grid_index"] == counts["_solve"] > 0
+
+    @pytest.mark.parametrize("n_eff, spacing", [(1.4, 1.0), (1.0, 0.5)])
+    def test_fallback_chains_verify_by_the_fixed_point(self, monkeypatch, n_eff, spacing):
+        """A step of one wavelength's spacing moves the path by more than a wavelength,
+        and n_eff = 1 has no guarantee: those chains take verify passes, and the
+        placement is still the per-PA loop's."""
+        params = SystemParams(n_eff=n_eff, num_pas=64)
+        params = params.replace(min_spacing_m=spacing * params.wavelength_m)
+        counts = self.counted(monkeypatch, params, UserPosition(0.0, 0.0))
+        assert counts["_grid_index"] > counts["_solve"] > 0
+
+
 class TestRefineAll:
     def test_uneven_split_near_the_region_edge(self):
         params = SystemParams(kappa_db_per_m=0.0, num_pas=512)
