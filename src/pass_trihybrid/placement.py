@@ -25,10 +25,13 @@ call; :func:`_shift_batch` composes them for the one-PA solvers.
 A chain's k-th PA lands on grid line I_0 + k wherever :func:`_on_lines`
 guarantees it, and :func:`_steps` turns that closed form into the walk's
 bits: the one chain kernel of both chain solvers, which otherwise walk.
-:func:`refine_all` solves one user's chains as whole arrays (:func:`_solve`,
-one call per side) and keeps every offset and shift; :func:`refine_batch`
-solves many users' chains in blocks and keeps nothing, handing each block
-of steps to the caller's ``fold``.
+:func:`_chains` builds every chain's signed constants once per call, and
+:func:`_closed_form` sets up the closed form of a phase's chains for both
+solvers.  :func:`refine_all` solves one user's chains as whole arrays
+(:func:`_solve`, one call per phase over the chains of both sides) and keeps
+every offset and shift; :func:`refine_batch` solves many users' chains in
+blocks and keeps nothing, handing each block of steps to the caller's
+``fold``.
 """
 
 from __future__ import annotations
@@ -72,6 +75,18 @@ def _side_constants(n_eff: float, wavelength: float, side):
     """
     s = 2.0 if n_eff == 1.0 else n_eff * n_eff - 1.0
     return side * n_eff, side * wavelength, side * s
+
+
+def _chains(h_eff: np.ndarray, n_eff: float, wavelength: float) -> tuple[np.ndarray, tuple]:
+    """(side, constants) of R rows' 2R chains: chain r right of row r's user, chain R + r left of it.
+
+    ``constants`` is the per-chain (h_eff, :func:`_elevation_term`, side n_eff,
+    side lambda, side s), the chain solvers' whole view of a chain, so one
+    call can take chains of both sides.
+    """
+    side = np.repeat([1.0, -1.0], h_eff.size)
+    h = np.concatenate([h_eff, h_eff])
+    return side, (h, _elevation_term(h, n_eff)) + _side_constants(n_eff, wavelength, side)
 
 
 def _grid_index(h_eff, delta, sn, sl) -> np.ndarray:
@@ -192,6 +207,22 @@ def _on_lines(h_eff, reach, right, largest: float, n_eff: float, wavelength: flo
     return reach / np.hypot(h_eff, reach) <= np.where(right, steep, flat)
 
 
+def _closed_form(chains: tuple, start, quota, hi, n_eff: float, wavelength: float, spacing: float):
+    """(I_0, last, guaranteed): the closed-form set-up of chains from offsets ``start``.
+
+    I_0 is the first step's :func:`_grid_index` and ``last`` the aligned offset
+    on the quota's last line, I_0 + quota - 1; ``guaranteed`` says whether
+    :func:`_on_lines` guarantees every chain up to one spacing past that
+    offset or ``hi``, whichever is nearer.  ``chains`` are :func:`_chains`' constants.
+    """
+    h, hh, sn, sl, ss = chains
+    index = _grid_index(h, start, sn, sl)
+    last = _aligned_offset(hh, sl * (index + quota - 1), n_eff, ss)
+    reach = np.minimum(last, hi) + spacing
+    largest = float(np.abs(index).max(initial=0.0) + quota.max(initial=0))
+    return index, last, _on_lines(h, reach, sl > 0, largest, n_eff, wavelength, spacing).all()
+
+
 def _steps(d: np.ndarray, start, spacing: float) -> tuple[np.ndarray, np.ndarray]:
     """The walk's (offsets, shifts) of (steps, chains) aligned offsets ``d`` on known lines.
 
@@ -213,39 +244,35 @@ def _steps(d: np.ndarray, start, spacing: float) -> tuple[np.ndarray, np.ndarray
 
 
 def _solve(
-    h_eff: np.ndarray, start: np.ndarray, quota: np.ndarray, bounds: tuple[np.ndarray, np.ndarray],
-    n_eff: float, wavelength: float, min_spacing: float, outward: bool,
+    chains: tuple, start: np.ndarray, quota: np.ndarray, bounds: tuple[np.ndarray, np.ndarray],
+    n_eff: float, wavelength: float, min_spacing: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The chains :func:`refine_batch` places, for R chains of one side, as whole arrays.
+    """The chains :func:`refine_batch` places, for R chains of either side, as whole arrays.
 
-    Chain r starts at offset ``start[r]`` and places ``quota[r]`` PAs or stops
-    before the first outside ``bounds`` (lo, hi).  Returns (offsets, shifts,
-    placed, failed): (R, max quota) arrays whose first ``placed[r]`` entries
-    are chain r's PAs, and where it stopped at a feed-side NaN step.
+    ``chains`` are the R chains' constants from :func:`_chains`.  Chain r starts
+    at offset ``start[r]`` and places ``quota[r]`` PAs or stops before the
+    first outside ``bounds`` (lo, hi).  Returns (offsets, shifts, placed,
+    failed): (R, max quota) arrays whose first ``placed[r]`` entries are chain
+    r's PAs, and where it stopped at a feed-side NaN step.
 
-    The guess puts step k on grid line I_0 + k, I_0 the first step's
-    :func:`_grid_index`.  Where :func:`_on_lines` guarantees every chain,
-    :func:`_steps` makes it the walk's offsets.  Otherwise a fixed-point
-    iteration verifies it: one step pass over delta_k = f_{k-1} + min_spacing, exact
-    up to and including the first index it changes; that prefix is kept and
-    the indices past it are re-extrapolated by the steps the pass took.  A
-    pass that changes nothing before a chain's end is a fixed point of the
-    walk's recurrence, hence the walk's bits; the kept prefix grows every
-    pass, so at most quota + 1 passes run.
+    The guess puts step k on grid line I_0 + k (:func:`_closed_form`).  Where
+    every chain is guaranteed, :func:`_steps` makes it the walk's offsets.
+    Otherwise a fixed-point iteration verifies it: one step pass over
+    delta_k = f_{k-1} + min_spacing, exact up to and including the first index
+    it changes; that prefix is kept and the indices past it are
+    re-extrapolated by the steps the pass took.  A pass that changes nothing
+    before a chain's end is a fixed point of the walk's recurrence, hence the
+    walk's bits; the kept prefix grows every pass, so at most quota + 1
+    passes run.
     """
     lo, hi = bounds
-    h2s = _elevation_term(h_eff, n_eff)
-    sn, sl, ss = _side_constants(n_eff, wavelength, -1.0 if outward else 1.0)
-    width = int(quota.max()) + 1  # one step more, where every chain has ended
-    cols = np.arange(width)[:, None]
+    h_eff, h2s, sn, sl, ss = chains
+    first_index, _, closed = _closed_form(chains, start, quota, hi, n_eff, wavelength, min_spacing)
+    cols = np.arange(int(quota.max()) + 1)[:, None]  # one step more, where every chain has ended
     in_quota = cols < quota
-    first_index = _grid_index(h_eff, start, sn, sl)
     index = first_index + cols
     f = _aligned_offset(h2s, sl * index, n_eff, ss)  # (steps, chains), as in the walk
-    last = f[quota - 1, np.arange(quota.size)]
-    reach = np.minimum(last, hi) + min_spacing
-    largest = float(np.abs(first_index).max() + width)
-    if _on_lines(h_eff, reach, not outward, largest, n_eff, wavelength, min_spacing).all():
+    if closed:
         f, shifts = _steps(f, start, min_spacing)
         first = (~((lo <= f) & (f <= hi) & in_quota)).argmax(axis=0)  # offsets only grow
         return f[:-1].T, shifts[:-1].T, first, np.zeros(quota.shape, dtype=bool)
@@ -281,12 +308,12 @@ def _place(solve: Callable, n: int, spacing: float, user_x, feed_x: np.ndarray, 
     """The placement policy over R rows, each one (user, waveguide) pair, as 2R chains.
 
     Chain r is row r's chain right of the user and chain R + r its chain
-    left of it.  Every chain starts half the minimum spacing from the user
-    and stays inside its waveguide's [feed_x, max_x].  Two phases, each one
-    call ``solve(chains, col, start, quota, lo, hi)``: first every chain
-    (``chains`` a slice) takes N/2 PAs, then every full chain whose partner
-    fell short, and did not fail, takes the shortfall (``chains`` ascending
-    indices).  The call continues the chains from their PA ``col``: from
+    left of it (:func:`_chains`' order).  Every chain starts half the minimum
+    spacing from the user and stays inside its waveguide's [feed_x, max_x].
+    Two phases, each one call ``solve(chains, col, start, quota, lo, hi)``
+    over chains of both sides: first every chain (``chains`` a slice) takes
+    N/2 PAs, then every full chain whose partner fell short, and did not
+    fail, takes the shortfall (``chains`` ascending indices).  The call continues the chains from their PA ``col``: from
     offsets ``start``, at most ``quota`` more PAs each, within the offsets
     [``lo``, ``hi``].  It returns (placed, next start, failed) per chain:
     next start is the offset at which a chain of the phase's longest quota
@@ -319,9 +346,9 @@ def _refine(
 ) -> tuple[np.ndarray, list[RefinementResult]]:
     """(M, N) positions and one :class:`RefinementResult` per waveguide.
 
-    :func:`_place` over the M waveguides, each phase's chains split by side
-    into one :func:`_solve` call per side present, whose offsets and shifts
-    are kept.  The first waveguide in layout order whose PAs do not all fit
+    :func:`_place` over the M waveguides' 2M chains, one :func:`_solve` call
+    per phase over the chains of both sides, whose offsets and shifts are
+    kept.  The first waveguide in layout order whose PAs do not all fit
     raises :class:`FeasibilityError`.  Gaps, largest spacings and alignment
     residuals are computed over the whole array at once.
     """
@@ -330,26 +357,18 @@ def _refine(
         raise ValueError("number of PAs must be a positive even integer")
     m, spacing = len(layout), params.min_spacing_m
     h_effs = [wg.effective_elevation(user) for wg in layout.waveguides]
-    h_eff = np.array(h_effs)
-    # Chain (side, row)'s offsets from the user, innermost first; side 0 is right of the user.
-    offsets, shifts = np.zeros((2, m, n)), np.zeros((2, m, n))
+    per_chain = _chains(np.array(h_effs), params.n_eff, params.wavelength_m)[1]
+    # Each chain's offsets from the user, innermost first, in :func:`_chains`' order.
+    offsets, shifts = np.zeros((2 * m, n)), np.zeros((2 * m, n))
 
     def solve(chains, col, start, quota, lo, hi):
-        # Ascending chains, the right ones first; every chain in the first phase.
-        split = m if col == 0 else int(np.searchsorted(chains, m))
-        placed, failed = np.empty(start.size, dtype=int), np.empty(start.size, dtype=bool)
-        next_start = np.empty(start.size)
-        for side, part in enumerate((slice(None, split), slice(split, None))):
-            rows = slice(None) if col == 0 else chains[part] - side * m
-            if start[part].size:
-                f, v, placed[part], failed[part] = _solve(
-                    h_eff[rows], start[part], quota[part], (lo[part], hi[part]),
-                    params.n_eff, params.wavelength_m, spacing, side == 1,
-                )
-                offsets[side, rows, col : col + f.shape[1]] = f
-                shifts[side, rows, col : col + f.shape[1]] = v
-                next_start[part] = f[:, -1] + spacing
-        return placed, next_start, failed
+        f, v, placed, failed = _solve(
+            tuple(a[chains] for a in per_chain), start, quota, (lo, hi),
+            params.n_eff, params.wavelength_m, spacing,
+        )
+        offsets[chains, col : col + f.shape[1]] = f
+        shifts[chains, col : col + f.shape[1]] = v
+        return placed, f[:, -1] + spacing, failed
 
     n_left, n_right, failed, fits = _place(
         solve, n, spacing, user.x, layout.field("feed_x"), layout.field("max_x")
@@ -366,8 +385,8 @@ def _refine(
 
     # Ascending positions: the left chain reversed, then the right one.
     take = ((2 * np.arange(m) + 1) * n - n_left)[:, None] + np.arange(n)
-    positions = np.hstack([user.x - offsets[1, :, ::-1], user.x + offsets[0]]).ravel()[take]
-    row_shifts = np.hstack([shifts[1, :, ::-1], shifts[0]]).ravel()[take]
+    positions = np.hstack([user.x - offsets[m:, ::-1], user.x + offsets[:m]]).ravel()[take]
+    row_shifts = np.hstack([shifts[m:, ::-1], shifts[:m]]).ravel()[take]
     max_spacing = np.diff(positions, axis=1).max(axis=1)
 
     # Max circular deviation of (r + n_eff x) mod lambda across each row;
@@ -432,10 +451,11 @@ def refine_batch(
 
     ``h_eff``, ``user_x``, ``feed_x`` and ``max_x`` hold one value per row.
     :func:`_place` over the rows' 2R chains, each phase over a flat axis of
-    its chains, the side given by each chain's signed constants, which are
-    built once per call.  A phase longer than :data:`_WALKED_STEPS` steps
-    whose chains :func:`_on_lines` all guarantees is solved in closed form,
-    block by block; its chains' ends are known in advance: the quota, or the
+    its chains, the side given by each chain's signed constants
+    (:func:`_chains`, built once per call).  A phase longer than
+    :data:`_WALKED_STEPS` steps whose chains :func:`_closed_form` all
+    guarantees is solved in closed form, block by block; its chains' ends
+    are known in advance: the quota, or the
     step onto the first line past hi.  Any other phase walks one step per PA
     (:func:`_grid_index`, then :func:`_aligned_offset`).  The continuation
     orders its chains by the block in which their steps end, latest first
@@ -462,30 +482,24 @@ def refine_batch(
     """
     n_eff, wavelength, spacing = params.n_eff, params.wavelength_m, params.min_spacing_m
     rows = h_eff.size
-    side = np.repeat([1.0, -1.0], rows)  # per chain: the right chains, then the left ones
-    h = np.concatenate([h_eff, h_eff])
-    per_chain = (h, _elevation_term(h, n_eff)) + _side_constants(n_eff, wavelength, side)
+    side, per_chain = _chains(h_eff, n_eff, wavelength)
 
     def walk(chains, col, delta, quota, lo, hi):
         size, order = delta.size, None
-        h, hh, sn, sl, ss = (a[chains] for a in per_chain)
+        h, hh, sn, sl, ss = chain = tuple(a[chains] for a in per_chain)
         steps = int(quota.max(initial=0))
         index, closed = None, n_eff != 1.0 and steps > _WALKED_STEPS
         if closed:
-            index = _grid_index(h, delta, sn, sl)  # the first step's line
+            index, last, closed = _closed_form(chain, delta, quota, hi, n_eff, wavelength, spacing)
+        if closed:
             # On known lines a chain's steps end at its quota, or at the step
             # onto the first line past hi where the quota's line lies past hi.
-            last = _aligned_offset(hh, sl * (index + quota - 1), n_eff, ss)
-            ends, short = quota, last > hi
+            short = last > hi
             if short.any():
-                ends = quota.copy()
+                quota = quota.copy()
                 past = _grid_index(h[short], hi[short], sn[short], sl[short]) - index[short] + 1
-                ends[short] = np.clip(past, 1, quota[short])
-            reach = np.minimum(last, hi) + spacing
-            largest = float(np.abs(index).max(initial=0.0) + ends.max(initial=0))
-            closed = _on_lines(h, reach, sl > 0, largest, n_eff, wavelength, spacing).all()
-            if closed:
-                quota, steps = ends, int(ends.max(initial=0))
+                quota[short] = np.clip(past, 1, quota[short])
+            steps = int(quota.max(initial=0))
         # a fold call takes one side's chains in the first phase, all of them later
         block = max(1, _BLOCK_ENTRIES // max(rows if col == 0 else size, 1))
         # (first step, end step, chains walked) of each block

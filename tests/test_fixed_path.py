@@ -271,11 +271,20 @@ def assert_same_placement(params, layout, user) -> bool:
     return not isinstance(ref, FeasibilityError)
 
 
+def chain_constants(h_eff, outward, n_eff, wavelength):
+    """``placement._chains``' constants of one chain per row, left of the user where ``outward``."""
+    rows = len(h_eff)
+    constants = placement._chains(np.array(h_eff, dtype=float), n_eff, wavelength)[1]
+    chains = np.arange(rows) + rows * np.array(outward, dtype=int)
+    return tuple(a[chains] for a in constants)
+
+
 def solve_chain(h_eff, n_eff, wavelength, min_spacing, start_delta, quota, bounds, outward):
     """``placement._solve`` on one row, in :func:`ref_chain`'s form."""
     f, v, placed, failed = placement._solve(
-        np.array([h_eff]), np.array([start_delta]), np.array([quota]),
-        (np.array([bounds[0]]), np.array([bounds[1]])), n_eff, wavelength, min_spacing, outward,
+        chain_constants([h_eff], [outward], n_eff, wavelength), np.array([start_delta]),
+        np.array([quota]), (np.array([bounds[0]]), np.array([bounds[1]])), n_eff, wavelength,
+        min_spacing,
     )
     if failed[0]:
         raise FeasibilityError(placement._UNREACHABLE)
@@ -360,7 +369,6 @@ class TestChain:
         n_eff=st.sampled_from(N_EFFS + (3.5,)),
         lam=st.sampled_from([0.0107, 0.003, 0.1]),
         spacing=st.floats(0.05, 1.5),
-        outward=st.booleans(),
         rows=st.lists(
             st.tuples(
                 st.one_of(st.floats(0.01, 0.2), st.floats(0.2, 30.0)),  # h_eff
@@ -368,19 +376,22 @@ class TestChain:
                 st.integers(1, 300),  # quota
                 st.floats(-1.0, 0.05),  # lowest offset
                 st.floats(0.0, 4.0),  # highest offset
+                st.booleans(),  # left of the user (toward the feed)
             ),
             min_size=1,
             max_size=6,
         ),
     )
-    def test_rows_match_the_loop(self, n_eff, lam, spacing, outward, rows):
-        """Several chains in one solve, each with its own quota, start and bounds."""
+    def test_rows_match_the_loop(self, n_eff, lam, spacing, rows):
+        """Several chains of either side in one solve, each with its own quota, start and bounds."""
         spacing *= lam
-        rows = [(h, start * spacing, quota, lo, hi) for h, start, quota, lo, hi in rows]
-        h, start, quota, lo, hi = (np.array(column) for column in zip(*rows))
-        f, v, placed, failed = placement._solve(h, start, quota, (lo, hi), n_eff, lam, spacing, outward)
-        for r, (h_r, start_r, quota_r, lo_r, hi_r) in enumerate(rows):
-            ref = call(ref_chain, h_r, n_eff, lam, spacing, start_r, quota_r, (lo_r, hi_r), outward)
+        rows = [(h, start * spacing, quota, lo, hi, out) for h, start, quota, lo, hi, out in rows]
+        h, start, quota, lo, hi, outward = (np.array(column) for column in zip(*rows))
+        f, v, placed, failed = placement._solve(
+            chain_constants(h, outward, n_eff, lam), start, quota, (lo, hi), n_eff, lam, spacing
+        )
+        for r, (h_r, start_r, quota_r, lo_r, hi_r, out_r) in enumerate(rows):
+            ref = call(ref_chain, h_r, n_eff, lam, spacing, start_r, quota_r, (lo_r, hi_r), out_r)
             assert failed[r] == isinstance(ref, FeasibilityError)
             if failed[r]:
                 assert same_error(FeasibilityError(placement._UNREACHABLE), ref)
@@ -420,6 +431,35 @@ class TestClosedFormChains:
         params = params.replace(min_spacing_m=spacing * params.wavelength_m)
         counts = self.counted(monkeypatch, params, UserPosition(0.0, 0.0))
         assert counts["_grid_index"] > counts["_solve"] > 0
+
+
+class TestOneSolvePerPhase:
+    """``refine_all`` solves the chains of both sides of each ``_place`` phase in one ``_solve`` call."""
+
+    @staticmethod
+    def solve_calls(monkeypatch, params, user):
+        """The number of chains of each ``_solve`` call, and ``refine_all``'s results."""
+        calls = []
+        original = placement._solve
+
+        def counting(*args):
+            calls.append(args[1].size)  # the chains' starts
+            return original(*args)
+
+        monkeypatch.setattr(placement, "_solve", counting)
+        return calls, refine_all(params, WaveguideLayout.from_params(params), user)[1]
+
+    def test_centre_user_takes_one_call(self, monkeypatch):
+        params = SystemParams(num_pas=64)
+        calls, _ = self.solve_calls(monkeypatch, params, UserPosition(0.0, 0.0))
+        assert calls == [2 * params.num_waveguides]
+
+    def test_edge_user_takes_one_call_per_phase(self, monkeypatch):
+        """15 PAs left of the user and 1 right: the left chains continue in a second call."""
+        params = SystemParams(num_pas=16)
+        calls, results = self.solve_calls(monkeypatch, params, UserPosition(24.99, 3.0))
+        assert [(r.n_left, r.n_right) for r in results] == [(15, 1)] * params.num_waveguides
+        assert calls == [2 * params.num_waveguides, params.num_waveguides]
 
 
 class TestRefineAll:

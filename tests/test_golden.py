@@ -1,4 +1,4 @@
-"""The shipped configs' CSVs, byte for byte, against the copies in ``tests/golden/``.
+"""CSVs of the shipped configs and of the configs in ``tests/golden/``, byte for byte.
 
 Sweep CSVs stay byte-identical across changes that do not bump the
 ``pass-trihybrid vN`` banner.  Each golden file was written by the command
@@ -16,6 +16,11 @@ from pass_trihybrid.cli import EXIT_OK, main
 ROOT = Path(__file__).resolve().parent.parent
 SNR_VS_N = str(ROOT / "configs" / "snr_vs_pa_count.cfg")
 CAPACITY = str(ROOT / "configs" / "capacity_vs_region_width.cfg")
+# Geometries the shipped configs leave out, recorded beside their outputs:
+# an x-edge user whose chains continue, and two where no chain takes the closed form.
+EDGE_USER = str(ROOT / "tests" / "golden" / "edge_user.cfg")
+ONE_WAVELENGTH = str(ROOT / "tests" / "golden" / "one_wavelength_spacing.cfg")
+UNIT_INDEX = str(ROOT / "tests" / "golden" / "unit_index.cfg")
 
 
 @pytest.mark.parametrize(
@@ -26,9 +31,14 @@ CAPACITY = str(ROOT / "configs" / "capacity_vs_region_width.cfg")
         ("snr_vs_pa_count_bounds.csv", ["bounds", "--config", SNR_VS_N]),
         ("capacity_vs_region_width_case1.csv", ["sweep", "--config", CAPACITY, "--case", "1"]),
         ("capacity_vs_region_width_case2.csv", ["sweep", "--config", CAPACITY, "--case", "2"]),
+        ("edge_user_sweep.csv", ["sweep", "--config", EDGE_USER]),
+        ("edge_user_placement.csv", ["placement", "--config", EDGE_USER]),
+        ("one_wavelength_spacing_placement.csv", ["placement", "--config", ONE_WAVELENGTH]),
+        ("unit_index_placement.csv", ["placement", "--config", UNIT_INDEX]),
     ],
     ids=["snr-vs-n-sweep", "snr-vs-n-placement", "snr-vs-n-bounds", "capacity-case1",
-         "capacity-case2"],
+         "capacity-case2", "edge-user-sweep", "edge-user-placement", "one-wavelength-placement",
+         "unit-index-placement"],
 )
 def test_shipped_config_output_is_the_golden_copy(tmp_path, golden, args):
     out = tmp_path / golden
