@@ -57,9 +57,7 @@ def _apply_overrides(config: ExperimentConfig, args: argparse.Namespace) -> Expe
     if args.case is not None:
         changes["case"] = args.case
     if args.mode is not None:
-        changes["modes"] = (
-            ("single", "multi", "baseline") if args.mode == "all" else (args.mode,)
-        )
+        changes["modes"] = ExperimentConfig.modes if args.mode == "all" else (args.mode,)
     return config.replace(**changes) if changes else config
 
 

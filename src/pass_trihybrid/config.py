@@ -149,14 +149,11 @@ class ExperimentConfig:
 
 
 def _parse_scalar(key: str, raw: str, kind: type):
+    """``raw`` as ``kind`` (int or float)."""
     try:
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
+        return kind(raw)
     except ValueError as err:
         raise ConfigError(f"{key}: cannot parse {raw!r} as {kind.__name__}") from err
-    return raw
 
 
 _INT_KEYS = {"num_waveguides", "num_pas", "num_rf_chains", "baseline_elements", "draws", "seed", "case"}

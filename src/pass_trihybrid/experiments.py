@@ -126,7 +126,7 @@ def draw_snrs(
             # case 2's loss overflows; take it at the feed, as it is dropped.
             xs = np.where(placed, xs, feed_x[rows])
             amplitude, r = pa_amplitudes(
-                params, xs, wg_y[rows], height[rows], feed_x[rows], x_u, uy[rows], params.num_pas
+                params, xs, wg_y[rows], height[rows], feed_x[rows], x_u, uy[rows]
             )
             miss = np.where(placed, _off_grid(params, r, xs, x_u), 0.0)
             off_grid[chains] = np.maximum(off_grid[chains], miss.max(axis=0))
@@ -213,7 +213,7 @@ def _point_reports(
             columns = _fixed_columns(params, layout, user, results)
             wg_y, height, feed_x = (layout.field(k)[:, None] for k in ("y", "height", "feed_x"))
             amplitude, r = pa_amplitudes(
-                params, pin.positions, wg_y, height, feed_x, user.x, user.y, params.num_pas
+                params, pin.positions, wg_y, height, feed_x, user.x, user.y
             )
             if _off_grid(params, r, pin.positions, user.x).max() > _COPHASED:
                 inner = effective_channel(params, layout, pin, user).gains[None]

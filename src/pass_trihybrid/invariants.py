@@ -24,7 +24,7 @@ def phase_residual(params, layout, user, ns) -> float:
     """Worst oracle phase residual (m) of ``refine_all``'s PAs at every N in ``ns``."""
     worst = 0.0
     for n in ns:
-        _, results = placement.refine_all(params, layout, user, num_pas=n)
+        _, results = placement.refine_all(params.replace(num_pas=n), layout, user)
         for wg, res in zip(layout.waveguides, results):
             worst = max(worst, oracle.direct_phase_chain(res.positions, user, wg, params))
     return worst
@@ -35,7 +35,7 @@ def sandwich_violations(params, layout, user, ns) -> list:
     bounds of :func:`analysis.snr_bounds` at the placement's largest spacings."""
     violations = []
     for n in ns:
-        pin, results = placement.refine_all(params, layout, user, num_pas=n)
+        pin, results = placement.refine_all(params.replace(num_pas=n), layout, user)
         eff = effective_channel(params, layout, pin, user)
         dmax = np.array([r.max_spacing_m for r in results])
         rep = analysis.snr_bounds(params, layout, user, n, dmax)

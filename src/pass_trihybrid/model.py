@@ -325,18 +325,18 @@ def waveguide_vector(
     return _in_waveguide(params, np.maximum(run, 0.0), xs.size)
 
 
-def pa_amplitudes(params: SystemParams, xs, wg_y, wg_height, feed_x, user_x, user_y, num_pas: int):
+def pa_amplitudes(params: SystemParams, xs, wg_y, wg_height, feed_x, user_x, user_y):
     """Amplitudes sqrt(eta alpha_n) / r_n of PAs at x = ``xs``, and their distances r_n.
 
     The magnitude of each PA's term of :func:`effective_channel`'s inner
     product, with no phase.  Where a waveguide's PAs are co-phased at the
     user, as the refined placement puts them, the magnitude of that inner
     product is the plain sum of these amplitudes; both draw paths of
-    :mod:`experiments` sum them.  Every argument but ``params`` and
-    ``num_pas`` (PAs sharing the waveguide's feed power) broadcasts.
+    :mod:`experiments` sum them.  Every argument but ``params`` broadcasts;
+    the ``params.num_pas`` PAs of a waveguide share its feed power.
     """
     r = distance(xs - user_x, wg_y - user_y, wg_height)
-    amplitude = math.sqrt(params.eta_m2 / num_pas) / r
+    amplitude = math.sqrt(params.eta_m2 / params.num_pas) / r
     if params.kappa_db_per_m == 0.0:
         return amplitude, r
     # sqrt(10^(-kappa run / 10)) = e^(-kappa ln(10) run / 20), run the PA's distance from the feed

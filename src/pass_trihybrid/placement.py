@@ -19,8 +19,8 @@ holds the placement policy over the chains: their bounds, the start offset,
 N/2 PAs per chain, the overflow redistribution across sides and the fit
 verdict.  The shift formulas exist once, in :func:`_grid_index` and
 :func:`_aligned_offset`, which take the side through per-chain signed
-constants (:func:`_side_constants`), so chains of both sides can share one
-call; :func:`_shift_batch` composes them for the one-PA solvers.
+constants that only :func:`_chains` builds, so chains of both sides can
+share one call; :func:`_one_shift` composes them for the one-PA solvers.
 
 A chain's k-th PA lands on grid line I_0 + k wherever :func:`_on_lines`
 guarantees it, and :func:`_steps` turns that closed form into the walk's
@@ -66,33 +66,29 @@ _BLOCK_ENTRIES = 4096
 _WALKED_STEPS = 8
 
 
-def _side_constants(n_eff: float, wavelength: float, side):
-    """(side n_eff, side lambda, side s) of chains on ``side``: the kernels' only view of the side.
-
-    side = +1 right of the user and -1 left of it; s = n_eff^2 - 1, or 2 for
-    n_eff = 1.  Negation is exact, so a left chain gets the bits of the
-    one-sided forms, whether it is walked alone or among right chains.
-    """
-    s = 2.0 if n_eff == 1.0 else n_eff * n_eff - 1.0
-    return side * n_eff, side * wavelength, side * s
-
-
 def _chains(h_eff: np.ndarray, n_eff: float, wavelength: float) -> tuple[np.ndarray, tuple]:
     """(side, constants) of R rows' 2R chains: chain r right of row r's user, chain R + r left of it.
 
-    ``constants`` is the per-chain (h_eff, :func:`_elevation_term`, side n_eff,
-    side lambda, side s), the chain solvers' whole view of a chain, so one
-    call can take chains of both sides.
+    ``constants`` is the per-chain (h_eff, h^2 s, side n_eff, side lambda,
+    side s), the chain solvers' whole view of a chain and its side, so one
+    call can take chains of both sides.  side = +1 right of the user and -1
+    left of it; s = n_eff^2 - 1, and for n_eff = 1 the elevation term is h^2
+    and s is 2.  Negation is exact, so a left chain gets the bits of the
+    one-sided forms, whether it is solved alone or among right chains.  This
+    is the only code that builds these constants.
     """
     side = np.repeat([1.0, -1.0], h_eff.size)
     h = np.concatenate([h_eff, h_eff])
-    return side, (h, _elevation_term(h, n_eff)) + _side_constants(n_eff, wavelength, side)
+    s = 2.0 if n_eff == 1.0 else n_eff * n_eff - 1.0
+    hh = h * h if n_eff == 1.0 else h * h * s
+    return side, (h, hh, side * n_eff, side * wavelength, side * s)
 
 
 def _grid_index(h_eff, delta, sn, sl) -> np.ndarray:
     """Grid index I = ceil((side n_eff delta + r) / (side lambda) - eps) of a PA at ``delta``.
 
-    r = hypot(h_eff, delta); ``sn`` and ``sl`` come from :func:`_side_constants`.
+    r = hypot(h_eff, delta); ``sn`` and ``sl`` are the chains' side n_eff and
+    side lambda from :func:`_chains`.
     The signed target st = side lambda I is the right side's path r + n_eff
     delta rounded up, and minus the left side's path r - n_eff delta rounded
     down.
@@ -100,23 +96,14 @@ def _grid_index(h_eff, delta, sn, sl) -> np.ndarray:
     return np.ceil((sn * delta + np.hypot(h_eff, delta)) / sl - _GRID_EPS)
 
 
-def _elevation_term(h_eff, n_eff: float):
-    """The elevation's term of :func:`_aligned_offset`: h^2 s, or h^2 for n_eff = 1.
-
-    It depends only on the row, so chain solvers compute it once per chain.
-    """
-    h2 = h_eff * h_eff
-    return h2 if n_eff == 1.0 else h2 * (n_eff * n_eff - 1.0)
-
-
 def _aligned_offset(h2s, st, n_eff: float, ss) -> np.ndarray:
     """Offset (st n_eff - sqrt(st^2 + h^2 s)) / ss on the signed target ``st`` = side lambda I.
 
-    ``ss`` = side s of :func:`_side_constants`, whose sign is the row's side.
-    For n_eff = 1 the offset is (st^2 - h^2) / (ss st), and NaN on the feed
-    side (ss < 0) where st <= 0: that path only decays asymptotically to
-    zero, so a non-positive grid line is never reached.  ``h2s`` is
-    :func:`_elevation_term` of the rows.
+    ``h2s`` and ``ss`` are the chains' h^2 s and side s from :func:`_chains`;
+    the sign of ``ss`` is a chain's side.  For n_eff = 1 the offset is
+    (st^2 - h^2) / (ss st), and NaN on the feed side (ss < 0) where st <= 0:
+    that path only decays asymptotically to zero, so a non-positive grid
+    line is never reached.
     """
     if n_eff == 1.0:
         st = np.where((ss < 0.0) & (st <= 0.0), np.nan, st)
@@ -124,15 +111,13 @@ def _aligned_offset(h2s, st, n_eff: float, ss) -> np.ndarray:
     return (st * n_eff - np.sqrt(st * st + h2s)) / ss
 
 
-def _shift_batch(h_eff, delta, n_eff: float, wavelength: float, outward: bool) -> np.ndarray:
-    """Smallest shift v >= 0 aligning a PA at offset ``delta`` (NaN: unreachable)."""
-    sn, sl, ss = _side_constants(n_eff, wavelength, -1.0 if outward else 1.0)
-    st = sl * _grid_index(h_eff, delta, sn, sl)
-    d = _aligned_offset(_elevation_term(h_eff, n_eff), st, n_eff, ss)
-    return np.maximum(d - delta, 0.0)
-
-
 def _one_shift(h_eff: float, delta: float, n_eff: float, wavelength: float, outward: bool) -> float:
+    """Smallest shift v >= 0 aligning one PA at offset ``delta``: one step of the walk.
+
+    The PA's chain is chain 0 (right of the user) or chain 1 (left of it,
+    ``outward``) of :func:`_chains`; the shift is max(d - delta, 0) for the
+    :func:`_aligned_offset` d on its :func:`_grid_index` line.
+    """
     if h_eff <= 0:
         raise ValueError("effective elevation must be positive")
     if delta < 0:
@@ -140,7 +125,10 @@ def _one_shift(h_eff: float, delta: float, n_eff: float, wavelength: float, outw
     # Right of the user at n_eff = 1, an elevation and offset below about
     # 1e-12 lambda round to grid line 0, where the offset root divides by 0.
     with np.errstate(divide="ignore", invalid="ignore"):
-        v = float(_shift_batch(h_eff, delta, n_eff, wavelength, outward))
+        chain = _chains(np.array([h_eff], dtype=float), n_eff, wavelength)[1]
+        h, hh, sn, sl, ss = (a[int(outward)] for a in chain)
+        d = _aligned_offset(hh, sl * _grid_index(h, delta, sn, sl), n_eff, ss)
+        v = float(np.maximum(d - delta, 0.0))
     if not math.isfinite(v):
         message = _UNREACHABLE if outward else "no reachable alignment point right of the user"
         raise FeasibilityError(message)
@@ -153,7 +141,7 @@ def refine_shift(h_eff: float, delta: float, n_eff: float, wavelength: float) ->
     Solves sqrt(h_eff^2 + (delta+v)^2) + n_eff (delta+v) = target, where
     target is the current path length rounded up to the next wavelength
     multiple.  ``delta`` is the antenna's offset from the user along x.
-    A validated one-element call of :func:`_shift_batch`.
+    A validated step of the walk (:func:`_one_shift`).
     """
     return _one_shift(h_eff, delta, n_eff, wavelength, outward=False)
 
@@ -342,9 +330,9 @@ def _place(solve: Callable, n: int, spacing: float, user_x, feed_x: np.ndarray, 
 
 
 def _refine(
-    params: SystemParams, layout: WaveguideLayout, user: UserPosition, num_pas: int | None
+    params: SystemParams, layout: WaveguideLayout, user: UserPosition
 ) -> tuple[np.ndarray, list[RefinementResult]]:
-    """(M, N) positions and one :class:`RefinementResult` per waveguide.
+    """(M, N) positions and one :class:`RefinementResult` per waveguide, N = ``params.num_pas``.
 
     :func:`_place` over the M waveguides' 2M chains, one :func:`_solve` call
     per phase over the chains of both sides, whose offsets and shifts are
@@ -352,10 +340,7 @@ def _refine(
     raises :class:`FeasibilityError`.  Gaps, largest spacings and alignment
     residuals are computed over the whole array at once.
     """
-    n = params.num_pas if num_pas is None else num_pas
-    if n < 2 or n % 2 != 0:
-        raise ValueError("number of PAs must be a positive even integer")
-    m, spacing = len(layout), params.min_spacing_m
+    n, m, spacing = params.num_pas, len(layout), params.min_spacing_m
     h_effs = [wg.effective_elevation(user) for wg in layout.waveguides]
     per_chain = _chains(np.array(h_effs), params.n_eff, params.wavelength_m)[1]
     # Each chain's offsets from the user, innermost first, in :func:`_chains`' order.
@@ -407,10 +392,7 @@ def _refine(
 
 
 def refine_waveguide(
-    params: SystemParams,
-    waveguide: Waveguide,
-    user: UserPosition,
-    num_pas: int | None = None,
+    params: SystemParams, waveguide: Waveguide, user: UserPosition
 ) -> RefinementResult:
     """Phase-aligned feasible placement of one waveguide's PAs around the user.
 
@@ -420,18 +402,18 @@ def refine_waveguide(
     side's recursion instead; only if both sides run out of room is the
     geometry infeasible.
     """
-    return _refine(params, WaveguideLayout((waveguide,)), user, num_pas)[1][0]
+    return _refine(params, WaveguideLayout((waveguide,)), user)[1][0]
 
 
 def refine_all(
-    params: SystemParams,
-    layout: WaveguideLayout,
-    user: UserPosition,
-    num_pas: int | None = None,
+    params: SystemParams, layout: WaveguideLayout, user: UserPosition
 ) -> tuple[PinchingConfig, list[RefinementResult]]:
-    """Refine every waveguide independently and assemble the pinching matrix."""
+    """Refine every waveguide independently and assemble the pinching matrix.
+
+    Each waveguide gets ``params.num_pas`` PAs.
+    """
     check_user_in_region(params, user)
-    positions, results = _refine(params, layout, user, num_pas)
+    positions, results = _refine(params, layout, user)
     # Ascending, spaced and in range by construction: not validated again.
     config = _trusted_pinching(
         positions, params.min_spacing_m, layout.field("feed_x"), layout.field("max_x")

@@ -39,7 +39,7 @@ def _report(num: int, name: str, ok: bool, elapsed: float, budget: float | None)
 
 
 def _simulate(params: SystemParams, layout, user, n):
-    pin, results = refine_all(params, layout, user, num_pas=n)
+    pin, results = refine_all(params.replace(num_pas=n), layout, user)
     eff = effective_channel(params, layout, pin, user)
     snr1 = single_rf_solution(eff, params).snr
     snr2 = multi_rf_solution(eff, params).snr
@@ -136,7 +136,7 @@ def test_criterion_5_oracle_near_optimality():
     ok = True
     ratios = []
     for n in (2, 4):
-        pin, _ = refine_all(params, layout, CENTER, num_pas=n)
+        pin, _ = refine_all(params.replace(num_pas=n), layout, CENTER)
         eff = effective_channel(params, layout, pin, CENTER)
         refined = abs(eff.inner[0])
         best, _ = grid_search_gain(params, wg, CENTER, n, LAM / 64)

@@ -91,6 +91,12 @@ class TestGainBounds:
         with pytest.raises(ValueError):
             gain_upper(LOSSLESS, 3.0, 7)
 
+    @pytest.mark.parametrize("h_eff, spacing", [(3.0, 0.0), (3.0, -0.01), (0.0, None), (-3.0, 0.01)])
+    def test_non_positive_geometry_rejected(self, h_eff, spacing):
+        for gain in (gain_upper, gain_approx):
+            with pytest.raises(ValueError, match="spacing and effective elevation must be positive"):
+                gain(LOSSLESS, h_eff, 4, spacing)
+
 
 class TestGainApprox:
     def test_close_to_sum_form(self):
@@ -170,6 +176,11 @@ class TestSnrLinear:
         layout = WaveguideLayout.from_params(LOSSLESS)
         assert snr_linear(narrow, layout, USER, 4) == snr_linear(wide, layout, USER, 4)
 
+    def test_unknown_mode_rejected(self):
+        layout = WaveguideLayout.from_params(LOSSLESS)
+        with pytest.raises(ValueError, match="mode must be 'single' or 'multi'"):
+            snr_linear(LOSSLESS, layout, USER, 4, "baseline")
+
     def test_hand_computed_forms(self):
         p = LOSSLESS.replace(num_waveguides=2, dy_m=8.0)
         layout = WaveguideLayout.from_params(p)
@@ -184,7 +195,7 @@ class TestSnrLinear:
 
     def test_agrees_with_simulation_in_linear_regime(self):
         layout = WaveguideLayout.from_params(LOSSLESS)
-        pin, _ = refine_all(LOSSLESS, layout, USER, num_pas=4)
+        pin, _ = refine_all(LOSSLESS.replace(num_pas=4), layout, USER)
         eff = effective_channel(LOSSLESS, layout, pin, USER)
         snr = single_rf_solution(eff, LOSSLESS).snr
         law = snr_linear(LOSSLESS, layout, USER, 4)

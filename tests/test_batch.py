@@ -92,6 +92,11 @@ class TestSampler:
         with pytest.raises(ValueError):
             uniform_pairs(-1, 3)
 
+    def test_out_of_range_count(self):
+        # rejected before the (count,) words are allocated
+        with pytest.raises(ValueError, match="draw indices must fit in 32 bits"):
+            uniform_pairs(1, 2**32 + 1)
+
 
 class TestEngineAgainstScalar:
     def test_default_geometry(self):
@@ -643,7 +648,6 @@ def reference_draw_snrs(
             rows = chains[1]
             amplitude, _ = experiments.pa_amplitudes(
                 params, xs, wg_y[rows], height[rows], feed_x[rows], ux[rows], uy[rows],
-                params.num_pas,
             )
             inner[chains] += np.where(placed, amplitude, 0.0)
 
@@ -889,7 +893,11 @@ def test_side_signed_shift_step_is_bit_identical(n_eff, outward):
     h_eff = np.concatenate([rng.uniform(0.03, 0.1, 2000), rng.uniform(1.0, 12.0, 8000)])
     delta = np.concatenate([rng.uniform(0.0, 0.05, 3000), rng.uniform(0.0, 60.0, 7000)])
     delta[:50] = 0.0
-    got = placement._shift_batch(h_eff, delta, n_eff, 0.0107, outward)
+    # the walk's step on the constants of the rows' right (or left) chains
+    chains = placement._chains(h_eff, n_eff, 0.0107)[1]
+    h, h2s, sn, sl, ss = (a[h_eff.size :] if outward else a[: h_eff.size] for a in chains)
+    st = sl * placement._grid_index(h, delta, sn, sl)
+    got = np.maximum(placement._aligned_offset(h2s, st, n_eff, ss) - delta, 0.0)
     want = reference_shift_batch(h_eff, delta, n_eff, 0.0107, outward)
     assert np.array_equal(got, want, equal_nan=True)
     if n_eff == 1.0 and outward:
@@ -923,9 +931,11 @@ def test_signed_constant_kernels_match_the_one_sided_forms(n_eff):
     delta[:50] = 0.0
     left = rng.random(h_eff.size) < 0.5
     lam = 0.0107
-    sn, sl, ss = placement._side_constants(n_eff, lam, np.where(left, -1.0, 1.0))
-    h2s = placement._elevation_term(h_eff, n_eff)
-    index = placement._grid_index(h_eff, delta, sn, sl)
+    # row i's left chain where ``left[i]``, its right chain elsewhere
+    pick = np.arange(h_eff.size) + h_eff.size * left
+    h, h2s, sn, sl, ss = (a[pick] for a in placement._chains(h_eff, n_eff, lam)[1])
+    assert np.array_equal(h, h_eff)
+    index = placement._grid_index(h, delta, sn, sl)
     offset = placement._aligned_offset(h2s, sl * index, n_eff, ss)
     for outward in (False, True):
         rows = left == outward

@@ -172,6 +172,24 @@ class TestErrors:
             "baseline_elements = 0; modes = single",
             "modes = ,",
             "modes = single,single",
+            "modes = foo",
+            "sweep = K",
+            "sweep_values = a,b",
+            "sweep_values = ,",
+            "sweep = M; sweep_values = 1,2.5",
+            "user = both",
+            "seed = -1",
+            "seed = 18446744073709551616",
+            "case = 3",
+            "num_waveguides = 0",
+            "num_rf_chains = 0",
+            "fc_ghz = -1",
+            "fc_ghz = 0",
+            "dx_m = 0",
+            "dy_m = -1",
+            "height_m = 0",
+            "min_spacing_m = -1",
+            "min_spacing_m = 0",
         ],
     )
     def test_invalid_value_exit_code(self, tmp_path, capsys, text):

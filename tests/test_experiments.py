@@ -130,6 +130,26 @@ class TestConfig:
         with pytest.raises(ConfigError, match=message):
             parse_config_text(text.replace("; ", "\n") + "\n")
 
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"sweep": "K"}, "unknown sweep variable 'K'"),
+            ({"sweep_values": ()}, "sweep_values must not be empty"),
+            ({"sweep": "M", "sweep_values": (1, 2.5)}, "waveguide-count sweep values must be integers"),
+            ({"user": "both"}, "user model must be 'fixed' or 'uniform'"),
+            ({"seed": -1}, "seed must fit in 64 bits"),
+            ({"seed": 2**64}, "seed must fit in 64 bits"),
+            ({"modes": ("single", "foo")}, "unknown modes \\['foo'\\]"),
+        ],
+    )
+    def test_config_checks(self, changes, message):
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig(**changes)
+
+    def test_unparsable_sweep_values_rejected(self):
+        with pytest.raises(ConfigError, match="sweep_values: cannot parse 'a,b'"):
+            parse_config_text("sweep_values = a,b\n")
+
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config_text("seed = 1\nseed = 2\n")

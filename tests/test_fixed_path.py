@@ -578,7 +578,7 @@ class TestSnrBounds:
         for n in (2, 8, 128, 512):
             for _ in range(5):
                 user = UserPosition(rng.uniform(-25, 25), rng.uniform(-10, 10))
-                _, results = refine_all(params, layout, user, num_pas=n)
+                _, results = refine_all(params.replace(num_pas=n), layout, user)
                 dmax = np.array([r.max_spacing_m for r in results])
                 assert_same_bounds(params, layout, user, n, dmax)
 

@@ -54,6 +54,24 @@ class TestSystemParams:
             default_params(fc_hz=50e6)
 
     @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"fc_hz": 0.0}, "carrier frequency must be positive"),
+            ({"fc_hz": -28e9}, "carrier frequency must be positive"),
+            ({"dx_m": 0.0}, "region dimensions and height must be positive"),
+            ({"dy_m": -1.0}, "region dimensions and height must be positive"),
+            ({"height_m": 0.0}, "region dimensions and height must be positive"),
+            ({"num_waveguides": 0}, "at least one waveguide"),
+            ({"num_rf_chains": 0}, "at least one RF chain"),
+            ({"min_spacing_m": 0.0}, "minimum PA spacing must be positive"),
+            ({"min_spacing_m": -1e-3}, "minimum PA spacing must be positive"),
+        ],
+    )
+    def test_out_of_domain_rejected(self, changes, message):
+        with pytest.raises(ValueError, match=message):
+            default_params(**changes)
+
+    @pytest.mark.parametrize(
         "field", ["fc_hz", "n_eff", "kappa_db_per_m", "power_w", "noise_w", "min_spacing_m",
                   "dx_m", "dy_m", "height_m"]
     )
@@ -97,6 +115,14 @@ class TestLayout:
         p = default_params(num_waveguides=1)
         layout = WaveguideLayout.from_params(p)
         assert layout[0].y == 0.0
+
+    def test_waveguide_checks(self):
+        with pytest.raises(ValueError, match="deployment range must extend beyond the feed"):
+            Waveguide(1.0, 0.0, 3.0, 1.0)
+        with pytest.raises(ValueError, match="deployment range must extend beyond the feed"):
+            Waveguide(1.0, 0.0, 3.0, -1.0)
+        with pytest.raises(ValueError, match="waveguide height must be positive"):
+            Waveguide(-1.0, 0.0, 0.0, 1.0)
 
     def test_effective_elevation(self):
         wg = Waveguide(-25.0, 5.0, 3.0, 25.0)
@@ -257,6 +283,14 @@ class TestEffectiveChannel:
                 assert np.array_equal(eff.guide[i], waveguide_vector(p, wg, xs))
             assert np.array_equal(eff.inner, np.sum(eff.channel * eff.guide, axis=1))
 
+    def test_position_before_feed_rejected(self):
+        # the placement's own range is wider than the layout's waveguide
+        p = default_params(num_waveguides=1)
+        layout = WaveguideLayout((Waveguide(-1.0, 0.0, 3.0, 1.0),))
+        pin = PinchingConfig(np.array([[-2.0, 0.0]]), p.min_spacing_m, -5.0, 5.0)
+        with pytest.raises(FeasibilityError, match="must not precede the waveguide feed"):
+            effective_channel(p, layout, pin, UserPosition(0, 0))
+
     def test_row_count_mismatch(self):
         p = default_params(num_waveguides=2)
         layout = WaveguideLayout.from_params(p)
@@ -279,6 +313,10 @@ class TestPinchingConfig:
         PinchingConfig(np.array([[10.0, 20.0], [-4.0, 4.0]]), 0.5, feed, top)
         with pytest.raises(FeasibilityError, match="waveguide 1"):
             PinchingConfig(np.array([[-4.0, 4.0], [10.0, 20.0]]), 0.5, feed, top)
+
+    def test_one_dimensional_positions_rejected(self):
+        with pytest.raises(ValueError, match="M x N matrix"):
+            PinchingConfig(np.array([0.0, 1.0]), 0.5, -25.0, 25.0)
 
     def test_valid_config(self):
         pin = PinchingConfig(np.array([[0.0, 1.0], [-1.0, 2.0]]), 0.5, -25.0, 25.0)

@@ -84,23 +84,23 @@ class TestGridSearch:
 class TestDirectPhaseChain:
     def test_refined_chain_is_tight(self):
         for n in (2, 8, 32):
-            res = refine_waveguide(PARAMS, WG, USER, num_pas=n)
+            res = refine_waveguide(PARAMS.replace(num_pas=n), WG, USER)
             assert direct_phase_chain(res.positions, USER, WG, PARAMS) < 1e-6 * LAM
 
     def test_quarter_wavelength_perturbation_detected(self):
-        res = refine_waveguide(PARAMS, WG, USER, num_pas=8)
+        res = refine_waveguide(PARAMS.replace(num_pas=8), WG, USER)
         bumped = res.positions.copy()
         bumped[res.n_left] += LAM / 4  # innermost antenna right of the user
         assert direct_phase_chain(bumped, USER, WG, PARAMS) >= LAM / 8
 
     def test_zero_perturbation_unchanged(self):
-        res = refine_waveguide(PARAMS, WG, USER, num_pas=8)
+        res = refine_waveguide(PARAMS.replace(num_pas=8), WG, USER)
         a = direct_phase_chain(res.positions, USER, WG, PARAMS)
         b = direct_phase_chain(res.positions + 0.0, USER, WG, PARAMS)
         assert a == b
 
     def test_agrees_with_float_residual(self):
-        res = refine_waveguide(PARAMS, WG, USER, num_pas=16)
+        res = refine_waveguide(PARAMS.replace(num_pas=16), WG, USER)
         assert direct_phase_chain(res.positions, USER, WG, PARAMS) == pytest.approx(
             res.alignment_residual_m, abs=1e-9 * LAM
         )

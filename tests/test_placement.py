@@ -125,12 +125,12 @@ class TestRefineWaveguide:
 
     @pytest.mark.parametrize("n", [2, 4, 8, 16, 32, 64])
     def test_alignment_residual(self, n):
-        res = refine_waveguide(LOSSLESS, one_waveguide(LOSSLESS), UserPosition(0, 0), num_pas=n)
+        res = refine_waveguide(LOSSLESS.replace(num_pas=n), one_waveguide(LOSSLESS), UserPosition(0, 0))
         assert res.alignment_residual_m < 1e-6 * LAM
 
     @pytest.mark.parametrize("n", [2, 4, 16, 64])
     def test_spacing_bounds(self, n):
-        res = refine_waveguide(LOSSLESS, one_waveguide(LOSSLESS), UserPosition(0, 0), num_pas=n)
+        res = refine_waveguide(LOSSLESS.replace(num_pas=n), one_waveguide(LOSSLESS), UserPosition(0, 0))
         gaps = np.diff(res.positions)
         assert gaps.min() >= LOSSLESS.min_spacing_m - 1e-12
         # the straddling gap accumulates one shift from each side
@@ -144,13 +144,13 @@ class TestRefineWaveguide:
         rng = np.random.default_rng(5)
         for _ in range(25):
             user = UserPosition(rng.uniform(-20, 20), rng.uniform(-10, 10))
-            res = refine_waveguide(LOSSLESS, one_waveguide(LOSSLESS), user, num_pas=16)
+            res = refine_waveguide(LOSSLESS.replace(num_pas=16), one_waveguide(LOSSLESS), user)
             assert np.all(res.shifts >= 0.0)
             assert np.all(res.shifts < bound)
 
     def test_shift_range_unit_index(self):
         p = LOSSLESS.replace(n_eff=1.0)
-        res = refine_waveguide(p, one_waveguide(p), UserPosition(0, 0), num_pas=8)
+        res = refine_waveguide(p.replace(num_pas=8), one_waveguide(p), UserPosition(0, 0))
         assert np.all(res.shifts >= 0.0)
         assert np.all(res.shifts < 2 * p.wavelength_m)
         assert res.alignment_residual_m < 1e-6 * p.wavelength_m
@@ -202,7 +202,7 @@ class TestRefineWaveguide:
 
     def test_odd_count_rejected(self):
         with pytest.raises(ValueError):
-            refine_waveguide(LOSSLESS, one_waveguide(LOSSLESS), UserPosition(0, 0), num_pas=3)
+            refine_waveguide(LOSSLESS.replace(num_pas=3), one_waveguide(LOSSLESS), UserPosition(0, 0))
 
 
 class TestRefineAll:
