@@ -295,13 +295,11 @@ def render_sweep_csv(config: ExperimentConfig, reports: list[CapacityReport]) ->
     )
 
 
-def dump_placement(config: ExperimentConfig, user: UserPosition | None = None) -> str:
-    """CSV of refined PA coordinates, per-step shifts, and chain diagnostics."""
+def dump_placement(config: ExperimentConfig) -> str:
+    """CSV of the configured user's refined PA coordinates, shifts and chain diagnostics."""
     params = config.params_for_case()
     layout = WaveguideLayout.from_params(params)
-    if user is None:
-        user = _fixed_user(config, params)
-    _, results = placement.refine_all(params, layout, user)
+    _, results = placement.refine_all(params, layout, _fixed_user(config, params))
     return _csv_table(
         config,
         "waveguide,pa_index,x_m,shift_m,h_eff_m,n_left,n_right,max_spacing_m,alignment_residual_m",

@@ -243,7 +243,7 @@ def _trusted_pinching(positions: np.ndarray, min_spacing_m: float, feed_x, max_x
     """A :class:`PinchingConfig` whose float (M, N) rows are known to be valid.
 
     For placements built ascending, spaced and in range by construction
-    (``placement.refine_all``); it skips the sort and both range checks of
+    (``placement._refine``); it skips the sort and both range checks of
     ``__post_init__``, which every other construction runs.
     """
     config = object.__new__(PinchingConfig)  # frozen: set the fields past __setattr__

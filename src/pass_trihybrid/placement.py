@@ -331,16 +331,19 @@ def _place(solve: Callable, n: int, spacing: float, user_x, feed_x: np.ndarray, 
 
 def _refine(
     params: SystemParams, layout: WaveguideLayout, user: UserPosition
-) -> tuple[np.ndarray, list[RefinementResult]]:
-    """(M, N) positions and one :class:`RefinementResult` per waveguide, N = ``params.num_pas``.
+) -> tuple[PinchingConfig, list[RefinementResult]]:
+    """The pinching matrix and one :class:`RefinementResult` per waveguide, N = ``params.num_pas``.
 
     :func:`_place` over the M waveguides' 2M chains, one :func:`_solve` call
     per phase over the chains of both sides, whose offsets and shifts are
     kept.  The first waveguide in layout order whose PAs do not all fit
     raises :class:`FeasibilityError`.  Gaps, largest spacings and alignment
-    residuals are computed over the whole array at once.
+    residuals are computed over the whole array at once.  The positions are
+    ascending, spaced and in range by construction, so the matrix is not
+    validated again (:func:`model._trusted_pinching`).
     """
     n, m, spacing = params.num_pas, len(layout), params.min_spacing_m
+    feed_x, max_x = layout.field("feed_x"), layout.field("max_x")
     h_effs = [wg.effective_elevation(user) for wg in layout.waveguides]
     per_chain = _chains(np.array(h_effs), params.n_eff, params.wavelength_m)[1]
     # Each chain's offsets from the user, innermost first, in :func:`_chains`' order.
@@ -355,9 +358,7 @@ def _refine(
         shifts[chains, col : col + f.shape[1]] = v
         return placed, f[:, -1] + spacing, failed
 
-    n_left, n_right, failed, fits = _place(
-        solve, n, spacing, user.x, layout.field("feed_x"), layout.field("max_x")
-    )
+    n_left, n_right, failed, fits = _place(solve, n, spacing, user.x, feed_x, max_x)
     if not fits.all():
         i = int(fits.argmin())
         wg = layout[i]
@@ -388,7 +389,7 @@ def _refine(
             positions, row_shifts, max_spacing, residual, n_left, n_right, h_effs
         )
     ]
-    return positions, results
+    return _trusted_pinching(positions, spacing, feed_x, max_x), results
 
 
 def refine_waveguide(
@@ -413,12 +414,7 @@ def refine_all(
     Each waveguide gets ``params.num_pas`` PAs.
     """
     check_user_in_region(params, user)
-    positions, results = _refine(params, layout, user)
-    # Ascending, spaced and in range by construction: not validated again.
-    config = _trusted_pinching(
-        positions, params.min_spacing_m, layout.field("feed_x"), layout.field("max_x")
-    )
-    return config, results
+    return _refine(params, layout, user)
 
 
 def refine_batch(
@@ -439,7 +435,12 @@ def refine_batch(
     guarantees is solved in closed form, block by block; its chains' ends
     are known in advance: the quota, or the
     step onto the first line past hi.  Any other phase walks one step per PA
-    (:func:`_grid_index`, then :func:`_aligned_offset`).  The continuation
+    (:func:`_grid_index`, then :func:`_aligned_offset`).  Both kernels
+    compute offsets only; one pass over each block then marks the steps
+    that are PAs, and at n_eff = 1 the chains that fail at a feed-side step
+    with no alignment point (NaN): those that enter the block with every
+    step placed and whose first unplaced step is their first NaN one,
+    within their quota.  The continuation
     orders its chains by the block in which their steps end, latest first
     and ties in chain order (a counting sort), so the chains whose steps
     reach a block are a prefix of them, and the block solves only that prefix.
@@ -453,7 +454,10 @@ def refine_batch(
     row) index arrays in the continuation.  ``xs`` and ``placed`` are
     (steps, chains) arrays: step k of a block holds one PA position x_u +
     side offset per chain, and whether that PA is part of its chain, i.e.
-    the chain has not yet hit its quota or left its bounds.  A block is as
+    the chain has not yet hit its quota or left its bounds.  The offset of a
+    step that is not placed may be NaN or lie past the bounds, so a fold
+    must mask it with ``placed``, as :func:`experiments.draw_snrs`' fold
+    does.  A block is as
     many steps (at least one) as make about :data:`_BLOCK_ENTRIES` entries
     per fold call over the chains it hands over, in the continuation those
     whose steps reach it, so blocks grow as chains end; the last block is
@@ -515,52 +519,52 @@ def refine_batch(
             quota = None
         if (lo <= delta).all():
             lo = None
-        elif closed:  # a chain whose first PA lies below lo places none
-            lo = lo <= delta + np.maximum(_aligned_offset(hh, sl * index, n_eff, ss) - delta, 0.0)
         # Each block's (steps, chains) positions and placed flags
         xs = np.empty(max(min(block, steps) * size, _BLOCK_ENTRIES))
         live = np.empty(xs.shape, dtype=bool)
         placed = np.zeros(size, dtype=int)
         failed = np.zeros(size, dtype=bool)
         next_start = delta  # the chains' next starts, in walk order
-        alive, n = True, size  # every chain, before its first step; the chains walked
+        n = size  # the chains walked
         for first, stop, walked in blocks:
             if walked < n:  # drop the chains whose steps ended in an earlier block
                 n = walked
                 key = tuple(k[:n] for k in key)
-                h, hh, sn, sl, ss, sign, ux, hi, quota, delta, alive, index, lo = (
+                h, hh, sn, sl, ss, sign, ux, hi, quota, delta, index, lo = (
                     a[:n] if isinstance(a, np.ndarray) else a
-                    for a in (h, hh, sn, sl, ss, sign, ux, hi, quota, delta, alive, index, lo)
+                    for a in (h, hh, sn, sl, ss, sign, ux, hi, quota, delta, index, lo)
                 )
             count = stop - first
             pa_x, pa_live = (a[: count * n].reshape(count, n) for a in (xs, live))
             if closed:  # every step on its known line, I_0 + k
                 k = np.arange(first, stop)[:, None]
                 pa_x, _ = _steps(_aligned_offset(hh, sl * (index + k), n_eff, ss), delta, spacing)
-                np.less_equal(pa_x, hi, out=pa_live)
-                if lo is not None:
-                    pa_live &= lo
                 delta = pa_x[-1] + spacing
             else:
+                # One step per PA.  A feed-side step with no alignment point
+                # (n_eff = 1) is NaN, and so is every step after it.
                 for k in range(count):
-                    st = sl * _grid_index(h, delta, sn, sl)
-                    final = np.maximum(_aligned_offset(hh, st, n_eff, ss) - delta, 0.0)
-                    final = np.add(delta, final, out=pa_x[k])
-                    keep = alive
-                    if n_eff == 1.0:  # NaN only on the feed side; past a quota it is no failure
-                        if quota is not None:
-                            keep = keep & (first + k < quota)
-                        unreachable = np.isnan(final)
-                        failed[:n] |= keep & unreachable
-                        keep = keep & ~unreachable
-                        final[unreachable] = 0.0  # a finite position for the PA not placed
-                    if lo is not None:
-                        keep = keep & (lo <= final)
-                    alive = np.logical_and(keep, final <= hi, out=pa_live[k])
-                    delta = final + spacing
-            if quota is not None:  # a chain's steps past its quota place no PA
+                    d = _aligned_offset(hh, sl * _grid_index(h, delta, sn, sl), n_eff, ss)
+                    delta = np.add(delta, np.maximum(d - delta, 0.0), out=pa_x[k]) + spacing
+            # The block pass.  Offsets only grow (or stay NaN), so a chain's
+            # PAs are a prefix of its steps: those up to hi (NaN is not),
+            # within the quota, of a chain whose first PA is not below lo
+            # (else it places none).
+            np.less_equal(pa_x, hi, out=pa_live)
+            if lo is not None:
+                if first == 0:
+                    lo = lo <= pa_x[0]
+                pa_live &= lo
+            if quota is not None:
                 pa_live &= np.arange(first, stop)[:, None] < quota
-            placed[:n] += pa_live.sum(axis=0)
+            ends = pa_live.sum(axis=0)
+            if n_eff == 1.0:
+                # A chain that entered the block live fails where its first
+                # unplaced step is its first NaN step, within its quota.
+                nan = np.count_nonzero(np.isnan(pa_x), axis=0)
+                fail = (placed[:n] == first) & (nan > 0) & (ends == count - nan)
+                failed[:n] |= fail if quota is None else fail & (first + ends < quota)
+            placed[:n] += ends
             # Offsets to positions x_u + side offset: x_u + (-f) is x_u - f bit for bit
             pa_x, pa_live = (a.reshape((count,) + sign.shape) for a in (pa_x, pa_live))
             np.multiply(pa_x, sign, out=pa_x)

@@ -132,6 +132,31 @@ class TestEngineAgainstScalar:
         feasible, _, _ = assert_engine_matches_scalar(params, at=(ux / 4.0, uy))
         assert feasible == 0
 
+    def test_unreachable_feed_side_past_the_bound_is_no_failure(self):
+        # The same geometry 2 cm from the feed: the left chain places 1 PA,
+        # steps past its bound at step 2 and turns unreachable at step 5,
+        # within its quota of 8.  It stopped at the bound, not at the
+        # unreachable step, so the right chain takes the shortfall.
+        params = SystemParams(
+            n_eff=1.0, height_m=0.05, num_waveguides=1, dx_m=4.0, dy_m=0.02, num_pas=16
+        )
+        layout = WaveguideLayout.from_params(params)
+        user = UserPosition(layout[0].feed_x + 0.02, 0.0)
+        lam, offsets, delta = params.wavelength_m, [], params.min_spacing_m / 2.0
+        for _ in range(4):  # the left chain's walk
+            offsets.append(delta + placement.refine_shift_outward(0.05, delta, 1.0, lam))
+            delta = offsets[-1] + params.min_spacing_m
+        assert offsets[0] <= 0.02 < offsets[1]
+        with pytest.raises(FeasibilityError):
+            placement.refine_shift_outward(0.05, delta, 1.0, lam)
+        _, (result,) = refine_all(params, layout, user)
+        assert (result.n_left, result.n_right) == (1, 15)
+        # One row walks its 8 steps in one block; 3000 rows walk one step per block.
+        for rows, block in ((1, 8), (3000, 1)):
+            ux, uy = np.full(rows, user.x), np.full(rows, user.y)
+            assert min(max(1, placement._BLOCK_ENTRIES // rows), 8) == block
+            assert invariants.draw_mismatches(params, layout, ux, uy, ALL_MODES) == []
+
     def test_all_infeasible(self):
         params = SystemParams(dx_m=0.2, dy_m=2.0, num_pas=64)
         feasible, _, _ = assert_engine_matches_scalar(params, draws=25)

@@ -21,6 +21,8 @@ CAPACITY = str(ROOT / "configs" / "capacity_vs_region_width.cfg")
 EDGE_USER = str(ROOT / "tests" / "golden" / "edge_user.cfg")
 ONE_WAVELENGTH = str(ROOT / "tests" / "golden" / "one_wavelength_spacing.cfg")
 UNIT_INDEX = str(ROOT / "tests" / "golden" / "unit_index.cfg")
+# n_eff = 1 next to the feed, where a left chain turns unreachable past its bound or within it.
+FEED_SIDE = str(ROOT / "tests" / "golden" / "feed_side.cfg")
 
 
 @pytest.mark.parametrize(
@@ -35,10 +37,12 @@ UNIT_INDEX = str(ROOT / "tests" / "golden" / "unit_index.cfg")
         ("edge_user_placement.csv", ["placement", "--config", EDGE_USER]),
         ("one_wavelength_spacing_placement.csv", ["placement", "--config", ONE_WAVELENGTH]),
         ("unit_index_placement.csv", ["placement", "--config", UNIT_INDEX]),
+        ("feed_side_sweep.csv", ["sweep", "--config", FEED_SIDE]),
+        ("feed_side_placement.csv", ["placement", "--config", FEED_SIDE]),
     ],
     ids=["snr-vs-n-sweep", "snr-vs-n-placement", "snr-vs-n-bounds", "capacity-case1",
          "capacity-case2", "edge-user-sweep", "edge-user-placement", "one-wavelength-placement",
-         "unit-index-placement"],
+         "unit-index-placement", "feed-side-sweep", "feed-side-placement"],
 )
 def test_shipped_config_output_is_the_golden_copy(tmp_path, golden, args):
     out = tmp_path / golden
