@@ -18,10 +18,12 @@ from pass_trihybrid import (
     parse_config_text,
     render_sweep_csv,
     run_sweep,
+    sampler,
     selftest,
 )
 from pass_trihybrid.config import dbm_to_watts, load_config
 from pass_trihybrid.experiments import _csv_table, _fixed_user
+from pass_trihybrid.sampler import uniform_pairs
 
 
 def ref_bounds_table(config: ExperimentConfig) -> str:
@@ -211,6 +213,23 @@ class TestMonteCarlo:
         assert a == b
         assert a.startswith(f"# pass-trihybrid v1, cfg={cfg.config_hash()}\n")
         assert a.count("\n") == 1 + 1 + 4  # banner, header, 2 values x 2 modes
+
+    def test_one_sample_per_sweep(self, monkeypatch):
+        # common random numbers: every sweep value reuses the same users
+        calls = []
+
+        def counted(seed, count):
+            calls.append((seed, count))
+            return uniform_pairs(seed, count)
+
+        monkeypatch.setattr(sampler, "uniform_pairs", counted)
+        cfg = ExperimentConfig(
+            sweep="Dx", sweep_values=(10.0, 20.0, 30.0), user="uniform", draws=30,
+            modes=("single", "baseline"),
+        )
+        reports = run_sweep(cfg)
+        assert len(reports) == 3 * 2
+        assert calls == [(cfg.seed, 30)]
 
     def test_seed_changes_output(self):
         cfg = ExperimentConfig(sweep="N", sweep_values=(2,), user="uniform", draws=40, modes=("single",))
