@@ -57,9 +57,10 @@ from .model import (
 # treated as exact, so v = 0 instead of a full extra wavelength of shift.
 _GRID_EPS = 1e-12
 _UNREACHABLE = "no reachable alignment point on the feed side"
-# Entries (steps x chains) per block that :func:`refine_batch` hands to its fold:
-# large enough that a fold's per-call overhead is shared by many steps,
-# small enough that its per-entry cost stays near its minimum.
+# Entries per block of :func:`refine_batch`'s walk, large enough that a fold's
+# per-call overhead is shared by many steps, small enough that its per-entry
+# cost stays near its minimum: steps x rows in the first phase, whose block is
+# one fold call over both sides (twice the entries), live chains later.
 _BLOCK_ENTRIES = 4096
 # :func:`refine_batch` walks phases of at most this many steps: the closed
 # form's set-up costs about what so short a walk would save.
@@ -449,22 +450,23 @@ def refine_batch(
     xs, placed)``, so a caller can fold the PAs into its effective rows and
     drop them (the Monte Carlo engine sums their real amplitudes and checks
     that they sit on the wavelength grid).  ``chains`` indexes the (2, R)
-    grid of chains, side first (0 right of the user, 1 left of it): (side,
-    every row) in the first phase, one call per side, and a pair of (side,
-    row) index arrays in the continuation.  ``xs`` and ``placed`` are
-    (steps, chains) arrays: step k of a block holds one PA position x_u +
-    side offset per chain, and whether that PA is part of its chain, i.e.
-    the chain has not yet hit its quota or left its bounds.  The offset of a
-    step that is not placed may be NaN or lie past the bounds, so a fold
-    must mask it with ``placed``, as :func:`experiments.draw_snrs`' fold
-    does.  A block is as
-    many steps (at least one) as make about :data:`_BLOCK_ENTRIES` entries
-    per fold call over the chains it hands over, in the continuation those
-    whose steps reach it, so blocks grow as chains end; the last block is
-    what is left.  Both arrays may be overwritten by the next call.  So the
-    fold sees each chain's PAs in chain order, outward from the user, its
-    continuation last.  The result is False where :func:`refine_all` raises
-    :class:`FeasibilityError`.
+    grid of chains, side first (0 right of the user, 1 left of it): every
+    chain of both sides, (slice(None), slice(None)), in the first phase,
+    and a pair of (side, row) index arrays in the continuation.  ``xs`` and
+    ``placed`` are (steps, 2, R) arrays in the first phase and (steps,
+    chains) arrays in the continuation: step k of a block holds one PA
+    position x_u + side offset per chain, and whether that PA is part of
+    its chain, i.e. the chain has not yet hit its quota or left its bounds.
+    The offset of a step that is not placed may be NaN or lie past the
+    bounds, so a fold must mask it with ``placed``, as
+    :func:`experiments.draw_snrs`' fold does.  A first-phase block is
+    :data:`_BLOCK_ENTRIES` // R steps (at least one), one fold call over
+    both sides; a continuation block is as many steps (at least one) as
+    make about :data:`_BLOCK_ENTRIES` entries over the chains whose steps
+    reach it, so blocks grow as chains end; the last block is what is left.
+    Both arrays may be overwritten by the next call.  So the fold sees each
+    chain's PAs in chain order, outward from the user, its continuation last.
+    The result is False where :func:`refine_all` raises :class:`FeasibilityError`.
     """
     n_eff, wavelength, spacing = params.n_eff, params.wavelength_m, params.min_spacing_m
     rows = h_eff.size
@@ -486,12 +488,12 @@ def refine_batch(
                 past = _grid_index(h[short], hi[short], sn[short], sl[short]) - index[short] + 1
                 quota[short] = np.clip(past, 1, quota[short])
             steps = int(quota.max(initial=0))
-        # a fold call takes one side's chains in the first phase, all of them later
+        # a first-phase block is _BLOCK_ENTRIES // R steps of both sides' chains
         block = max(1, _BLOCK_ENTRIES // max(rows if col == 0 else size, 1))
         # (first step, end step, chains walked) of each block
         blocks = [(first, min(first + block, steps), size) for first in range(0, steps, block)]
         if col == 0:  # every chain, as (steps, 2, R) blocks
-            key, sign, ux = None, side.reshape(2, rows), user_x
+            key, sign, ux = (slice(None), slice(None)), side.reshape(2, rows), user_x
         else:
             if steps > block:
                 # A block takes about _BLOCK_ENTRIES entries over the chains
@@ -569,11 +571,7 @@ def refine_batch(
             pa_x, pa_live = (a.reshape((count,) + sign.shape) for a in (pa_x, pa_live))
             np.multiply(pa_x, sign, out=pa_x)
             np.add(pa_x, ux, out=pa_x)
-            if key is None:  # the first phase: one fold call per side, on views
-                for s in (0, 1):
-                    fold((s, slice(None)), pa_x[:, s], pa_live[:, s])
-            else:
-                fold(key, pa_x, pa_live)
+            fold(key, pa_x, pa_live)
         if order is None:
             return placed, delta, failed
         next_start[:n] = delta  # back to chain order

@@ -710,6 +710,7 @@ def test_blocked_fold_is_bit_identical_to_one_step_per_call(monkeypatch, params,
 
     def recording(params, h_eff, user_x, feed_x, max_x, fold):
         def record(chains, xs, placed):
+            assert xs.shape == placed.shape
             shapes.append(xs.shape)
             fold(chains, xs, placed)
 
@@ -727,8 +728,16 @@ def test_blocked_fold_is_bit_identical_to_one_step_per_call(monkeypatch, params,
     assert feasible.any()
     for mode in ALL_MODES:
         assert np.array_equal(snrs[mode], want[mode]), mode
-    # the first block of the first phase: every right chain, as many steps as fit
-    assert shapes[0] == (min(max(1, placement._BLOCK_ENTRIES // rows), params.num_pas // 2), rows)
+    # The first phase: one fold call per block of _BLOCK_ENTRIES // rows steps (at least
+    # one), each over every chain of both sides, and the last block what is left.
+    steps, half = max(1, placement._BLOCK_ENTRIES // rows), params.num_pas // 2
+    first_phase = [shape for shape in shapes if len(shape) == 3]
+    assert shapes[: len(first_phase)] == first_phase
+    assert len(first_phase) == -(-half // steps)
+    assert first_phase == [(min(steps, half - k), 2, rows) for k in range(0, half, steps)]
+    # A call of more than one step never takes more than 2 x _BLOCK_ENTRIES entries.
+    assert all(shape[0] == 1 or math.prod(shape) <= 2 * placement._BLOCK_ENTRIES
+               for shape in shapes)
 
 
 @pytest.fixture
@@ -754,11 +763,11 @@ def shift_one_pa_off_the_grid(monkeypatch, row):
         first = []
 
         def shift_once(chains, xs, placed):
-            if not first:  # the first block holds every right chain's first PA
+            if not first:  # the first block holds every chain's first PA, right ones at side 0
                 first.append(True)
-                assert placed[0, row]
+                assert placed[0, 0, row]
                 xs = xs.copy()
-                xs[0, row] += params.wavelength_m / 4.0
+                xs[0, 0, row] += params.wavelength_m / 4.0
             fold(chains, xs, placed)
 
         return original(params, h_eff, user_x, feed_x, max_x, shift_once)

@@ -23,6 +23,8 @@ ONE_WAVELENGTH = str(ROOT / "tests" / "golden" / "one_wavelength_spacing.cfg")
 UNIT_INDEX = str(ROOT / "tests" / "golden" / "unit_index.cfg")
 # n_eff = 1 next to the feed, where a left chain turns unreachable past its bound or within it.
 FEED_SIDE = str(ROOT / "tests" / "golden" / "feed_side.cfg")
+# Dense placements in a narrow region: overflow redistributed across both sides at N = 256.
+DENSE_MC = str(ROOT / "tests" / "golden" / "dense_mc.cfg")
 
 
 @pytest.mark.parametrize(
@@ -39,10 +41,11 @@ FEED_SIDE = str(ROOT / "tests" / "golden" / "feed_side.cfg")
         ("unit_index_placement.csv", ["placement", "--config", UNIT_INDEX]),
         ("feed_side_sweep.csv", ["sweep", "--config", FEED_SIDE]),
         ("feed_side_placement.csv", ["placement", "--config", FEED_SIDE]),
+        ("dense_mc_sweep.csv", ["sweep", "--config", DENSE_MC]),
     ],
     ids=["snr-vs-n-sweep", "snr-vs-n-placement", "snr-vs-n-bounds", "capacity-case1",
          "capacity-case2", "edge-user-sweep", "edge-user-placement", "one-wavelength-placement",
-         "unit-index-placement", "feed-side-sweep", "feed-side-placement"],
+         "unit-index-placement", "feed-side-sweep", "feed-side-placement", "dense-mc-sweep"],
 )
 def test_shipped_config_output_is_the_golden_copy(tmp_path, golden, args):
     out = tmp_path / golden
