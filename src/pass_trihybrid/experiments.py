@@ -329,7 +329,7 @@ def bounds_table(config: ExperimentConfig) -> str:
     """
     rows = []
     for value in config.sweep_values:
-        params = config.system_params(value)
+        params = config.params_for_case(value)
         layout = WaveguideLayout.from_params(params)
         user = _fixed_user(config, params)
         rep = analysis.snr_bounds(params, layout, user, params.num_pas)

@@ -197,19 +197,21 @@ def _on_lines(h_eff, reach, right, largest: float, n_eff: float, wavelength: flo
 
 
 def _closed_form(chains: tuple, start, quota, hi, n_eff: float, wavelength: float, spacing: float):
-    """(I_0, last, guaranteed): the closed-form set-up of chains from offsets ``start``.
+    """(I_0, guaranteed): the closed-form set-up of chains from offsets ``start``.
 
-    I_0 is the first step's :func:`_grid_index` and ``last`` the aligned offset
-    on the quota's last line, I_0 + quota - 1; ``guaranteed`` says whether
-    :func:`_on_lines` guarantees every chain up to one spacing past that
-    offset or ``hi``, whichever is nearer.  ``chains`` are :func:`_chains`' constants.
+    I_0 is the first step's :func:`_grid_index`; ``guaranteed`` says whether
+    :func:`_on_lines` guarantees every chain up to one spacing past ``hi`` or
+    past the aligned offset on the quota's last line, I_0 + quota - 1,
+    whichever is nearer.  So the step that crosses hi is exact, and the steps
+    after it, computed on the assumed lines, stay past hi, where the caller
+    masks them.  ``chains`` are :func:`_chains`' constants.
     """
     h, hh, sn, sl, ss = chains
     index = _grid_index(h, start, sn, sl)
     last = _aligned_offset(hh, sl * (index + quota - 1), n_eff, ss)
     reach = np.minimum(last, hi) + spacing
     largest = float(np.abs(index).max(initial=0.0) + quota.max(initial=0))
-    return index, last, _on_lines(h, reach, sl > 0, largest, n_eff, wavelength, spacing).all()
+    return index, _on_lines(h, reach, sl > 0, largest, n_eff, wavelength, spacing).all()
 
 
 def _steps(d: np.ndarray, start, spacing: float) -> tuple[np.ndarray, np.ndarray]:
@@ -256,7 +258,7 @@ def _solve(
     """
     lo, hi = bounds
     h_eff, h2s, sn, sl, ss = chains
-    first_index, _, closed = _closed_form(chains, start, quota, hi, n_eff, wavelength, min_spacing)
+    first_index, closed = _closed_form(chains, start, quota, hi, n_eff, wavelength, min_spacing)
     cols = np.arange(int(quota.max()) + 1)[:, None]  # one step more, where every chain has ended
     in_quota = cols < quota
     index = first_index + cols
@@ -306,8 +308,9 @@ def _place(solve: Callable, n: int, spacing: float, user_x, feed_x: np.ndarray, 
     offsets ``start``, at most ``quota`` more PAs each, within the offsets
     [``lo``, ``hi``].  It returns (placed, next start, failed) per chain:
     next start is the offset at which a chain of the phase's longest quota
-    continues, and failed marks a chain that reached a feed-side step with
-    no alignment point (n_eff = 1), which only a left chain does.  Returns
+    continues, read only from the first phase (the continuation's may be
+    None), and failed marks a chain that reached a feed-side step with no
+    alignment point (n_eff = 1), which only a left chain does.  Returns
     (n_left, n_right, failed, fits) per row: ``fits`` marks rows whose N
     PAs all fit, which a failed row never does (its left chain stops short
     and nothing continues it).
@@ -433,15 +436,15 @@ def refine_batch(
     its chains, the side given by each chain's signed constants
     (:func:`_chains`, built once per call).  A phase longer than
     :data:`_WALKED_STEPS` steps whose chains :func:`_closed_form` all
-    guarantees is solved in closed form, block by block; its chains' ends
-    are known in advance: the quota, or the
-    step onto the first line past hi.  Any other phase walks one step per PA
+    guarantees is solved in closed form, block by block, every chain to its
+    quota: its steps past hi are computed on the assumed lines, I_0 + k, and
+    masked like any other.  Any other phase walks one step per PA
     (:func:`_grid_index`, then :func:`_aligned_offset`).  Both kernels
     compute offsets only; one pass over each block then marks the steps
-    that are PAs, and at n_eff = 1 the chains that fail at a feed-side step
-    with no alignment point (NaN): those that enter the block with every
-    step placed and whose first unplaced step is their first NaN one,
-    within their quota.  The continuation
+    that are PAs, the only end rule of either kernel, and at n_eff = 1 the
+    chains that fail at a feed-side step with no alignment point (NaN):
+    those that enter the block with every step placed and whose first
+    unplaced step is their first NaN one, within their quota.  The continuation
     orders its chains by the block in which their steps end, latest first
     and ties in chain order (a counting sort), so the chains whose steps
     reach a block are a prefix of them, and the block solves only that prefix.
@@ -478,16 +481,7 @@ def refine_batch(
         steps = int(quota.max(initial=0))
         index, closed = None, n_eff != 1.0 and steps > _WALKED_STEPS
         if closed:
-            index, last, closed = _closed_form(chain, delta, quota, hi, n_eff, wavelength, spacing)
-        if closed:
-            # On known lines a chain's steps end at its quota, or at the step
-            # onto the first line past hi where the quota's line lies past hi.
-            short = last > hi
-            if short.any():
-                quota = quota.copy()
-                past = _grid_index(h[short], hi[short], sn[short], sl[short]) - index[short] + 1
-                quota[short] = np.clip(past, 1, quota[short])
-            steps = int(quota.max(initial=0))
+            index, closed = _closed_form(chain, delta, quota, hi, n_eff, wavelength, spacing)
         # a first-phase block is _BLOCK_ENTRIES // R steps of both sides' chains
         block = max(1, _BLOCK_ENTRIES // max(rows if col == 0 else size, 1))
         # (first step, end step, chains walked) of each block
@@ -526,7 +520,6 @@ def refine_batch(
         live = np.empty(xs.shape, dtype=bool)
         placed = np.zeros(size, dtype=int)
         failed = np.zeros(size, dtype=bool)
-        next_start = delta  # the chains' next starts, in walk order
         n = size  # the chains walked
         for first, stop, walked in blocks:
             if walked < n:  # drop the chains whose steps ended in an earlier block
@@ -574,9 +567,8 @@ def refine_batch(
             fold(key, pa_x, pa_live)
         if order is None:
             return placed, delta, failed
-        next_start[:n] = delta  # back to chain order
-        back = np.empty_like(order)
+        back = np.empty_like(order)  # back to chain order
         back[order] = np.arange(size)
-        return placed[back], next_start[back], failed[back]
+        return placed[back], None, failed[back]
 
     return _place(walk, params.num_pas, spacing, user_x, feed_x, max_x)[-1]
