@@ -304,16 +304,18 @@ def _place(solve: Callable, n: int, spacing: float, user_x, feed_x: np.ndarray, 
     Two phases, each one call ``solve(chains, col, start, quota, lo, hi)``
     over chains of both sides: first every chain (``chains`` a slice) takes
     N/2 PAs, then every full chain whose partner fell short, and did not
-    fail, takes the shortfall (``chains`` ascending indices).  The call continues the chains from their PA ``col``: from
-    offsets ``start``, at most ``quota`` more PAs each, within the offsets
-    [``lo``, ``hi``].  It returns (placed, next start, failed) per chain:
-    next start is the offset at which a chain of the phase's longest quota
-    continues, read only from the first phase (the continuation's may be
-    None), and failed marks a chain that reached a feed-side step with no
-    alignment point (n_eff = 1), which only a left chain does.  Returns
-    (n_left, n_right, failed, fits) per row: ``fits`` marks rows whose N
-    PAs all fit, which a failed row never does (its left chain stops short
-    and nothing continues it).
+    fail, takes the shortfall.  The continuation lists its chains longest
+    quota first, ties in chain order, so the chains whose quota reaches any
+    step are a prefix of them.  The call continues the chains from their PA
+    ``col``: from offsets ``start``, at most ``quota`` more PAs each, within
+    the offsets [``lo``, ``hi``].  It returns (placed, next start, failed)
+    per chain, in the order of ``chains``.  Next start is the offset at
+    which a chain of the phase's longest quota continues, read only from
+    the first phase.  Failed marks a chain that reached a feed-side step
+    with no alignment point (n_eff = 1), which only a left chain does.
+    Returns (n_left, n_right, failed, fits) per row: ``fits`` marks rows
+    whose N PAs all fit, which a failed row never does (its left chain
+    stops short and nothing continues it).
     """
     half, rows = n // 2, feed_x.size
     lo = np.concatenate([feed_x - user_x, user_x - max_x])
@@ -326,6 +328,8 @@ def _place(solve: Callable, n: int, spacing: float, user_x, feed_x: np.ndarray, 
     chains = np.flatnonzero((by_side == half) & (by_side[::-1] < half) & ~failed_by_side[::-1])
     if chains.size:
         quota = half - by_side[::-1].ravel()[chains]
+        order = np.argsort(-quota, kind="stable")  # longest quota first, ties in chain order
+        chains, quota = chains[order], quota[order]
         more, _, bad = solve(chains, half, next_start[chains], quota, lo[chains], hi[chains])
         placed[chains] += more
         failed[chains] |= bad
@@ -444,10 +448,10 @@ def refine_batch(
     that are PAs, the only end rule of either kernel, and at n_eff = 1 the
     chains that fail at a feed-side step with no alignment point (NaN):
     those that enter the block with every step placed and whose first
-    unplaced step is their first NaN one, within their quota.  The continuation
-    orders its chains by the block in which their steps end, latest first
-    and ties in chain order (a counting sort), so the chains whose steps
-    reach a block are a prefix of them, and the block solves only that prefix.
+    unplaced step is their first NaN one, within their quota.  The
+    continuation's chains arrive longest quota first (:func:`_place`), so
+    the chains whose steps reach a block are a prefix of them, and the
+    block solves only that prefix.
 
     Nothing is kept: the steps are handed in blocks to ``fold(chains,
     xs, placed)``, so a caller can fold the PAs into its effective rows and
@@ -476,37 +480,28 @@ def refine_batch(
     side, per_chain = _chains(h_eff, n_eff, wavelength)
 
     def walk(chains, col, delta, quota, lo, hi):
-        size, order = delta.size, None
+        size = delta.size
         h, hh, sn, sl, ss = chain = tuple(a[chains] for a in per_chain)
         steps = int(quota.max(initial=0))
         index, closed = None, n_eff != 1.0 and steps > _WALKED_STEPS
         if closed:
             index, closed = _closed_form(chain, delta, quota, hi, n_eff, wavelength, spacing)
-        # a first-phase block is _BLOCK_ENTRIES // R steps of both sides' chains
+        # A first-phase block is _BLOCK_ENTRIES // R steps of both sides'
+        # chains; a continuation's first block walks all of its chains.
         block = max(1, _BLOCK_ENTRIES // max(rows if col == 0 else size, 1))
         # (first step, end step, chains walked) of each block
-        blocks = [(first, min(first + block, steps), size) for first in range(0, steps, block)]
         if col == 0:  # every chain, as (steps, 2, R) blocks
+            blocks = [(first, min(first + block, steps), size) for first in range(0, steps, block)]
             key, sign, ux = (slice(None), slice(None)), side.reshape(2, rows), user_x
         else:
-            if steps > block:
-                # A block takes about _BLOCK_ENTRIES entries over the chains
-                # whose steps reach it, so blocks grow as chains end.
-                blocks, first = [], 0
-                while first < steps:
-                    n = int(np.count_nonzero(quota > first))
-                    blocks.append((first, min(first + max(1, _BLOCK_ENTRIES // n), steps), n))
-                    first = blocks[-1][1]
-                lengths = [stop - first for first, stop, _ in blocks]
-                last_block = np.repeat(np.arange(len(blocks)), lengths)[quota - 1]
-                # Later last block first, ties in chain order (a counting
-                # sort): the chains whose steps reach a block are a prefix.
-                keys = np.arange(last_block.max(), -1, -1)[:, None]
-                order = np.flatnonzero(last_block == keys) % size
-                chains, delta, quota, lo, hi, index, h, hh, sn, sl, ss = (
-                    a if a is None else a[order]
-                    for a in (chains, delta, quota, lo, hi, index, h, hh, sn, sl, ss)
-                )
+            # The chains whose steps reach a block are a prefix (longest quota
+            # first); a block takes about _BLOCK_ENTRIES entries over them, so
+            # blocks grow as chains end.
+            blocks, first = [], 0
+            while first < steps:
+                n = int(np.count_nonzero(quota > first))
+                blocks.append((first, min(first + max(1, _BLOCK_ENTRIES // n), steps), n))
+                first = blocks[-1][1]
             key = divmod(chains, rows)
             sign, ux = side[chains], user_x[key[1]]
         # The quota test matters only where a quota is shorter than the walk,
@@ -565,10 +560,6 @@ def refine_batch(
             np.multiply(pa_x, sign, out=pa_x)
             np.add(pa_x, ux, out=pa_x)
             fold(key, pa_x, pa_live)
-        if order is None:
-            return placed, delta, failed
-        back = np.empty_like(order)  # back to chain order
-        back[order] = np.arange(size)
-        return placed[back], None, failed[back]
+        return placed, delta, failed
 
     return _place(walk, params.num_pas, spacing, user_x, feed_x, max_x)[-1]

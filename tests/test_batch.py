@@ -538,6 +538,12 @@ def test_mixed_continuation_request_matches_refine_all(monkeypatch, n_eff):
     want = [np.concatenate(column) for column in zip(*(result for _, result in calls))]
     for name, got, expected in zip(("n_left", "n_right", "failed", "fits"), engine, want):
         assert np.array_equal(got, expected), name
+    # The engine's and every refine_all continuation list their chains longest
+    # quota first, ties in ascending chain index.
+    requests = [request] + [phases[1] for phases, _ in calls if len(phases) == 2]
+    assert len(requests) > 1
+    for continued, _, _, quotas, _, _ in requests:
+        assert np.array_equal(np.lexsort((continued, -quotas)), np.arange(continued.size))
     _, _, failed, fits = engine
     assert fits.any()
     if n_eff == 1.0:  # the NaN rule stops left chains in both phases
@@ -551,8 +557,9 @@ def test_mixed_continuation_request_matches_refine_all(monkeypatch, n_eff):
 def test_continuation_walk_hands_the_fold_only_live_rows(monkeypatch):
     """Each continuation block walks only the chains whose quota reaches it.
 
-    On the ``mc_dense`` perfbench geometry at N = 256: no chain goes to the
-    fold once it has had as many steps as its quota, each fold call but the
+    On the ``mc_dense`` perfbench geometry at N = 256: each fold call gets
+    the continuation request's first chains in request order, no chain goes
+    to the fold once it has had as many steps as its quota, each fold call but the
     last gets between half and all of :data:`placement._BLOCK_ENTRIES`
     entries, and every chain's steps are on known grid lines: the placement
     evaluates :func:`placement._grid_index` once per phase (the first lines),
@@ -585,6 +592,7 @@ def test_continuation_walk_hands_the_fold_only_live_rows(monkeypatch):
     quota_of, walked = np.zeros(ux.size * 8, dtype=int), np.zeros(ux.size * 8, dtype=int)
     quota_of[chains] = quota
     for i, (block_chains, steps) in enumerate(blocks):
+        assert np.array_equal(block_chains, chains[: block_chains.size])  # a prefix, in order
         assert (walked[block_chains] < quota_of[block_chains]).all()
         entries = block_chains.size * steps
         assert entries <= max(placement._BLOCK_ENTRIES, block_chains.size)
@@ -682,6 +690,17 @@ def reference_draw_snrs(
     return experiments._snrs(params, inner, user_x, user_y, modes, baseline_elements), feasible
 
 
+MC_REGION_EDGE = SystemParams(dx_m=10.0, num_pas=4)
+
+
+def near_edge_users(params, draws=60):
+    # users within two spacings of either x edge: one side has room for fewer than N/2 PAs
+    units = uniform_pairs(17, draws)
+    reach = 2.0 * params.min_spacing_m * units[:, 0]
+    uy = (units[:, 1] - 0.5) * params.dy_m
+    return np.concatenate([params.dx_m / 2 - reach, reach - params.dx_m / 2]), np.concatenate([uy, uy])
+
+
 @pytest.mark.parametrize(
     "params, layout, at, block",
     [
@@ -693,8 +712,11 @@ def reference_draw_snrs(
         # 4 x 1025 rows: one step per block; 4 x 300 rows: 3-step blocks, 8 steps a side
         (SystemParams(num_pas=8), None, users(SystemParams(), 13, 1025), 1),
         (SystemParams(num_pas=16), None, users(SystemParams(), 13, 300), 3),
+        # the mc_region shape: every continuation (quotas of at most 2) fits in one block
+        (MC_REGION_EDGE, None, near_edge_users(MC_REGION_EDGE), None),
     ],
-    ids=["dense", "edge-overflow", "ragged-dense", "unit-index", "block-of-one", "ragged-block"],
+    ids=["dense", "edge-overflow", "ragged-dense", "unit-index", "block-of-one", "ragged-block",
+         "mc-region-edge"],
 )
 def test_blocked_fold_is_bit_identical_to_one_step_per_call(monkeypatch, params, layout, at, block):
     """Every chain is summed in the same order as one step per fold call would sum it."""
@@ -724,6 +746,9 @@ def test_blocked_fold_is_bit_identical_to_one_step_per_call(monkeypatch, params,
     assert np.array_equal(feasible, want_feasible)
     if params is DENSE:  # chains of both sides in the continuation
         assert sorted(side for side, _ in continued) == [False, True]
+    if params is MC_REGION_EDGE:  # both sides continue, in one fold call
+        assert sorted(side for side, _ in continued) == [False, True]
+        assert [shape[0] for shape in shapes if len(shape) == 2] == [2]
     assert feasible.any()
     for mode in ALL_MODES:
         assert np.array_equal(snrs[mode], want[mode]), mode
