@@ -559,8 +559,8 @@ def test_continuation_walk_hands_the_fold_only_live_rows(monkeypatch):
 
     On the ``mc_dense`` perfbench geometry at N = 256: each fold call gets
     the continuation request's first chains in request order, no chain goes
-    to the fold once it has had as many steps as its quota, each fold call but the
-    last gets between half and all of :data:`placement._BLOCK_ENTRIES`
+    to the fold once it has had as many steps as its quota, each fold call
+    but the last gets between half and all of :data:`placement._BLOCK_ENTRIES`
     entries, and every chain's steps are on known grid lines: the placement
     evaluates :func:`placement._grid_index` once per phase (the first lines),
     where a walk of one step per PA evaluated it N times.
@@ -697,8 +697,9 @@ def near_edge_users(params, draws=60):
     # users within two spacings of either x edge: one side has room for fewer than N/2 PAs
     units = uniform_pairs(17, draws)
     reach = 2.0 * params.min_spacing_m * units[:, 0]
+    ux = np.concatenate([params.dx_m / 2 - reach, reach - params.dx_m / 2])
     uy = (units[:, 1] - 0.5) * params.dy_m
-    return np.concatenate([params.dx_m / 2 - reach, reach - params.dx_m / 2]), np.concatenate([uy, uy])
+    return ux, np.concatenate([uy, uy])
 
 
 @pytest.mark.parametrize(
