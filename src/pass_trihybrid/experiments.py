@@ -22,6 +22,7 @@ from .model import (
     WaveguideLayout,
     check_user_in_region,
     effective_channel,
+    elevation,
     pa_amplitudes,
 )
 from .reporting import CapacityReport
@@ -136,7 +137,7 @@ def draw_snrs(
                 acc += term
             inner[chains] = acc
 
-        h_eff = np.hypot(wg_y - uy, height)
+        h_eff = elevation(wg_y, uy, height)
         fits = placement.refine_batch(params, h_eff, ux, feed_x, max_x, fold)
         feasible = fits.reshape(-1, m).all(axis=1)
         inner = (inner[0] + inner[1]).reshape(-1, m)
@@ -145,7 +146,7 @@ def draw_snrs(
             user = UserPosition(user_x[d], user_y[d])
             try:
                 pin, _ = placement.refine_all(params, layout, user)
-            except FeasibilityError:  # at a fit's edge; refine_all's elevation may differ
+            except FeasibilityError:  # not expected: the engine's fits are refine_all's
                 feasible[d] = False
                 continue
             inner[d] = effective_channel(params, layout, pin, user).gains
@@ -232,7 +233,7 @@ def _point_reports(
         snr = snrs[mode][feasible]
         reports.append(
             CapacityReport(
-                scenario=f"{config.sweep}={value:g}",
+                scenario=f"{config.sweep}={_cell(value)}",
                 mode=f"baseline_{_baseline_mode(params)}" if mode == "baseline" else mode,
                 case=config.case,
                 snr=_mean(snr),
@@ -334,7 +335,7 @@ def bounds_table(config: ExperimentConfig) -> str:
         user = _fixed_user(config, params)
         rep = analysis.snr_bounds(params, layout, user, params.num_pas)
         rows.append(
-            (config.sweep, f"{value:g}", params.num_pas, float(rep.max_spacing_m[0]))
+            (config.sweep, value, params.num_pas, float(rep.max_spacing_m[0]))
             + tuple(getattr(rep, name) for name in _BOUNDS_FIELDS)
         )
     return _csv_table(

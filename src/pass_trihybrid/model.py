@@ -137,6 +137,15 @@ def check_user_in_region(params: SystemParams, user: UserPosition) -> None:
         )
 
 
+def elevation(wg_y, user_y, height):
+    """Distance from a user to a waveguide axis in the plane orthogonal to x, arrays broadcast.
+
+    The library's one elevation formula: the per-user placement and the
+    batched engine both take it, so their PAs agree bit for bit.
+    """
+    return np.hypot(wg_y - user_y, height)
+
+
 @dataclass(frozen=True)
 class Waveguide:
     """One waveguide: feed point, transverse offset, height, deployment limit."""
@@ -153,8 +162,8 @@ class Waveguide:
             raise ValueError("waveguide height must be positive")
 
     def effective_elevation(self, user: UserPosition) -> float:
-        """Distance from the user to the waveguide axis in the plane orthogonal to x."""
-        return math.hypot(self.y - user.y, self.height)
+        """:func:`elevation` of this waveguide, as a Python float."""
+        return float(elevation(self.y, user.y, self.height))
 
 
 @dataclass(frozen=True)
@@ -183,7 +192,7 @@ class WaveguideLayout:
         return self.waveguides[m]
 
     def elevations(self, user: UserPosition) -> np.ndarray:
-        return np.array([w.effective_elevation(user) for w in self.waveguides])
+        return elevation(self.field("y"), user.y, self.field("height"))
 
     def field(self, name: str) -> np.ndarray:
         """One :class:`Waveguide` attribute of every waveguide, shape (M,)."""

@@ -56,7 +56,13 @@ def grid_search_gain(
 
     Enumerates all sorted position tuples with pairwise spacing at least the
     minimum, within the window of 2n minimum spacings around the user
-    (clipped to the deployment range).  Returns the best gain and positions.
+    (clipped to the deployment range).  Returns the best gain and positions,
+    the first maximum in ascending tuple order.
+
+    One table holds every feasible pair (a, b), b >= a + gap, in ascending
+    (a, b) order, with its summand sum.  n = 2 is its argmax; n = 4 adds each
+    inner pair's sum to the suffix of the table whose pairs start at least
+    one gap past the inner pair's end.
     """
     if n not in (2, 4):
         raise ValueError("grid search is scoped to 2 or 4 antennas")
@@ -68,52 +74,24 @@ def grid_search_gain(
     if g <= (n - 1) * gap:
         raise FeasibilityError("grid too small for the spacing constraint")
 
+    first, second = np.nonzero((np.arange(g)[None, :] - np.arange(g)[:, None]) >= gap)
+    re = summand.real[first] + summand.real[second]
+    im = summand.imag[first] + summand.imag[second]
     if n == 2:
-        re, im = summand.real, summand.imag
-        best = -1.0
-        best_idx = (0, 0)
-        for i in range(g - gap):
-            a = re[i + gap :] + re[i]
-            b = im[i + gap :] + im[i]
-            mag = a * a + b * b
-            j = int(np.argmax(mag))
-            if mag[j] > best:
-                best = float(mag[j])
-                best_idx = (i, i + gap + j)
-        return math.sqrt(best), xs[list(best_idx)]
+        mag = re * re + im * im
+        k = int(np.argmax(mag))
+        return math.sqrt(mag[k]), xs[[first[k], second[k]]]
 
-    # n == 4: pre-pair the two outer antennas.  pair_sum[k] holds the summand
-    # sums of every feasible (x3, x4) pair, grouped in ascending x3 so the
-    # pairs compatible with a given x2 form a suffix.
-    i3, i4 = np.nonzero(
-        (np.arange(g)[None, :] - np.arange(g)[:, None]) >= gap
-    )
-    order = np.argsort(i3, kind="stable")
-    i3, i4 = i3[order], i4[order]
-    pair_re = summand.real[i3] + summand.real[i4]
-    pair_im = summand.imag[i3] + summand.imag[i4]
-    # suffix_start[b] = first pair whose x3 index is >= b
-    suffix_start = np.searchsorted(i3, np.arange(g + 1))
-
-    best = -1.0
-    best_tuple = None
-    re, im = summand.real, summand.imag
-    for a1 in range(g - 3 * gap):
-        for a2 in range(a1 + gap, g - 2 * gap):
-            k = suffix_start[a2 + gap]
-            if k >= len(i3):
-                continue
-            s_re = re[a1] + re[a2]
-            s_im = im[a1] + im[a2]
-            ar = pair_re[k:] + s_re
-            ai = pair_im[k:] + s_im
-            mag = ar * ar + ai * ai
-            j = int(np.argmax(mag))
-            if mag[j] > best:
-                best = float(mag[j])
-                best_tuple = (a1, a2, int(i3[k + j]), int(i4[k + j]))
-    if best_tuple is None:
-        raise FeasibilityError("no feasible 4-antenna tuple in the search window")
+    # suffix[p]: the first pair that starts at least one gap past pair p's end
+    suffix = np.searchsorted(first, second + gap)
+    best, best_tuple = -1.0, None
+    for p in np.flatnonzero(suffix < first.size):
+        k = suffix[p]
+        ar, ai = re[k:] + re[p], im[k:] + im[p]
+        mag = ar * ar + ai * ai
+        j = int(np.argmax(mag))
+        if mag[j] > best:
+            best, best_tuple = float(mag[j]), (first[p], second[p], first[k + j], second[k + j])
     return math.sqrt(best), xs[list(best_tuple)]
 
 

@@ -352,7 +352,7 @@ def _refine(
     """
     n, m, spacing = params.num_pas, len(layout), params.min_spacing_m
     feed_x, max_x = layout.field("feed_x"), layout.field("max_x")
-    h_effs = [wg.effective_elevation(user) for wg in layout.waveguides]
+    h_effs = layout.elevations(user).tolist()
     per_chain = _chains(np.array(h_effs), params.n_eff, params.wavelength_m)[1]
     # Each chain's offsets from the user, innermost first, in :func:`_chains`' order.
     offsets, shifts = np.zeros((2 * m, n)), np.zeros((2 * m, n))
@@ -483,7 +483,7 @@ def refine_batch(
         size = delta.size
         h, hh, sn, sl, ss = chain = tuple(a[chains] for a in per_chain)
         steps = int(quota.max(initial=0))
-        index, closed = None, n_eff != 1.0 and steps > _WALKED_STEPS
+        index, closed = None, steps > _WALKED_STEPS
         if closed:
             index, closed = _closed_form(chain, delta, quota, hi, n_eff, wavelength, spacing)
         # A first-phase block is _BLOCK_ENTRIES // R steps of both sides'

@@ -162,6 +162,28 @@ class TestSnrBounds:
         layout = WaveguideLayout.from_params(LOSSLESS)
         assert invariants.sandwich_violations(LOSSLESS, layout, USER, (16,)) == []
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="known defect: the bounds assume N/2 PAs a side (ROADMAP 'Bounds that bound', a)",
+    )
+    def test_sandwich_at_an_uneven_split(self):
+        # Near the x edge 483 PAs go left and 29 right; snr_lower exceeds the SNR.
+        layout = WaveguideLayout.from_params(LOSSLESS)
+        user = UserPosition(24.775, 5.853)
+        assert invariants.sandwich_violations(LOSSLESS, layout, user, (512,)) == []
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="known defect: the bounds ignore waveguide loss (ROADMAP 'Bounds that bound', b)",
+    )
+    def test_sandwich_under_waveguide_loss(self):
+        params = SystemParams()
+        assert params.kappa_db_per_m > 0.0
+        layout = WaveguideLayout.from_params(params)
+        assert invariants.sandwich_violations(params, layout, USER, (2, 1024)) == []
+
 
 class TestSnrLinear:
     def test_linear_in_antenna_count(self):

@@ -230,16 +230,9 @@ def folded_pas(monkeypatch, params, layout, ux, uy):
     """(feasible, chain ids, positions) of the placed PAs the engine folds, in fold order.
 
     Chain r is row r's chain right of the user, chain R + r its left chain.
-
-    The engine takes each row's elevation from ``np.hypot``, ``refine_all``
-    from ``math.hypot``; the two differ in the last bit on about 0.6% of
-    rows, so ``refine_all`` is given the engine's elevation from here on.
     """
     calls = []
     original = placement.refine_batch
-    monkeypatch.setattr(
-        Waveguide, "effective_elevation", lambda wg, user: float(np.hypot(wg.y - user.y, wg.height))
-    )
 
     def recording(params, h_eff, user_x, feed_x, max_x, fold):
         def record(chains, xs, placed):
@@ -519,9 +512,6 @@ def test_mixed_continuation_request_matches_refine_all(monkeypatch, n_eff):
     # users within 4 cm of either end: one side has room for fewer than N/2 PAs
     ux = np.concatenate([1.999 - 0.04 * units[:, 0], -1.999 + 0.04 * units[:, 0]])
     uy = np.concatenate([units[:, 1] - 0.5] * 2) * params.dy_m
-    monkeypatch.setattr(  # the engine's elevations, as in ``folded_pas``
-        Waveguide, "effective_elevation", lambda wg, user: float(np.hypot(wg.y - user.y, wg.height))
-    )
     calls = recorded_place(monkeypatch)
     experiments.draw_snrs(params, MIXED, ux, uy, ("single",))
     (_, request), engine = calls.pop()

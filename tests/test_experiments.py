@@ -203,6 +203,16 @@ class TestFixedSweep:
         assert rep.snr_lower is None
 
 
+    def test_sweep_values_print_with_twelve_digits(self):
+        # Two spacings 1e-9 m apart: 6 significant digits would print both as 0.01.
+        values = (0.010000001, 0.010000002)
+        cfg = ExperimentConfig(sweep="min_spacing", sweep_values=values, modes=("single",))
+        want = ["0.010000001", "0.010000002"]
+        assert [rep.scenario for rep in run_sweep(cfg)] == [f"min_spacing={v}" for v in want]
+        for csv in (render_sweep_csv(cfg, run_sweep(cfg)), bounds_table(cfg)):
+            assert [line.split(",")[1] for line in csv.splitlines()[2:]] == want
+
+
 class TestMonteCarlo:
     def test_determinism_and_csv_bytes(self):
         cfg = ExperimentConfig(

@@ -33,7 +33,7 @@ from pass_trihybrid import (
     snr_bounds,
     snr_linear,
 )
-from pass_trihybrid import analysis, placement
+from pass_trihybrid import analysis, experiments, placement
 from pass_trihybrid.analysis import BoundsReport, surrogate_max_spacing
 from pass_trihybrid.model import check_user_in_region
 from pass_trihybrid.placement import RefinementResult
@@ -480,15 +480,33 @@ class TestRefineAll:
         params = SystemParams(kappa_db_per_m=0.0, num_pas=16, num_waveguides=1, height_m=h)
         assert assert_same_placement(params, WaveguideLayout.from_params(params), UserPosition(x, 0.0))
 
-    def test_elevation_keeps_math_hypot(self):
+    def test_elevation_is_the_engines(self, monkeypatch):
         # For waveguide 0 (y = -10 m, H = 3 m) np.hypot and math.hypot differ
-        # in the last bit at this user y.
+        # in the last bit at this user y.  Both paths take model.elevation,
+        # so the PAs the batched engine folds in are refine_all's, bit for bit.
         params = SystemParams(kappa_db_per_m=0.0, num_pas=16)
         layout = WaveguideLayout.from_params(params)
         user = UserPosition(2.0, -8.183)
         dy = layout[0].y - user.y
         assert np.hypot(dy, layout[0].height) != math.hypot(dy, layout[0].height)
         assert assert_same_placement(params, layout, user)
+        rows, folded = len(layout), []
+        walk = placement.refine_batch
+
+        def recording(params, h_eff, user_x, feed_x, max_x, fold):
+            def record(chains, xs, placed):
+                row = np.broadcast_to(np.arange(2 * rows).reshape(2, -1)[chains] % rows, xs.shape)
+                folded.append((row[placed], xs[placed]))
+                fold(chains, xs, placed)
+
+            return walk(params, h_eff, user_x, feed_x, max_x, record)
+
+        monkeypatch.setattr(placement, "refine_batch", recording)
+        experiments.draw_snrs(params, layout, np.array([user.x]), np.array([user.y]), ("single",))
+        row, xs = (np.concatenate(column) for column in zip(*folded))
+        pin, _ = refine_all(params, layout, user)
+        for m in range(rows):
+            assert np.array_equal(np.sort(xs[row == m]), pin.positions[m])
 
     @pytest.mark.parametrize("x", [4.999, 0.0, -4.999, 20.0])
     def test_ragged_layout(self, x):

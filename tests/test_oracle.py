@@ -37,6 +37,30 @@ class TestGridSearch:
         gain, _ = grid_search_gain(PARAMS, WG, USER, 2, res)
         assert gain == pytest.approx(brute, rel=1e-12)
 
+    def test_four_antennas_match_plain_quadruple_loop(self):
+        # A window of 80 grid points, 16 per minimum spacing.  The loop adds
+        # the outer pair's sum to the inner pair's, as the search does, so the
+        # first maximum in ascending tuple order must match to the bit.
+        res = LAM / 32
+        half = 39.5 * res
+        cramped = Waveguide(-half, 0.0, PARAMS.height_m, half)
+        xs, c = _grid_values(PARAMS, cramped, USER, 4, res)
+        gap = int(math.ceil(PARAMS.min_spacing_m / res - 1e-9))
+        assert (len(xs), gap) == (80, 16)
+        re, im, g = c.real.tolist(), c.imag.tolist(), len(xs)
+        best, best_tuple = -1.0, None
+        for a in range(g):
+            for b in range(a + gap, g):
+                for i in range(b + gap, g):
+                    for j in range(i + gap, g):
+                        sr = (re[i] + re[j]) + (re[a] + re[b])
+                        si = (im[i] + im[j]) + (im[a] + im[b])
+                        if sr * sr + si * si > best:
+                            best, best_tuple = sr * sr + si * si, (a, b, i, j)
+        gain, pos = grid_search_gain(PARAMS, cramped, USER, 4, res)
+        assert gain == math.sqrt(best)
+        assert np.array_equal(pos, xs[list(best_tuple)])
+
     def test_optimum_sits_near_user_with_aligned_phases(self):
         gain, pos = grid_search_gain(PARAMS, WG, USER, 2, LAM / 32)
         xs, c = _grid_values(PARAMS, WG, USER, 2, LAM / 32)

@@ -3,6 +3,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -100,6 +101,24 @@ class TestRefineShift:
             with pytest.raises(FeasibilityError, match="feed side"):
                 refine_shift_outward(h, 0.0, 1.0, LAM)
             assert refine_shift(h, 0.0, 1.4, LAM) == 0.0
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="known defect: the shift root cancels as n_eff -> 1 (ROADMAP 'Stable shift root')",
+    )
+    @pytest.mark.parametrize(
+        "solve, side", [(refine_shift, 1), (refine_shift_outward, -1)], ids=["right", "feed-side"]
+    )
+    def test_aligned_on_the_grid_just_above_unit_index(self, solve, side):
+        # Against a 60-digit path: today 0.224 (right) and 0.059 (feed side)
+        # wavelengths off the grid.
+        h, delta, n_eff = 3.0, 0.37, 1.0 + 1e-13
+        with mpmath.workdps(60):
+            e = mpmath.mpf(delta) + mpmath.mpf(solve(h, delta, n_eff, LAM))
+            path = mpmath.sqrt(mpmath.mpf(h) ** 2 + e * e) + side * mpmath.mpf(n_eff) * e
+            turns = path / mpmath.mpf(LAM)
+            assert abs(turns - mpmath.nint(turns)) <= 1e-9
 
 
 def one_waveguide(params):
