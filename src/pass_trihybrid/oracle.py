@@ -79,7 +79,7 @@ def grid_search_gain(
     im = summand.imag[first] + summand.imag[second]
     if n == 2:
         mag = re * re + im * im
-        k = int(np.argmax(mag))
+        k = int(mag.argmax())
         return math.sqrt(mag[k]), xs[[first[k], second[k]]]
 
     # suffix[p]: the first pair that starts at least one gap past pair p's end
@@ -89,7 +89,7 @@ def grid_search_gain(
         k = suffix[p]
         ar, ai = re[k:] + re[p], im[k:] + im[p]
         mag = ar * ar + ai * ai
-        j = int(np.argmax(mag))
+        j = int(mag.argmax())
         if mag[j] > best:
             best, best_tuple = float(mag[j]), (first[p], second[p], first[k + j], second[k + j])
     return math.sqrt(best), xs[list(best_tuple)]
