@@ -576,8 +576,11 @@ class TestSnrBounds:
     @pytest.mark.parametrize("mode", ["single", "multi", "both"])
     @pytest.mark.parametrize("spacing", ["surrogate", "scalar", "per_waveguide"])
     def test_matches_per_waveguide_loops(self, mode, spacing):
+        # M >= 8: numpy's pairwise sum of the M gains takes its 8-way unrolled path
         for params in (SystemParams(), SystemParams(num_waveguides=1, n_eff=1.0, height_m=1.0),
-                       SystemParams(num_waveguides=3, min_spacing_m=0.05)):
+                       SystemParams(num_waveguides=3, min_spacing_m=0.05),
+                       SystemParams(num_waveguides=12),
+                       SystemParams(num_waveguides=8, kappa_db_per_m=0.08)):
             layout = WaveguideLayout.from_params(params)
             m = len(layout)
             dmax = {
