@@ -101,14 +101,23 @@ def surrogate_max_spacing(params: SystemParams) -> float:
     return params.min_spacing_m + lam / (params.n_eff - 1.0)
 
 
+# Each RF mode's BoundsReport fields: SNR lower and upper bound, linear law,
+# capacity lower and upper bound.
+MODE_FIELDS = {
+    "single": ("snr1_lower", "snr1_upper", "snr1_linear", "capacity1_lower", "capacity1_upper"),
+    "multi": ("snr2_lower", "snr2_upper", "snr2_linear", "capacity2_lower", "capacity2_upper"),
+}
+
+
 @dataclass(frozen=True)
 class BoundsReport:
     """Closed-form certificates of both RF modes for one (user, N) scenario.
 
     The ``snr1_*`` and ``capacity1_*`` fields bound the single-RF beamformer,
     whose power is split 1/M over the waveguides; the ``snr2_*`` and
-    ``capacity2_*`` fields bound the multi-RF one at the full power budget.
-    ``max_spacing_is_surrogate`` marks reports built without a placement.
+    ``capacity2_*`` fields bound the multi-RF one at the full power budget
+    (:data:`MODE_FIELDS`).  ``max_spacing_is_surrogate`` marks reports built
+    without a placement.
     """
 
     n: int
@@ -125,6 +134,11 @@ class BoundsReport:
     snr2_linear: float
     capacity2_upper: float
     capacity2_lower: float
+
+    def of_mode(self, mode: str) -> tuple[float, ...]:
+        """The values of ``MODE_FIELDS[mode]``: SNR lower and upper bound,
+        linear law, capacity lower and upper bound."""
+        return tuple(getattr(self, name) for name in MODE_FIELDS[mode])
 
 
 def snr_bounds(
@@ -143,30 +157,26 @@ def snr_bounds(
     _check_even(n)
     m = len(layout)
     surrogate = max_spacing is None
-    if surrogate:
-        max_spacing = surrogate_max_spacing(params)
-    dmax = np.broadcast_to(np.asarray(max_spacing, dtype=float), (m,)).copy()
-    if np.any(dmax < params.min_spacing_m):
+    # Row 0 the minimum spacing (upper bound), row 1 the largest (lower bound).
+    spacing = np.full((2, m), params.min_spacing_m)
+    spacing[1] = surrogate_max_spacing(params) if surrogate else max_spacing
+    if np.any(spacing[1] < params.min_spacing_m):
         raise ValueError("largest realized spacing cannot be below the minimum spacing")
 
-    # One evaluation per bound over all M waveguides.  Unlike gain_approx,
-    # snr_bounds never warns about the spacing/elevation ratio.
+    # One evaluation of both bounds over all M waveguides.  Unlike
+    # gain_approx, snr_bounds never warns about the spacing/elevation ratio.
     h = layout.elevations(user)
-    ub = _approx(params, h, n, params.min_spacing_m)
-    lb = _approx(params, h, n, dmax)
-
+    gain = _approx(params, h, n, spacing)
     p, s2 = params.power_w, params.noise_w
-    up1 = p / (m * s2) * float(np.sum(ub)) ** 2
-    lo1 = p / (m * s2) * float(np.sum(lb)) ** 2
-    up2 = p / s2 * float(np.sum(ub**2))
-    lo2 = p / s2 * float(np.sum(lb**2))
+    single = [p / (m * s2) * float(total) ** 2 for total in gain.sum(axis=1)]
+    multi = [p / s2 * float(total) for total in (gain**2).sum(axis=1)]
+    fields = {}
+    for mode, (upper, lower) in zip(MODE_FIELDS, (single, multi)):
+        values = (lower, upper, _linear_law(params, h, n, mode), capacity(lower), capacity(upper))
+        fields.update(zip(MODE_FIELDS[mode], values))
     return BoundsReport(
-        n=n, min_spacing_m=params.min_spacing_m, max_spacing_m=dmax,
-        max_spacing_is_surrogate=surrogate,
-        snr1_upper=up1, snr1_lower=lo1, snr1_linear=_linear_law(params, h, n, "single"),
-        capacity1_upper=capacity(up1), capacity1_lower=capacity(lo1),
-        snr2_upper=up2, snr2_lower=lo2, snr2_linear=_linear_law(params, h, n, "multi"),
-        capacity2_upper=capacity(up2), capacity2_lower=capacity(lo2),
+        n=n, min_spacing_m=params.min_spacing_m, max_spacing_m=spacing[1],
+        max_spacing_is_surrogate=surrogate, **fields,
     )
 
 
@@ -242,17 +252,12 @@ def asymptotic_envelope(
 ) -> EnvelopeReport:
     """Evaluate one RF mode's SNR bounds, ``"single"`` or ``"multi"``, over a
     range of even PA counts."""
-    if mode not in ("single", "multi"):
+    if mode not in MODE_FIELDS:
         raise ValueError("mode must be 'single' or 'multi'")
     ns = np.asarray(list(n_values), dtype=int)
-    upper = np.empty(len(ns))
-    lower = np.empty(len(ns))
-    for i, n in enumerate(ns):
-        rep = snr_bounds(params, layout, user, int(n), max_spacing)
-        if mode == "single":
-            upper[i], lower[i] = rep.snr1_upper, rep.snr1_lower
-        else:
-            upper[i], lower[i] = rep.snr2_upper, rep.snr2_lower
+    lower, upper = np.transpose(
+        [snr_bounds(params, layout, user, int(n), max_spacing).of_mode(mode)[:2] for n in ns]
+    )
     return EnvelopeReport(
         n_values=ns,
         upper=upper,

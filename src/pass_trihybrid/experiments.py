@@ -158,6 +158,11 @@ def _mean(values: np.ndarray) -> float:
     return float(np.cumsum(values)[-1] / values.size) if values.size else math.nan
 
 
+# The CapacityReport fields of a fixed user's tri-hybrid rows, one for each
+# entry of the mode's analysis.MODE_FIELDS.
+_BOUND_COLUMNS = ("snr_lower", "snr_upper", "snr_linear_law", "capacity_lower", "capacity_upper")
+
+
 def _fixed_columns(
     params: SystemParams,
     layout: WaveguideLayout,
@@ -172,16 +177,8 @@ def _fixed_columns(
         "alignment_residual_m": max(r.alignment_residual_m for r in results),
     }
     return {
-        "single": dict(
-            snr_lower=b.snr1_lower, snr_upper=b.snr1_upper,
-            capacity_lower=b.capacity1_lower, capacity_upper=b.capacity1_upper,
-            snr_linear_law=b.snr1_linear, **diagnostics,
-        ),
-        "multi": dict(
-            snr_lower=b.snr2_lower, snr_upper=b.snr2_upper,
-            capacity_lower=b.capacity2_lower, capacity_upper=b.capacity2_upper,
-            snr_linear_law=b.snr2_linear, **diagnostics,
-        ),
+        mode: dict(zip(_BOUND_COLUMNS, b.of_mode(mode)), **diagnostics)
+        for mode in analysis.MODE_FIELDS
     }
 
 
@@ -316,10 +313,7 @@ def dump_placement(config: ExperimentConfig) -> str:
 
 
 # The BoundsReport fields of the bounds table, in column order.
-_BOUNDS_FIELDS = (
-    "snr1_lower", "snr1_upper", "snr1_linear", "capacity1_lower", "capacity1_upper",
-    "snr2_lower", "snr2_upper", "snr2_linear", "capacity2_lower", "capacity2_upper",
-)
+_BOUNDS_FIELDS = analysis.MODE_FIELDS["single"] + analysis.MODE_FIELDS["multi"]
 
 
 def bounds_table(config: ExperimentConfig) -> str:

@@ -39,8 +39,8 @@ def sandwich_violations(params, layout, user, ns) -> list:
         eff = effective_channel(params, layout, pin, user)
         dmax = np.array([r.max_spacing_m for r in results])
         rep = analysis.snr_bounds(params, layout, user, n, dmax)
-        bounds = ((rep.snr1_lower, rep.snr1_upper), (rep.snr2_lower, rep.snr2_upper))
-        for mode, (lower, upper) in zip(_tri_modes(params), bounds):
+        for mode in _tri_modes(params):
+            lower, upper = rep.of_mode(mode)[:2]
             if not lower <= _SOLUTIONS[mode](eff, params).snr <= upper:
                 violations.append((mode, n))
     return violations

@@ -1,5 +1,6 @@
 """Closed-form bounds, approximations, scaling laws, and their quality."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,9 +9,11 @@ from numpy.testing import assert_allclose
 
 from pass_trihybrid import (
     ApproximationWarning,
+    BoundsReport,
     SystemParams,
     UserPosition,
     WaveguideLayout,
+    analysis,
     asymptotic_envelope,
     effective_channel,
     gain_approx,
@@ -157,6 +160,39 @@ class TestSnrBounds:
         layout = WaveguideLayout.from_params(LOSSLESS)
         with pytest.raises(ValueError):
             snr_bounds(LOSSLESS, layout, USER, 8, LOSSLESS.min_spacing_m / 2)
+
+    def test_mode_fields_name_every_certificate_once(self):
+        certificates = [
+            f.name for f in dataclasses.fields(BoundsReport) if f.name.startswith(("snr", "cap"))
+        ]
+        table = analysis.MODE_FIELDS["single"] + analysis.MODE_FIELDS["multi"]
+        assert sorted(table) == sorted(certificates)
+        rep = snr_bounds(LOSSLESS, WaveguideLayout.from_params(LOSSLESS), USER, 8)
+        assert rep.of_mode("single") == (
+            rep.snr1_lower, rep.snr1_upper, rep.snr1_linear, rep.capacity1_lower,
+            rep.capacity1_upper,
+        )
+        assert rep.of_mode("multi") == (
+            rep.snr2_lower, rep.snr2_upper, rep.snr2_linear, rep.capacity2_lower,
+            rep.capacity2_upper,
+        )
+
+    def test_one_gain_evaluation_per_call(self, monkeypatch):
+        """Both gain bounds of every waveguide come from one ``_approx`` call."""
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return approx(*args)
+
+        approx = analysis._approx
+        monkeypatch.setattr(analysis, "_approx", counted)
+        layout = WaveguideLayout.from_params(LOSSLESS)
+        for dmax in (None, 0.02, np.full(len(layout), 0.02)):
+            calls.clear()
+            snr_bounds(LOSSLESS, layout, USER, 64, dmax)
+            assert len(calls) == 1
+            assert np.shape(calls[0][-1]) == (2, len(layout))
 
     def test_sandwich_against_simulation(self):
         layout = WaveguideLayout.from_params(LOSSLESS)
