@@ -190,8 +190,9 @@ def _point_reports(
     ``units`` are the uniform users' unit-square samples, or None for the
     fixed user.  Both user models end in the same SNR step (:func:`_snrs`)
     and the same reports.  The fixed user is one draw placed by
-    :func:`placement.refine_all` (a batch of one through the engine is
-    several times slower) unless no tri-hybrid mode is asked for; it raises
+    :func:`placement.refine_all` (a batch of one through the engine yields
+    no largest spacing or residual, and it walks, 6-8 times slower, at
+    N = 1024) unless no tri-hybrid mode is asked for; it raises
     :class:`FeasibilityError` if its PAs do not fit, and its tri-hybrid rows
     also carry the closed-form bounds and the placement diagnostics.  Its
     effective row sums the real amplitudes of :func:`pa_amplitudes` over

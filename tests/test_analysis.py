@@ -179,13 +179,12 @@ class TestSnrBounds:
 
     def test_one_gain_evaluation_per_call(self, monkeypatch):
         """Both gain bounds of every waveguide come from one ``_approx`` call."""
-        calls = []
+        approx, calls = analysis._approx, []
 
         def counted(*args):
             calls.append(args)
             return approx(*args)
 
-        approx = analysis._approx
         monkeypatch.setattr(analysis, "_approx", counted)
         layout = WaveguideLayout.from_params(LOSSLESS)
         for dmax in (None, 0.02, np.full(len(layout), 0.02)):

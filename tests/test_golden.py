@@ -1,4 +1,5 @@
-"""CSVs of the shipped configs and of the configs in ``tests/golden/``, byte for byte.
+"""CSVs of the shipped configs and of the configs in ``tests/golden/``, byte for byte,
+and the capacity scaling law on the simulated curve of the scaling-law configs.
 
 Sweep CSVs stay byte-identical across changes that do not bump the
 ``pass-trihybrid vN`` banner.  Each golden file was written by the command
@@ -27,7 +28,7 @@ UNIT_INDEX = str(ROOT / "tests" / "golden" / "unit_index.cfg")
 FEED_SIDE = str(ROOT / "tests" / "golden" / "feed_side.cfg")
 # Dense placements in a narrow region: overflow redistributed across both sides at N = 256.
 DENSE_MC = str(ROOT / "tests" / "golden" / "dense_mc.cfg")
-# N = 2..16384 in a 400 m region, past the simulated SNR's peak: the centre user and an off-centre one.
+# N = 2..16384 in a 400 m region, past the simulated SNR's peak: centre and off-centre user.
 SCALING_LAW = str(ROOT / "tests" / "golden" / "scaling_law.cfg")
 SCALING_LAW_OFF_CENTRE = str(ROOT / "tests" / "golden" / "scaling_law_off_centre.cfg")
 
@@ -81,9 +82,9 @@ def test_case_2_bounds_differ_from_case_1(tmp_path):
 @pytest.mark.parametrize("mode", ["single", "multi"])
 @pytest.mark.parametrize("cfg", [SCALING_LAW, SCALING_LAW_OFF_CENTRE], ids=["centre", "off-centre"])
 def test_simulated_snr_peaks_between_the_envelope_peaks(cfg, mode):
-    """The capacity scaling law on the simulated curve: SNR rises with N, peaks
-    strictly inside the sweep between the peaks of the lower and upper bound
-    envelopes, and falls over the last two doublings, inside its bounds at every N.
+    """The capacity scaling law on the simulated curve: the SNR peaks strictly
+    inside the sweep, between the peaks of the lower and upper bound envelopes,
+    and falls over the last two doublings, inside its bounds at every N.
 
     The tail ratio SNR(2N)/SNR(N) is not compared with the (ln N)^2/N law's
     (ln 2N / ln N)^2 / 2: the simulated tail falls more slowly, e.g. 0.757
