@@ -2,7 +2,9 @@
 
 Configs accept dBm for powers, dB/m for the waveguide loss, GHz for the
 carrier, and either meters or wavelength multiples for the minimum PA
-spacing; everything is converted to SI on load.  Unknown keys are rejected.
+spacing; everything is converted to SI on load.  The keys are the
+:class:`ExperimentConfig` fields plus ``min_spacing_wavelengths``; unknown
+keys are rejected.
 """
 
 from __future__ import annotations
@@ -25,12 +27,11 @@ def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** (dbm / 10.0) / 1000.0
 
 
+# sweep variable -> the SystemParams field it sets
+_SWEEP_FIELDS = {"N": "num_pas", "Dx": "dx_m", "M": "num_waveguides", "min_spacing": "min_spacing_m"}
 _SWEEP_ALIASES = {
-    "n": "N",
-    "dx": "Dx",
+    **{name.lower(): name for name in _SWEEP_FIELDS},
     "d_x": "Dx",
-    "m": "M",
-    "min_spacing": "min_spacing",
     "delta_min": "min_spacing",
     "dmin": "min_spacing",
 }
@@ -65,7 +66,11 @@ class ExperimentConfig:
     modes: tuple[str, ...] = _MODES
 
     def __post_init__(self) -> None:
-        if self.sweep not in ("N", "Dx", "M", "min_spacing"):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
+        if self.sweep not in _SWEEP_FIELDS:
             raise ConfigError(f"unknown sweep variable {self.sweep!r}")
         if not self.sweep_values:
             raise ConfigError("sweep_values must not be empty")
@@ -93,35 +98,17 @@ class ExperimentConfig:
 
     def system_params(self, sweep_value: float | None = None) -> SystemParams:
         """Base system parameters, optionally with the sweep variable applied."""
-        watts = {}
-        for name in ("power_dbm", "noise_dbm"):
+        kw = {name: getattr(self, name) for name in _SHARED_FIELDS}
+        kw["fc_hz"] = self.fc_ghz * 1e9
+        for name, si_name in (("power_dbm", "power_w"), ("noise_dbm", "noise_w")):
             dbm = getattr(self, name)
             try:
-                watts[name] = dbm_to_watts(dbm)
+                kw[si_name] = dbm_to_watts(dbm)
             except OverflowError:
                 raise ConfigError(f"{name} = {dbm:g} is too large to express in watts") from None
-        kw = dict(
-            fc_hz=self.fc_ghz * 1e9,
-            n_eff=self.n_eff,
-            kappa_db_per_m=self.kappa_db_per_m,
-            power_w=watts["power_dbm"],
-            noise_w=watts["noise_dbm"],
-            min_spacing_m=self.min_spacing_m,
-            dx_m=self.dx_m,
-            dy_m=self.dy_m,
-            height_m=self.height_m,
-            num_waveguides=self.num_waveguides,
-            num_pas=self.num_pas,
-            num_rf_chains=self.num_rf_chains,
-        )
         if sweep_value is not None:
-            key = {
-                "N": "num_pas",
-                "Dx": "dx_m",
-                "M": "num_waveguides",
-                "min_spacing": "min_spacing_m",
-            }[self.sweep]
-            kw[key] = int(sweep_value) if key in ("num_pas", "num_waveguides") else sweep_value
+            key = _SWEEP_FIELDS[self.sweep]
+            kw[key] = int(sweep_value) if key in _INT_KEYS else sweep_value
         try:
             return SystemParams(**kw)
         except ValueError as err:
@@ -148,20 +135,11 @@ class ExperimentConfig:
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()[:12]
 
 
-def _parse_scalar(key: str, raw: str, kind: type):
-    """``raw`` as ``kind`` (int or float)."""
-    try:
-        return kind(raw)
-    except ValueError as err:
-        raise ConfigError(f"{key}: cannot parse {raw!r} as {kind.__name__}") from err
-
-
-_INT_KEYS = {"num_waveguides", "num_pas", "num_rf_chains", "baseline_elements", "draws", "seed", "case"}
-_FLOAT_KEYS = {
-    "fc_ghz", "n_eff", "kappa_db_per_m", "power_dbm", "noise_dbm", "min_spacing_m",
-    "min_spacing_wavelengths", "dx_m", "dy_m", "height_m", "user_x", "user_y",
-}
-_STR_KEYS = {"sweep", "sweep_values", "user", "modes"}
+_FIELDS = {f.name for f in fields(ExperimentConfig)}
+# annotations stay strings here ("int", "int | None"): see the __future__ import
+_INT_KEYS = {f.name for f in fields(ExperimentConfig) if f.type.startswith("int")}
+# the SystemParams fields that ExperimentConfig holds under the same name, in the same unit
+_SHARED_FIELDS = tuple(f.name for f in fields(SystemParams) if f.name in _FIELDS)
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
@@ -178,8 +156,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         raw[key] = value
 
-    known = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
-    unknown = set(raw) - known
+    unknown = set(raw) - _FIELDS - {"min_spacing_wavelengths"}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     if "min_spacing_m" in raw and "min_spacing_wavelengths" in raw:
@@ -187,11 +164,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
     kw: dict = {}
     for key, value in raw.items():
-        if key in _INT_KEYS:
-            kw[key] = _parse_scalar(key, value, int)
-        elif key in _FLOAT_KEYS:
-            kw[key] = _parse_scalar(key, value, float)
-        elif key == "sweep":
+        if key == "sweep":
             norm = _SWEEP_ALIASES.get(value.lower())
             if norm is None:
                 raise ConfigError(f"unknown sweep variable {value!r}")
@@ -208,6 +181,12 @@ def parse_config_text(text: str) -> ExperimentConfig:
                 kw["modes"] = _MODES
             else:
                 kw["modes"] = tuple(m.strip().lower() for m in value.split(",") if m.strip())
+        else:
+            kind = int if key in _INT_KEYS else float
+            try:
+                kw[key] = kind(value)
+            except ValueError as err:
+                raise ConfigError(f"{key}: cannot parse {value!r} as {kind.__name__}") from err
 
     spacing_wl = kw.pop("min_spacing_wavelengths", None)
     if spacing_wl is not None:
@@ -223,6 +202,6 @@ def load_config(path: str | None) -> ExperimentConfig:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot read config {path}: {err}") from err
     return parse_config_text(text)

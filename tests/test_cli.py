@@ -73,6 +73,15 @@ class TestErrors:
         assert main(["sweep", "--config", "/no/such/file"]) == EXIT_CONFIG
         capsys.readouterr()
 
+    def test_config_that_is_not_utf8(self, tmp_path, capsys):
+        # a latin-1 e-acute in a comment: a message and exit 2, no traceback
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(b"seed = 1  # caf\xe9\n")
+        assert main(["bounds", "--config", str(cfg)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: cannot read config")
+
     def test_infeasible_geometry_exit_code(self, tmp_path, capsys):
         cramped = tmp_path / "cramped.cfg"
         cramped.write_text("dx_m = 0.05\nnum_pas = 32\nuser = fixed\nsweep_values = 32\n")
@@ -168,6 +177,8 @@ class TestErrors:
             "n_eff = 1e200; user = uniform",
             "kappa_db_per_m = nan; case = 2",
             "user_x = nan",
+            "user_x = nan; user = uniform",
+            "user_y = inf; user = uniform",
             "baseline_elements = 0",
             "baseline_elements = 0; modes = single",
             "modes = ,",

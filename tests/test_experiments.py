@@ -1,5 +1,6 @@
 """Config parsing, sweep runner, CSV contracts, Monte Carlo accounting."""
 
+import dataclasses
 import math
 import subprocess
 import sys
@@ -24,6 +25,45 @@ from pass_trihybrid import (
 from pass_trihybrid.config import dbm_to_watts, load_config
 from pass_trihybrid.experiments import _csv_table, _fixed_user
 from pass_trihybrid.sampler import uniform_pairs
+
+
+# every ExperimentConfig field at a valid value other than its default
+NON_DEFAULT = {
+    "fc_ghz": 30.0,
+    "n_eff": 1.5,
+    "kappa_db_per_m": 0.1,
+    "power_dbm": 13.0,
+    "noise_dbm": -80.0,
+    "min_spacing_m": 0.006,
+    "dx_m": 40.0,
+    "dy_m": 10.0,
+    "height_m": 4.0,
+    "num_waveguides": 3,
+    "num_pas": 6,
+    "num_rf_chains": 1,
+    "baseline_elements": 5,
+    "sweep": "Dx",
+    "sweep_values": (10.0, 20.0),
+    "user": "uniform",
+    "user_x": 1.5,
+    "user_y": -2.5,
+    "draws": 50,
+    "seed": 7,
+    "case": 2,
+    "modes": ("single", "baseline"),
+}
+INT_KEYS = ("num_waveguides", "num_pas", "num_rf_chains", "baseline_elements", "draws", "seed", "case")
+# the SystemParams fields that a config sets unchanged
+PASS_THROUGH = (
+    "n_eff", "kappa_db_per_m", "min_spacing_m", "dx_m", "dy_m", "height_m",
+    "num_waveguides", "num_pas", "num_rf_chains",
+)
+
+
+def config_line(key: str, value) -> str:
+    if isinstance(value, tuple):
+        value = ",".join(str(v) for v in value)
+    return f"{key} = {value}\n"
 
 
 def ref_bounds_table(config: ExperimentConfig) -> str:
@@ -100,8 +140,28 @@ class TestConfig:
                 ExperimentConfig(user=user, draws=draws)
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError, match="unknown config keys"):
+        with pytest.raises(ConfigError, match=r"^unknown config keys: \['frequency'\]$"):
             parse_config_text("frequency = 28\n")
+
+    def test_every_field_parses_to_its_type(self):
+        assert set(NON_DEFAULT) == {f.name for f in dataclasses.fields(ExperimentConfig)}
+        default = ExperimentConfig()
+        assert all(getattr(default, key) != value for key, value in NON_DEFAULT.items())
+        cfg = parse_config_text("".join(config_line(k, v) for k, v in NON_DEFAULT.items()))
+        assert cfg == ExperimentConfig(**NON_DEFAULT)
+        for key, value in NON_DEFAULT.items():
+            assert type(getattr(cfg, key)) is (int if key in INT_KEYS else type(value)), key
+        p = cfg.system_params()
+        for name in PASS_THROUGH:
+            assert getattr(p, name) == NON_DEFAULT[name] and type(getattr(p, name)) is type(NON_DEFAULT[name])
+        assert p.fc_hz == 30e9
+        assert (p.power_w, p.noise_w) == (dbm_to_watts(13.0), dbm_to_watts(-80.0))
+
+    def test_each_key_accepted_alone(self):
+        for key, value in NON_DEFAULT.items():
+            assert getattr(parse_config_text(config_line(key, value)), key) == value, key
+        cfg = parse_config_text("min_spacing_wavelengths = 1\n")
+        assert cfg.min_spacing_m == pytest.approx(cfg.system_params().wavelength_m, rel=1e-12)
 
     def test_bad_values_rejected(self):
         with pytest.raises(ConfigError):
@@ -166,6 +226,23 @@ class TestConfig:
         assert cfg.system_params(20.0).dx_m == 20.0
         cfg = ExperimentConfig(sweep="M", sweep_values=(2, 6))
         assert cfg.system_params(6).num_waveguides == 6
+        applied = {
+            "N": ("num_pas", 6, int),
+            "Dx": ("dx_m", 20.0, float),
+            "M": ("num_waveguides", 6, int),
+            "min_spacing": ("min_spacing_m", 0.02, float),
+        }
+        names = {
+            "N": "N", "n": "N", "Dx": "Dx", "dx": "Dx", "DX": "Dx", "d_x": "Dx", "M": "M", "m": "M",
+            "min_spacing": "min_spacing", "MIN_SPACING": "min_spacing", "delta_min": "min_spacing",
+            "dmin": "min_spacing",
+        }
+        for name, canonical in names.items():
+            field, value, kind = applied[canonical]
+            cfg = parse_config_text(f"sweep = {name}\nsweep_values = {value}\n")
+            assert cfg.sweep == canonical, name
+            p = cfg.system_params(float(value))
+            assert getattr(p, field) == value and type(getattr(p, field)) is kind, name
 
     def test_missing_file(self):
         with pytest.raises(ConfigError):
