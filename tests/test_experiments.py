@@ -153,7 +153,8 @@ class TestConfig:
             assert type(getattr(cfg, key)) is (int if key in INT_KEYS else type(value)), key
         p = cfg.system_params()
         for name in PASS_THROUGH:
-            assert getattr(p, name) == NON_DEFAULT[name] and type(getattr(p, name)) is type(NON_DEFAULT[name])
+            value = getattr(p, name)
+            assert value == NON_DEFAULT[name] and type(value) is type(NON_DEFAULT[name]), name
         assert p.fc_hz == 30e9
         assert (p.power_w, p.noise_w) == (dbm_to_watts(13.0), dbm_to_watts(-80.0))
 
