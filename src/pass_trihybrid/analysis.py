@@ -160,7 +160,7 @@ def snr_bounds(
     # Row 0 the minimum spacing (upper bound), row 1 the largest (lower bound).
     spacing = np.full((2, m), params.min_spacing_m)
     spacing[1] = surrogate_max_spacing(params) if surrogate else max_spacing
-    if np.any(spacing[1] < params.min_spacing_m):
+    if (spacing[1] < params.min_spacing_m).any():
         raise ValueError("largest realized spacing cannot be below the minimum spacing")
 
     # One evaluation of both bounds over all M waveguides.  Unlike
@@ -184,9 +184,9 @@ def _linear_law(params: SystemParams, h: np.ndarray, n: int, mode: str) -> float
     """:func:`snr_linear` at the waveguides' effective elevations ``h``."""
     p, s2, eta = params.power_w, params.noise_w, params.eta_m2
     if mode == "single":
-        return p * n * eta / (len(h) * s2) * float(np.sum(1.0 / h)) ** 2
+        return p * n * eta / (len(h) * s2) * float((1.0 / h).sum()) ** 2
     if mode == "multi":
-        return p * n * eta / s2 * float(np.sum(1.0 / h**2))
+        return p * n * eta / s2 * float((1.0 / h**2).sum())
     raise ValueError("mode must be 'single' or 'multi'")
 
 

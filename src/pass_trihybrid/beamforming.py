@@ -52,7 +52,7 @@ def single_rf_snr(inner: np.ndarray, params: SystemParams) -> np.ndarray:
     Closed form P / (M sigma^2) (sum_m |c_m|)^2, one value per row.
     """
     m = inner.shape[-1]
-    return params.power_w / (m * params.noise_w) * np.sum(np.abs(inner), axis=-1) ** 2
+    return params.power_w / (m * params.noise_w) * np.abs(inner).sum(axis=-1) ** 2
 
 
 def multi_rf_snr(inner: np.ndarray, params: SystemParams) -> np.ndarray:
@@ -62,7 +62,7 @@ def multi_rf_snr(inner: np.ndarray, params: SystemParams) -> np.ndarray:
     """
     if params.num_rf_chains < 2:
         raise ValueError("matched-filter SNR needs at least 2 RF chains")
-    return params.power_w * np.sum(np.abs(inner) ** 2, axis=-1) / params.noise_w
+    return params.power_w * (np.abs(inner) ** 2).sum(axis=-1) / params.noise_w
 
 
 def single_rf_solution(effective: EffectiveChannel, params: SystemParams) -> BeamformerSolution:

@@ -115,27 +115,37 @@ class ExperimentConfig:
             raise ConfigError(str(err)) from err
 
     def params_for_case(self, sweep_value: float | None = None) -> SystemParams:
-        """System parameters with the case's waveguide-loss convention applied."""
+        """System parameters with the case's waveguide-loss convention applied.
+
+        Case 1 validates the configured loss like case 2, then zeroes it in
+        place: a loss of 0 always validates, so the parameters are built once.
+        """
         params = self.system_params(sweep_value)
-        return params.replace(kappa_db_per_m=0.0) if self.case == 1 else params
+        if self.case == 1:
+            object.__setattr__(params, "kappa_db_per_m", 0.0)  # frozen, and not yet shared
+        return params
 
     def replace(self, **changes) -> "ExperimentConfig":
         return dataclasses.replace(self, **changes)
 
     def canonical_text(self) -> str:
-        pairs = []
-        for f in fields(self):
-            value = getattr(self, f.name)
+        """One ``name=value`` line per field, the lines sorted."""
+        lines = []
+        for name in _CANONICAL_ORDER:
+            value = getattr(self, name)
             if isinstance(value, tuple):
                 value = ",".join(str(v) for v in value)
-            pairs.append(f"{f.name}={value}")
-        return "\n".join(sorted(pairs)) + "\n"
+            lines.append(f"{name}={value}")
+        return "\n".join(lines) + "\n"
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()[:12]
 
 
 _FIELDS = {f.name for f in fields(ExperimentConfig)}
+# "name=value" lines sort as their "name=" prefixes do, whatever the values:
+# no name holds "=", so two prefixes first differ within both.
+_CANONICAL_ORDER = tuple(sorted(_FIELDS, key=lambda name: name + "="))
 # annotations stay strings here ("int", "int | None"): see the __future__ import
 _INT_KEYS = {f.name for f in fields(ExperimentConfig) if f.type.startswith("int")}
 # the SystemParams fields that ExperimentConfig holds under the same name, in the same unit

@@ -155,7 +155,7 @@ def draw_snrs(
 
 def _mean(values: np.ndarray) -> float:
     """Mean summed in draw order, as a running ``+=`` would (np.sum pairs up)."""
-    return float(np.cumsum(values)[-1] / values.size) if values.size else math.nan
+    return float(values.cumsum()[-1] / values.size) if values.size else math.nan
 
 
 # The CapacityReport fields of a fixed user's tri-hybrid rows, one for each
@@ -191,7 +191,7 @@ def _point_reports(
     fixed user.  Both user models end in the same SNR step (:func:`_snrs`)
     and the same reports.  The fixed user is one draw placed by
     :func:`placement.refine_all` (a batch of one through the engine yields
-    no largest spacing or residual, and it walks, 6-8 times slower, at
+    no largest spacing or residual, and it walks, about 7 times slower, at
     N = 1024) unless no tri-hybrid mode is asked for; it raises
     :class:`FeasibilityError` if its PAs do not fit, and its tri-hybrid rows
     also carry the closed-form bounds and the placement diagnostics.  Its

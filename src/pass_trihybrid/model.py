@@ -57,10 +57,10 @@ class SystemParams:
     num_rf_chains: int = 2
 
     def __post_init__(self) -> None:
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
+        for name in _PARAM_FIELDS:
+            value = getattr(self, name)
             if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value}")
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.fc_hz <= 0:
             raise ValueError("carrier frequency must be positive")
         if self.n_eff < 1.0:
@@ -120,6 +120,9 @@ class SystemParams:
         return dataclasses.replace(self, **changes)
 
 
+_PARAM_FIELDS = tuple(f.name for f in dataclasses.fields(SystemParams))
+
+
 @dataclass(frozen=True)
 class UserPosition:
     """Ground-level user location (z = 0)."""
@@ -166,11 +169,24 @@ class Waveguide:
         return float(elevation(self.y, user.y, self.height))
 
 
+_WAVEGUIDE_FIELDS = tuple(f.name for f in dataclasses.fields(Waveguide))
+
+
 @dataclass(frozen=True)
 class WaveguideLayout:
-    """All waveguides of one deployment."""
+    """All waveguides of one deployment.
+
+    Each :class:`Waveguide` attribute of every waveguide is also held as one
+    read-only (M,) array, built once here; the arrays are not dataclass
+    fields, so equality, hash and repr see ``waveguides`` alone.
+    """
 
     waveguides: tuple[Waveguide, ...]
+
+    def __post_init__(self) -> None:
+        arrays = np.array([[getattr(w, name) for w in self.waveguides] for name in _WAVEGUIDE_FIELDS])
+        arrays.flags.writeable = False  # and so every row
+        object.__setattr__(self, "_arrays", dict(zip(_WAVEGUIDE_FIELDS, arrays)))
 
     @classmethod
     def from_params(cls, params: SystemParams) -> "WaveguideLayout":
@@ -192,11 +208,11 @@ class WaveguideLayout:
         return self.waveguides[m]
 
     def elevations(self, user: UserPosition) -> np.ndarray:
-        return elevation(self.field("y"), user.y, self.field("height"))
+        return elevation(self._arrays["y"], user.y, self._arrays["height"])
 
     def field(self, name: str) -> np.ndarray:
-        """One :class:`Waveguide` attribute of every waveguide, shape (M,)."""
-        return np.array([getattr(w, name) for w in self.waveguides], dtype=float)
+        """One :class:`Waveguide` attribute of every waveguide, a read-only (M,) array."""
+        return self._arrays[name]
 
 
 @dataclass(frozen=True)

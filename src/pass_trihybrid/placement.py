@@ -27,11 +27,13 @@ guarantees it, and :func:`_steps` turns that closed form into the walk's
 bits: the one chain kernel of both chain solvers, which otherwise walk.
 :func:`_chains` builds every chain's signed constants once per call, and
 :func:`_closed_form` sets up the closed form of a phase's chains for both
-solvers.  :func:`refine_all` solves one user's chains as whole arrays
-(:func:`_solve`, one call per phase over the chains of both sides) and keeps
-every offset and shift; :func:`refine_batch` solves many users' chains in
-blocks and keeps nothing, handing each block of steps to the caller's
-``fold``.
+solvers, with one guarantee per chain.  :func:`refine_all` solves one user's
+chains as whole arrays (:func:`_solve`, one call per phase over the chains
+of both sides): each chain the closed form guarantees takes it, and only
+the others take the verify passes; it keeps every offset and shift.
+:func:`refine_batch` solves many users' chains in blocks, in closed form
+where a phase's chains are all guaranteed, and keeps nothing, handing each
+block of steps to the caller's ``fold``.
 """
 
 from __future__ import annotations
@@ -199,19 +201,21 @@ def _on_lines(h_eff, reach, right, largest: float, n_eff: float, wavelength: flo
 def _closed_form(chains: tuple, start, quota, hi, n_eff: float, wavelength: float, spacing: float):
     """(I_0, guaranteed): the closed-form set-up of chains from offsets ``start``.
 
-    I_0 is the first step's :func:`_grid_index`; ``guaranteed`` says whether
-    :func:`_on_lines` guarantees every chain up to one spacing past ``hi`` or
-    past the aligned offset on the quota's last line, I_0 + quota - 1,
-    whichever is nearer.  So the step that crosses hi is exact, and the steps
-    after it, computed on the assumed lines, stay past hi, where the caller
-    masks them.  ``chains`` are :func:`_chains`' constants.
+    I_0 is the first step's :func:`_grid_index`; ``guaranteed`` says, per
+    chain, whether :func:`_on_lines` guarantees it up to one spacing past
+    ``hi`` or past the aligned offset on the quota's last line,
+    I_0 + quota - 1, whichever is nearer.  So the step that crosses hi is
+    exact, and the steps after it, computed on the assumed lines, stay past
+    hi, where the caller masks them.  The rounding tolerance is the call's,
+    set by its largest |I|, so a chain's verdict can depend on the other
+    chains of the call.  ``chains`` are :func:`_chains`' constants.
     """
     h, hh, sn, sl, ss = chains
     index = _grid_index(h, start, sn, sl)
     last = _aligned_offset(hh, sl * (index + quota - 1), n_eff, ss)
     reach = np.minimum(last, hi) + spacing
     largest = float(np.abs(index).max(initial=0.0) + quota.max(initial=0))
-    return index, _on_lines(h, reach, sl > 0, largest, n_eff, wavelength, spacing).all()
+    return index, _on_lines(h, reach, sl > 0, largest, n_eff, wavelength, spacing)
 
 
 def _steps(d: np.ndarray, start, spacing: float) -> tuple[np.ndarray, np.ndarray]:
@@ -246,27 +250,50 @@ def _solve(
     failed): (R, max quota) arrays whose first ``placed[r]`` entries are chain
     r's PAs, and where it stopped at a feed-side NaN step.
 
-    The guess puts step k on grid line I_0 + k (:func:`_closed_form`).  Where
-    every chain is guaranteed, :func:`_steps` makes it the walk's offsets.
-    Otherwise a fixed-point iteration verifies it: one step pass over
-    delta_k = f_{k-1} + min_spacing, exact up to and including the first index
-    it changes; that prefix is kept and the indices past it are
-    re-extrapolated by the steps the pass took.  A pass that changes nothing
-    before a chain's end is a fixed point of the walk's recurrence, hence the
-    walk's bits; the kept prefix grows every pass, so at most quota + 1
-    passes run.
+    The guess puts step k on grid line I_0 + k (:func:`_closed_form`).  Each
+    chain it guarantees takes :func:`_solve_closed`, and only the others take
+    the verify passes of :func:`_solve_verified`, each group as whole arrays.
+    The chains are independent columns, so each gets the walk's bits in
+    either group; the two groups' rows are joined in chain order.
     """
     lo, hi = bounds
-    h_eff, h2s, sn, sl, ss = chains
-    first_index, closed = _closed_form(chains, start, quota, hi, n_eff, wavelength, min_spacing)
+    index, closed = _closed_form(chains, start, quota, hi, n_eff, wavelength, min_spacing)
     cols = np.arange(int(quota.max()) + 1)[:, None]  # one step more, where every chain has ended
+    if closed.all() or not closed.any():
+        kernel = _solve_closed if closed.all() else _solve_verified
+        return kernel(chains, index, start, quota, lo, hi, cols, n_eff, min_spacing)
+    rows, steps = quota.size, cols.size - 1
+    out = np.empty((rows, steps)), np.empty((rows, steps)), np.empty(rows, dtype=int), np.empty(rows, dtype=bool)
+    for group, kernel in ((closed, _solve_closed), (~closed, _solve_verified)):
+        part = (a[group] for a in (index, start, quota, lo, hi))
+        result = kernel(tuple(a[group] for a in chains), *part, cols, n_eff, min_spacing)
+        for whole, value in zip(out, result):
+            whole[group] = value
+    return out
+
+
+def _solve_closed(chains, index, start, quota, lo, hi, cols, n_eff: float, min_spacing: float):
+    """:func:`_solve` for chains :func:`_closed_form` guarantees: :func:`_steps` on lines I_0 + k."""
+    h2s, sl, ss = chains[1], chains[3], chains[4]
+    f, shifts = _steps(_aligned_offset(h2s, sl * (index + cols), n_eff, ss), start, min_spacing)
+    first = (~((lo <= f) & (f <= hi) & (cols < quota))).argmax(axis=0)  # offsets only grow
+    return f[:-1].T, shifts[:-1].T, first, np.zeros(quota.shape, dtype=bool)
+
+
+def _solve_verified(chains, index, start, quota, lo, hi, cols, n_eff: float, min_spacing: float):
+    """:func:`_solve` for any chains: the guess I_0 + k, verified by a fixed-point iteration.
+
+    One step pass over delta_k = f_{k-1} + min_spacing is exact up to and
+    including the first index it changes; that prefix is kept and the
+    indices past it are re-extrapolated by the steps the pass took.  A pass
+    that changes nothing before a chain's end is a fixed point of the walk's
+    recurrence, hence the walk's bits; the kept prefix grows every pass, so
+    at most quota + 1 passes run.
+    """
+    h_eff, h2s, sn, sl, ss = chains
     in_quota = cols < quota
-    index = first_index + cols
+    index = index + cols
     f = _aligned_offset(h2s, sl * index, n_eff, ss)  # (steps, chains), as in the walk
-    if closed:
-        f, shifts = _steps(f, start, min_spacing)
-        first = (~((lo <= f) & (f <= hi) & in_quota)).argmax(axis=0)  # offsets only grow
-        return f[:-1].T, shifts[:-1].T, first, np.zeros(quota.shape, dtype=bool)
     chain_starts = np.arange(h_eff.size)  # in the flattened (steps, chains) arrays
     f[0] = start + np.maximum(f[0] - start, 0.0)  # not f_0 itself when d_0 - start rounds
     delta = np.empty_like(f)
@@ -288,8 +315,8 @@ def _solve(
         # the increments the pass just took (NaN, unreachable, counts as 1).
         later = cols > first
         steps[0] = new_index[0]
-        steps[1:] = np.where(later[1:], np.fmax(new_index[1:] - index[:-1], 1.0), np.diff(new_index, axis=0))
-        index = np.cumsum(steps, axis=0)
+        steps[1:] = np.where(later[1:], np.fmax(new_index[1:] - index[:-1], 1.0), new_index[1:] - new_index[:-1])
+        index = steps.cumsum(axis=0)
         f = np.where(later, _aligned_offset(h2s, sl * index, n_eff, ss), new_f)
     failed = (first < quota) & np.isnan(new_f.ravel()[first * h_eff.size + chain_starts])
     return new_f[:-1].T, shifts[:-1].T, first, failed
@@ -325,7 +352,7 @@ def _place(solve: Callable, n: int, spacing: float, user_x, feed_x: np.ndarray, 
     )
     # (side, row) views; [::-1] pairs each chain with its partner
     by_side, failed_by_side = placed.reshape(2, rows), failed.reshape(2, rows)
-    chains = np.flatnonzero((by_side == half) & (by_side[::-1] < half) & ~failed_by_side[::-1])
+    chains = ((by_side == half) & (by_side[::-1] < half) & ~failed_by_side[::-1]).ravel().nonzero()[0]
     if chains.size:
         quota = half - by_side[::-1].ravel()[chains]
         order = np.argsort(-quota, kind="stable")  # longest quota first, ties in chain order
@@ -352,18 +379,19 @@ def _refine(
     """
     n, m, spacing = params.num_pas, len(layout), params.min_spacing_m
     feed_x, max_x = layout.field("feed_x"), layout.field("max_x")
-    h_effs = layout.elevations(user).tolist()
-    per_chain = _chains(np.array(h_effs), params.n_eff, params.wavelength_m)[1]
-    # Each chain's offsets from the user, innermost first, in :func:`_chains`' order.
-    offsets, shifts = np.zeros((2 * m, n)), np.zeros((2 * m, n))
+    h_eff = layout.elevations(user)
+    per_chain = _chains(h_eff, params.n_eff, params.wavelength_m)[1]
+    # Each chain's offsets (kept[0]) and shifts (kept[1]) from the user,
+    # innermost first, in :func:`_chains`' order.
+    kept = np.zeros((2, 2 * m, n))
 
     def solve(chains, col, start, quota, lo, hi):
         f, v, placed, failed = _solve(
             tuple(a[chains] for a in per_chain), start, quota, (lo, hi),
             params.n_eff, params.wavelength_m, spacing,
         )
-        offsets[chains, col : col + f.shape[1]] = f
-        shifts[chains, col : col + f.shape[1]] = v
+        kept[0, chains, col : col + f.shape[1]] = f
+        kept[1, chains, col : col + f.shape[1]] = v
         return placed, f[:, -1] + spacing, failed
 
     n_left, n_right, failed, fits = _place(solve, n, spacing, user.x, feed_x, max_x)
@@ -377,24 +405,27 @@ def _refine(
             f"[{wg.feed_x:.6g}, {wg.max_x:.6g}] around x_u={user.x:.6g}"
         )
 
-    # Ascending positions: the left chain reversed, then the right one.
+    # Ascending rows, offsets and shifts in one gather: the left chain
+    # reversed, then the right one; x_u + (-f) is x_u - f bit for bit.
+    np.negative(kept[0, m:], out=kept[0, m:])
     take = ((2 * np.arange(m) + 1) * n - n_left)[:, None] + np.arange(n)
-    positions = np.hstack([user.x - offsets[m:, ::-1], user.x + offsets[:m]]).ravel()[take]
-    row_shifts = np.hstack([shifts[m:, ::-1], shifts[:m]]).ravel()[take]
-    max_spacing = np.diff(positions, axis=1).max(axis=1)
+    offsets, row_shifts = np.concatenate([kept[:, m:, ::-1], kept[:, :m]], axis=2).reshape(2, -1)[:, take]
+    positions = user.x + offsets
+    max_spacing = (positions[:, 1:] - positions[:, :-1]).max(axis=1)
 
     # Max circular deviation of (r + n_eff x) mod lambda across each row;
     # h_eff**2 stays a Python float power, as in the one-waveguide form.
-    lam = params.wavelength_m
+    lam, h_effs = params.wavelength_m, h_eff.tolist()
     h2 = np.array([h**2 for h in h_effs])[:, None]
     res = np.mod(np.sqrt((positions - user.x) ** 2 + h2) + params.n_eff * positions, lam)
     dev = np.abs(res - res[:, :1])
-    residual = np.max(np.minimum(dev, lam - dev), axis=1)
+    residual = np.minimum(dev, lam - dev).max(axis=1)
 
     results = [
-        RefinementResult(x, v, float(gap), float(res), int(left), int(right), h)
-        for x, v, gap, res, left, right, h in zip(
-            positions, row_shifts, max_spacing, residual, n_left, n_right, h_effs
+        RefinementResult(*row)
+        for row in zip(
+            positions, row_shifts, max_spacing.tolist(), residual.tolist(), n_left.tolist(),
+            n_right.tolist(), h_effs,
         )
     ]
     return _trusted_pinching(positions, spacing, feed_x, max_x), results
@@ -486,6 +517,7 @@ def refine_batch(
         index, closed = None, steps > _WALKED_STEPS
         if closed:
             index, closed = _closed_form(chain, delta, quota, hi, n_eff, wavelength, spacing)
+            closed = closed.all()
         # A first-phase block is _BLOCK_ENTRIES // R steps of both sides'
         # chains; a continuation's first block walks all of its chains.
         block = max(1, _BLOCK_ENTRIES // max(rows if col == 0 else size, 1))

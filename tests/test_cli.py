@@ -176,6 +176,7 @@ class TestErrors:
             "dy_m = 1e160; user = uniform",
             "n_eff = 1e200; user = uniform",
             "kappa_db_per_m = nan; case = 2",
+            "kappa_db_per_m = -1; case = 1",
             "user_x = nan",
             "user_x = nan; user = uniform",
             "user_y = inf; user = uniform",

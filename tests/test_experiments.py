@@ -222,6 +222,17 @@ class TestConfig:
         assert cfg.params_for_case().kappa_db_per_m == 0.0
         assert cfg.replace(case=2).params_for_case().kappa_db_per_m == 0.08
 
+    @pytest.mark.parametrize("case", [1, 2])
+    @pytest.mark.parametrize("value", [None, 64])
+    def test_case_params_equal_a_replace_of_the_system_params(self, case, value):
+        cfg = ExperimentConfig(case=case, kappa_db_per_m=0.3)
+        params = cfg.params_for_case(value)
+        loss = {1: 0.0, 2: 0.3}[case]
+        assert params == cfg.system_params(value).replace(kappa_db_per_m=loss)
+        assert params is not cfg.params_for_case(value)  # a new object every call
+        with pytest.raises(ConfigError, match=r"^waveguide loss must be >= 0 dB/m$"):
+            cfg.replace(kappa_db_per_m=-1.0).params_for_case(value)
+
     def test_sweep_variable_application(self):
         cfg = ExperimentConfig(sweep="Dx", sweep_values=(10.0, 20.0))
         assert cfg.system_params(20.0).dx_m == 20.0

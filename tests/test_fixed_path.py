@@ -12,10 +12,11 @@ import dataclasses
 import math
 import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from pass_trihybrid import (
@@ -36,7 +37,13 @@ from pass_trihybrid import (
 from pass_trihybrid import analysis, experiments, placement
 from pass_trihybrid.analysis import BoundsReport, surrogate_max_spacing
 from pass_trihybrid.model import check_user_in_region
-from pass_trihybrid.placement import RefinementResult
+from pass_trihybrid.placement import (
+    RefinementResult,
+    _aligned_offset,
+    _grid_index,
+    _on_lines,
+    _steps,
+)
 
 # --- Reference: the per-PA solvers and chain, copied verbatim --------------
 
@@ -161,6 +168,63 @@ def ref_refine_all(params, layout, user, num_pas=None):
         max_x=layout.field("max_x"),
     )
     return config, results
+
+
+# --- Reference: _solve before it split a call's chains by guarantee, copied verbatim --
+# It verified every chain of a call unless the closed form guaranteed all of them.
+
+
+def ref_closed_form(chains: tuple, start, quota, hi, n_eff: float, wavelength: float, spacing: float):
+    h, hh, sn, sl, ss = chains
+    index = _grid_index(h, start, sn, sl)
+    last = _aligned_offset(hh, sl * (index + quota - 1), n_eff, ss)
+    reach = np.minimum(last, hi) + spacing
+    largest = float(np.abs(index).max(initial=0.0) + quota.max(initial=0))
+    return index, _on_lines(h, reach, sl > 0, largest, n_eff, wavelength, spacing).all()
+
+
+def ref_solve(
+    chains: tuple, start: np.ndarray, quota: np.ndarray, bounds: tuple[np.ndarray, np.ndarray],
+    n_eff: float, wavelength: float, min_spacing: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    lo, hi = bounds
+    h_eff, h2s, sn, sl, ss = chains
+    first_index, closed = ref_closed_form(chains, start, quota, hi, n_eff, wavelength, min_spacing)
+    cols = np.arange(int(quota.max()) + 1)[:, None]  # one step more, where every chain has ended
+    in_quota = cols < quota
+    index = first_index + cols
+    f = _aligned_offset(h2s, sl * index, n_eff, ss)  # (steps, chains), as in the walk
+    if closed:
+        f, shifts = _steps(f, start, min_spacing)
+        first = (~((lo <= f) & (f <= hi) & in_quota)).argmax(axis=0)  # offsets only grow
+        return f[:-1].T, shifts[:-1].T, first, np.zeros(quota.shape, dtype=bool)
+    chain_starts = np.arange(h_eff.size)  # in the flattened (steps, chains) arrays
+    f[0] = start + np.maximum(f[0] - start, 0.0)  # not f_0 itself when d_0 - start rounds
+    delta = np.empty_like(f)
+    delta[0] = start
+    steps = np.empty_like(f)
+    while True:
+        np.add(f[:-1], min_spacing, out=delta[1:])
+        new_index = _grid_index(h_eff, delta, sn, sl)
+        d = _aligned_offset(h2s, sl * new_index, n_eff, ss)
+        shifts = np.maximum(d - delta, 0.0)
+        new_f = delta + shifts
+        placing = (lo <= new_f) & (new_f <= hi) & in_quota  # False at NaN
+        # The first index where the pass changed the guess or the chain ended;
+        # every chain that ended there (unchanged before it) is solved.
+        first = (~placing | (new_f != f)).argmax(axis=0)
+        if not placing.ravel()[first * h_eff.size + chain_starts].any():
+            break
+        # Keep the pass up to ``first``; extrapolate the indices past it by
+        # the increments the pass just took (NaN, unreachable, counts as 1).
+        later = cols > first
+        steps[0] = new_index[0]
+        steps[1:] = np.where(later[1:], np.fmax(new_index[1:] - index[:-1], 1.0), np.diff(new_index, axis=0))
+        index = np.cumsum(steps, axis=0)
+        f = np.where(later, _aligned_offset(h2s, sl * index, n_eff, ss), new_f)
+    failed = (first < quota) & np.isnan(new_f.ravel()[first * h_eff.size + chain_starts])
+    return new_f[:-1].T, shifts[:-1].T, first, failed
+
 
 
 # --- Reference: the per-waveguide gain loops of snr_bounds, copied verbatim --
@@ -460,6 +524,113 @@ class TestOneSolvePerPhase:
         calls, results = self.solve_calls(monkeypatch, params, UserPosition(24.99, 3.0))
         assert [(r.n_left, r.n_right) for r in results] == [(15, 1)] * params.num_waveguides
         assert calls == [2 * params.num_waveguides, params.num_waveguides]
+
+
+class TestSolveByGuarantee:
+    """``_solve`` against :func:`ref_solve`, its form that verified all of a call's chains
+    unless every one was guaranteed.
+
+    Compared exactly: ``placed``, ``failed``, and each chain's offsets and
+    shifts up to its end, all that a caller reads.  The entries past a
+    chain's end are not PAs; there the closed form continues on its assumed
+    lines and the verify passes extrapolate, so they may differ.
+    """
+
+    @staticmethod
+    def assert_same(solve, chains, start, quota, bounds, n_eff, lam, spacing) -> bool:
+        """``solve``, the current ``_solve``, equals ``ref_solve`` on these chains;
+        True if the call mixes guarantees."""
+        args = (chains, start, quota, bounds, n_eff, lam, spacing)
+        new, ref = solve(*args), ref_solve(*args)
+        assert np.array_equal(new[2], ref[2]) and np.array_equal(new[3], ref[3])
+        for r, end in enumerate(ref[2]):
+            for a, b in zip(new[:2], ref[:2]):
+                assert np.array_equal(a[r, :end], b[r, :end])
+        closed = placement._closed_form(chains, start, quota, bounds[1], n_eff, lam, spacing)[1]
+        return bool(closed.any() and not closed.all())
+
+    def test_random_calls(self):
+        """600 calls of 1 to 8 chains of either side, each with its own quota, start and
+        bounds; 57 of them mix guaranteed and unguaranteed chains."""
+        rng = np.random.default_rng(30)
+        mixed = 0
+        for _ in range(600):
+            n_eff = float(rng.choice(N_EFFS + (3.5,)))
+            lam = float(rng.choice([0.0107, 0.003, 0.1]))
+            spacing = lam * rng.uniform(0.05, 1.5)
+            rows = int(rng.integers(1, 9))
+            h = np.where(rng.random(rows) < 0.3, rng.uniform(0.01, 0.2, rows), rng.uniform(0.2, 30.0, rows))
+            mixed += self.assert_same(
+                placement._solve, chain_constants(h, rng.random(rows) < 0.5, n_eff, lam),
+                rng.uniform(0.0, 4.0, rows) * spacing, rng.integers(1, 400, rows),
+                (rng.uniform(-1.0, 0.05, rows), rng.uniform(0.0, 6.0, rows)), n_eff, lam, spacing,
+            )
+        assert mixed >= 30  # calls with guaranteed and unguaranteed chains
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        n_eff=st.sampled_from(N_EFFS),
+        half_n=st.integers(1, 512),
+        m=st.integers(1, 4),
+        dx=st.sampled_from([2.0, 5.0, 50.0]),
+        height=st.floats(0.5, 8.0),
+        spacing=st.sampled_from([None, 0.004, 0.02]),
+        x_frac=st.floats(-0.5, 0.5),
+        y_frac=st.floats(-0.5, 0.5),
+    )
+    # Users whose first phase at N = 1024 mixes guarantees, and (the second) also its continuation
+    @example(n_eff=1.4, half_n=512, m=4, dx=50.0, height=3.0, spacing=None, x_frac=0.066, y_frac=-0.1)
+    @example(n_eff=1.4, half_n=512, m=4, dx=50.0, height=3.0, spacing=None, x_frac=-0.478, y_frac=0.05)
+    def test_refine_all_calls_over_system_params(
+        self, n_eff, half_n, m, dx, height, spacing, x_frac, y_frac
+    ):
+        """Every ``_solve`` call of ``refine_all``, both phases, at users anywhere in the region."""
+        params = SystemParams(
+            kappa_db_per_m=0.0, n_eff=n_eff, num_pas=2 * half_n, num_waveguides=m, dx_m=dx,
+            height_m=height, min_spacing_m=spacing,
+        )
+        solve = placement._solve
+
+        def checking(*args):
+            self.assert_same(solve, *args)
+            return solve(*args)
+
+        user = UserPosition(x_frac * params.dx_m, y_frac * params.dy_m)
+        with mock.patch.object(placement, "_solve", checking):
+            call(refine_all, params, WaveguideLayout.from_params(params), user)
+
+
+class TestVerifyPassesTakeUnguaranteedChains:
+    """``_solve``'s verify passes see only the chains the closed form does not guarantee."""
+
+    def test_one_chain_verified(self, monkeypatch):
+        """User (3.3, -2) at N = 1024 (``tests/golden/one_chain_verified.cfg``): one
+        phase, whose chain 1, right of the user on the second waveguide, is the one
+        chain not guaranteed; every verify pass takes it alone."""
+        params = SystemParams(kappa_db_per_m=0.0, num_pas=1024)
+        layout, user = WaveguideLayout.from_params(params), UserPosition(3.3, -2.0)
+        assert assert_same_placement(params, layout, user)
+        grid_index, closed_form = placement._grid_index, placement._closed_form
+        verdicts, passes, inside = [], [], []
+
+        def recording_closed_form(chains, *args):
+            inside.append(True)
+            index, closed = closed_form(chains, *args)
+            inside.pop()
+            verdicts.append(chains[0][~closed])  # the chains' h_eff, unguaranteed ones
+            assert closed.tolist() == [True, False] + [True] * 6
+            return index, closed
+
+        def recording_grid_index(h_eff, *args):
+            if not inside:
+                passes.append(h_eff.copy())
+            return grid_index(h_eff, *args)
+
+        monkeypatch.setattr(placement, "_closed_form", recording_closed_form)
+        monkeypatch.setattr(placement, "_grid_index", recording_grid_index)
+        refine_all(params, layout, user)
+        assert len(verdicts) == 1 and np.array_equal(verdicts[0], layout.elevations(user)[[1]])
+        assert passes and all(np.array_equal(h, verdicts[0]) for h in passes)
 
 
 class TestRefineAll:

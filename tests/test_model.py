@@ -1,5 +1,6 @@
 """Channel and geometry layer: coefficients, in-waveguide vectors, stacking."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -19,7 +20,7 @@ from pass_trihybrid import (
     run_sweep,
     waveguide_vector,
 )
-from pass_trihybrid.model import MAX_PATH_M
+from pass_trihybrid.model import MAX_PATH_M, elevation
 
 C = 2.99792458e8
 
@@ -128,6 +129,32 @@ class TestLayout:
         wg = Waveguide(-25.0, 5.0, 3.0, 25.0)
         assert_allclose(wg.effective_elevation(UserPosition(0.0, 1.0)), 5.0, rtol=1e-15)
         assert wg.effective_elevation(UserPosition(7.0, 5.0)) == 3.0
+
+    @pytest.mark.parametrize("ragged", [False, True])
+    def test_field_arrays_are_the_waveguides_and_read_only(self, ragged):
+        layout = WaveguideLayout.from_params(default_params())
+        if ragged:
+            layout = WaveguideLayout(
+                (Waveguide(-25.0, -10.0, 3.0, 25.0), Waveguide(-5.0, 5.0, 2.5, 5.0))
+            )
+        for name in ("feed_x", "y", "height", "max_x"):
+            array = layout.field(name)
+            fresh = np.array([getattr(w, name) for w in layout.waveguides], dtype=float)
+            assert array.dtype == fresh.dtype and np.array_equal(array, fresh)
+            assert layout.field(name) is array  # built once, at construction
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+        user = UserPosition(1.0, -2.5)
+        fresh_y, fresh_h = ([getattr(w, k) for w in layout.waveguides] for k in ("y", "height"))
+        assert np.array_equal(layout.elevations(user), elevation(np.array(fresh_y), user.y, np.array(fresh_h)))
+
+    def test_field_arrays_are_not_dataclass_fields(self):
+        layout = WaveguideLayout.from_params(default_params())
+        same = WaveguideLayout(layout.waveguides)
+        assert [f.name for f in dataclasses.fields(WaveguideLayout)] == ["waveguides"]
+        assert layout == same and hash(layout) == hash(same)
+        assert repr(layout) == f"WaveguideLayout(waveguides={layout.waveguides!r})"
+        assert layout != WaveguideLayout(layout.waveguides[:-1])
 
 
 class TestLosCoefficient:
