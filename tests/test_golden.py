@@ -28,6 +28,8 @@ UNIT_INDEX = str(ROOT / "tests" / "golden" / "unit_index.cfg")
 FEED_SIDE = str(ROOT / "tests" / "golden" / "feed_side.cfg")
 # An off-centre user whose first phase at N = 1024 mixes closed-form chains with one verified chain.
 ONE_CHAIN_VERIFIED = str(ROOT / "tests" / "golden" / "one_chain_verified.cfg")
+# A user on the right x edge: every waveguide places all N PAs left of the user, none right.
+X_EDGE_USER = str(ROOT / "tests" / "golden" / "x_edge_user.cfg")
 # Dense placements in a narrow region: overflow redistributed across both sides at N = 256.
 DENSE_MC = str(ROOT / "tests" / "golden" / "dense_mc.cfg")
 # N = 2..16384 in a 400 m region, past the simulated SNR's peak: centre and off-centre user.
@@ -56,13 +58,15 @@ SCALING_LAW_OFF_CENTRE = str(ROOT / "tests" / "golden" / "scaling_law_off_centre
         ("scaling_law_off_centre_sweep.csv", ["sweep", "--config", SCALING_LAW_OFF_CENTRE]),
         ("one_chain_verified_sweep.csv", ["sweep", "--config", ONE_CHAIN_VERIFIED]),
         ("one_chain_verified_placement.csv", ["placement", "--config", ONE_CHAIN_VERIFIED]),
+        ("x_edge_user_sweep.csv", ["sweep", "--config", X_EDGE_USER]),
+        ("x_edge_user_placement.csv", ["placement", "--config", X_EDGE_USER]),
     ],
     ids=["snr-vs-n-sweep", "snr-vs-n-placement", "snr-vs-n-bounds", "capacity-case1",
          "capacity-case2", "edge-user-sweep", "edge-user-placement", "one-wavelength-placement",
          "unit-index-placement", "feed-side-sweep", "feed-side-placement", "feed-side-bounds",
          "edge-user-bounds", "dense-mc-sweep", "scaling-law-sweep",
          "scaling-law-off-centre-sweep", "one-chain-verified-sweep",
-         "one-chain-verified-placement"],
+         "one-chain-verified-placement", "x-edge-user-sweep", "x-edge-user-placement"],
 )
 def test_shipped_config_output_is_the_golden_copy(tmp_path, golden, args):
     out = tmp_path / golden
