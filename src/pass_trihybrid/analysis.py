@@ -10,6 +10,7 @@ approximation of either sum gives SNR and capacity envelopes that expose the
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -107,6 +108,8 @@ MODE_FIELDS = {
     "single": ("snr1_lower", "snr1_upper", "snr1_linear", "capacity1_lower", "capacity1_upper"),
     "multi": ("snr2_lower", "snr2_upper", "snr2_linear", "capacity2_lower", "capacity2_upper"),
 }
+# A BoundsReport's values of MODE_FIELDS[mode] (BoundsReport.of_mode)
+_MODE_VALUES = {mode: operator.attrgetter(*names) for mode, names in MODE_FIELDS.items()}
 
 
 @dataclass(frozen=True)
@@ -138,7 +141,7 @@ class BoundsReport:
     def of_mode(self, mode: str) -> tuple[float, ...]:
         """The values of ``MODE_FIELDS[mode]``: SNR lower and upper bound,
         linear law, capacity lower and upper bound."""
-        return tuple(getattr(self, name) for name in MODE_FIELDS[mode])
+        return _MODE_VALUES[mode](self)
 
 
 def snr_bounds(
@@ -160,7 +163,7 @@ def snr_bounds(
     # Row 0 the minimum spacing (upper bound), row 1 the largest (lower bound).
     spacing = np.full((2, m), params.min_spacing_m)
     spacing[1] = surrogate_max_spacing(params) if surrogate else max_spacing
-    if (spacing[1] < params.min_spacing_m).any():
+    if spacing[1].min() < params.min_spacing_m:
         raise ValueError("largest realized spacing cannot be below the minimum spacing")
 
     # One evaluation of both bounds over all M waveguides.  Unlike
@@ -168,11 +171,12 @@ def snr_bounds(
     h = layout.elevations(user)
     gain = _approx(params, h, n, spacing)
     p, s2 = params.power_w, params.noise_w
-    single = [p / (m * s2) * float(total) ** 2 for total in gain.sum(axis=1)]
-    multi = [p / s2 * float(total) for total in (gain**2).sum(axis=1)]
+    single = [p / (m * s2) * total**2 for total in gain.sum(axis=1).tolist()]
+    multi = [p / s2 * total for total in (gain**2).sum(axis=1).tolist()]
+    laws = _linear_laws(params, h, n)
     fields = {}
     for mode, (upper, lower) in zip(MODE_FIELDS, (single, multi)):
-        values = (lower, upper, _linear_law(params, h, n, mode), capacity(lower), capacity(upper))
+        values = (lower, upper, laws[mode], capacity(lower), capacity(upper))
         fields.update(zip(MODE_FIELDS[mode], values))
     return BoundsReport(
         n=n, min_spacing_m=params.min_spacing_m, max_spacing_m=spacing[1],
@@ -180,14 +184,13 @@ def snr_bounds(
     )
 
 
-def _linear_law(params: SystemParams, h: np.ndarray, n: int, mode: str) -> float:
-    """:func:`snr_linear` at the waveguides' effective elevations ``h``."""
+def _linear_laws(params: SystemParams, h: np.ndarray, n: int) -> dict[str, float]:
+    """:func:`snr_linear` of each RF mode at the waveguides' effective elevations ``h``."""
     p, s2, eta = params.power_w, params.noise_w, params.eta_m2
-    if mode == "single":
-        return p * n * eta / (len(h) * s2) * float((1.0 / h).sum()) ** 2
-    if mode == "multi":
-        return p * n * eta / s2 * float((1.0 / h**2).sum())
-    raise ValueError("mode must be 'single' or 'multi'")
+    return {
+        "single": p * n * eta / (len(h) * s2) * float((1.0 / h).sum()) ** 2,
+        "multi": p * n * eta / s2 * float((1.0 / h**2).sum()),
+    }
 
 
 def snr_linear(
@@ -214,7 +217,10 @@ def snr_linear(
             ApproximationWarning,
             stacklevel=2,
         )
-    return _linear_law(params, h, n, mode)
+    laws = _linear_laws(params, h, n)
+    if mode not in laws:
+        raise ValueError("mode must be 'single' or 'multi'")
+    return laws[mode]
 
 
 @dataclass(frozen=True)

@@ -153,9 +153,10 @@ def draw_snrs(
     return _snrs(params, inner, user_x, user_y, modes, baseline_elements), feasible
 
 
-def _mean(values: np.ndarray) -> float:
-    """Mean summed in draw order, as a running ``+=`` would (np.sum pairs up)."""
-    return float(values.cumsum()[-1] / values.size) if values.size else math.nan
+def _means(values: np.ndarray) -> list[float]:
+    """Each row's mean, summed in draw order as a running ``+=`` would (np.sum pairs up)."""
+    rows, draws = values.shape
+    return (values.cumsum(axis=1)[:, -1] / draws).tolist() if draws else [math.nan] * rows
 
 
 # The CapacityReport fields of a fixed user's tri-hybrid rows, one for each
@@ -170,10 +171,10 @@ def _fixed_columns(
     results: list[placement.RefinementResult],
 ) -> dict[str, dict]:
     """Bound and placement-diagnostic columns of a fixed user's tri-hybrid rows."""
-    max_spacing = np.array([r.max_spacing_m for r in results])
-    b = analysis.snr_bounds(params, layout, user, params.num_pas, max_spacing)
+    max_spacing = [r.max_spacing_m for r in results]
+    b = analysis.snr_bounds(params, layout, user, params.num_pas, np.array(max_spacing))
     diagnostics = {
-        "max_spacing_m": float(max_spacing.max()),
+        "max_spacing_m": max(max_spacing),
         "alignment_residual_m": max(r.alignment_residual_m for r in results),
     }
     return {
@@ -191,7 +192,7 @@ def _point_reports(
     fixed user.  Both user models end in the same SNR step (:func:`_snrs`)
     and the same reports.  The fixed user is one draw placed by
     :func:`placement.refine_all` (a batch of one through the engine yields
-    no largest spacing or residual, and it walks, about 7 times slower, at
+    no largest spacing or residual, and it walks, 7 to 9 times slower, at
     N = 1024) unless no tri-hybrid mode is asked for; it raises
     :class:`FeasibilityError` if its PAs do not fit, and its tri-hybrid rows
     also carry the closed-form bounds and the placement diagnostics.  Its
@@ -219,29 +220,29 @@ def _point_reports(
             else:
                 inner = amplitude.sum(axis=1)[None]
         snrs = _snrs(params, inner, np.array([user.x]), np.array([user.y]), modes, elements)
-        feasible = np.ones(1, dtype=bool)
+        draws, feasible = 1, slice(None)
     else:
         user_x = (units[:, 0] - 0.5) * params.dx_m
         user_y = (units[:, 1] - 0.5) * params.dy_m
         snrs, feasible = draw_snrs(params, layout, user_x, user_y, modes, elements)
-        columns = {}
-    infeasible = int(np.count_nonzero(~feasible))
-    reports = []
-    for mode in modes:
-        snr = snrs[mode][feasible]
-        reports.append(
-            CapacityReport(
-                scenario=f"{config.sweep}={_cell(value)}",
-                mode=f"baseline_{_baseline_mode(params)}" if mode == "baseline" else mode,
-                case=config.case,
-                snr=_mean(snr),
-                capacity_bits=_mean(np.log2(1.0 + snr)),
-                draws=feasible.size,
-                infeasible_draws=infeasible,
-                **columns.get(mode, {}),
-            )
+        draws, columns = feasible.size, {}
+    # (modes, feasible draws): every mode's SNR and capacity means at once
+    snr = np.array([snrs[mode] for mode in modes])[:, feasible]
+    infeasible = draws - snr.shape[1]
+    scenario = f"{config.sweep}={_cell(value)}"
+    return [
+        CapacityReport(
+            scenario=scenario,
+            mode=f"baseline_{_baseline_mode(params)}" if mode == "baseline" else mode,
+            case=config.case,
+            snr=mean,
+            capacity_bits=capacity_bits,
+            draws=draws,
+            infeasible_draws=infeasible,
+            **columns.get(mode, {}),
         )
-    return reports
+        for mode, mean, capacity_bits in zip(modes, _means(snr), _means(np.log2(1.0 + snr)))
+    ]
 
 
 def run_sweep(config: ExperimentConfig) -> list[CapacityReport]:

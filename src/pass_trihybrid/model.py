@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,6 +171,7 @@ class Waveguide:
 
 
 _WAVEGUIDE_FIELDS = tuple(f.name for f in dataclasses.fields(Waveguide))
+_WAVEGUIDE_VALUES = operator.attrgetter(*_WAVEGUIDE_FIELDS)  # a waveguide's field values, in order
 
 
 @dataclass(frozen=True)
@@ -184,7 +186,8 @@ class WaveguideLayout:
     waveguides: tuple[Waveguide, ...]
 
     def __post_init__(self) -> None:
-        arrays = np.array([[getattr(w, name) for w in self.waveguides] for name in _WAVEGUIDE_FIELDS])
+        values = [_WAVEGUIDE_VALUES(w) for w in self.waveguides]
+        arrays = np.array(values).reshape(-1, len(_WAVEGUIDE_FIELDS)).T  # (fields, M)
         arrays.flags.writeable = False  # and so every row
         object.__setattr__(self, "_arrays", dict(zip(_WAVEGUIDE_FIELDS, arrays)))
 
@@ -195,11 +198,8 @@ class WaveguideLayout:
             ys = [0.0]  # degenerate single-waveguide layout sits on the region axis
         else:
             ys = [-params.dy_m / 2.0 + (i / (m - 1)) * params.dy_m for i in range(m)]
-        return cls(
-            tuple(
-                Waveguide(params.feed_x_m, y, params.height_m, params.max_x_m) for y in ys
-            )
-        )
+        feed_x, height, max_x = params.feed_x_m, params.height_m, params.max_x_m
+        return cls(tuple(Waveguide(feed_x, y, height, max_x) for y in ys))
 
     def __len__(self) -> int:
         return len(self.waveguides)

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -58,6 +58,8 @@ from .model import (
 # Tolerance (in wavelength units) under which a path already on the grid is
 # treated as exact, so v = 0 instead of a full extra wavelength of shift.
 _GRID_EPS = 1e-12
+_EPS = float(np.finfo(float).eps)
+_SIDES = np.array([1.0, -1.0])  # right of the user, left of it
 _UNREACHABLE = "no reachable alignment point on the feed side"
 # Entries per block of :func:`refine_batch`'s walk, large enough that a fold's
 # per-call overhead is shared by many steps, small enough that its per-entry
@@ -80,7 +82,7 @@ def _chains(h_eff: np.ndarray, n_eff: float, wavelength: float) -> tuple[np.ndar
     one-sided forms, whether it is solved alone or among right chains.  This
     is the only code that builds these constants.
     """
-    side = np.repeat([1.0, -1.0], h_eff.size)
+    side = _SIDES.repeat(h_eff.size)
     h = np.concatenate([h_eff, h_eff])
     s = 2.0 if n_eff == 1.0 else n_eff * n_eff - 1.0
     hh = h * h if n_eff == 1.0 else h * h * s
@@ -179,6 +181,9 @@ class RefinementResult:
     h_eff_m: float
 
 
+_RESULT_FIELDS = tuple(f.name for f in fields(RefinementResult))
+
+
 def _on_lines(h_eff, reach, right, largest: float, n_eff: float, wavelength: float, spacing: float):
     """Chains whose every step up to offset ``reach`` lands on the next grid line, I + 1.
 
@@ -190,7 +195,7 @@ def _on_lines(h_eff, reach, right, largest: float, n_eff: float, wavelength: flo
     """
     if n_eff == 1.0:
         return np.zeros(np.shape(h_eff), dtype=bool)
-    tol = 1e-9 + 32.0 * np.finfo(float).eps * n_eff / (n_eff - 1.0) * largest
+    tol = 1e-9 + 32.0 * _EPS * n_eff / (n_eff - 1.0) * largest
     per_step = wavelength / spacing  # wavelengths in one spacing
     # the largest e/r on each side; -1 where the slope n_eff alone breaks a limit
     steep = (1.0 - tol) * per_step - n_eff if n_eff >= tol * per_step else -1.0
@@ -259,8 +264,9 @@ def _solve(
     lo, hi = bounds
     index, closed = _closed_form(chains, start, quota, hi, n_eff, wavelength, min_spacing)
     cols = np.arange(int(quota.max()) + 1)[:, None]  # one step more, where every chain has ended
-    if closed.all() or not closed.any():
-        kernel = _solve_closed if closed.all() else _solve_verified
+    guaranteed = closed.all()
+    if guaranteed or not closed.any():
+        kernel = _solve_closed if guaranteed else _solve_verified
         return kernel(chains, index, start, quota, lo, hi, cols, n_eff, min_spacing)
     rows, steps = quota.size, cols.size - 1
     out = np.empty((rows, steps)), np.empty((rows, steps)), np.empty(rows, dtype=int), np.empty(rows, dtype=bool)
@@ -350,16 +356,18 @@ def _place(solve: Callable, n: int, spacing: float, user_x, feed_x: np.ndarray, 
     placed, next_start, failed = solve(
         slice(None), 0, np.full(2 * rows, spacing / 2.0), np.full(2 * rows, half), lo, hi
     )
-    # (side, row) views; [::-1] pairs each chain with its partner
-    by_side, failed_by_side = placed.reshape(2, rows), failed.reshape(2, rows)
-    chains = ((by_side == half) & (by_side[::-1] < half) & ~failed_by_side[::-1]).ravel().nonzero()[0]
-    if chains.size:
-        quota = half - by_side[::-1].ravel()[chains]
-        order = np.argsort(-quota, kind="stable")  # longest quota first, ties in chain order
-        chains, quota = chains[order], quota[order]
-        more, _, bad = solve(chains, half, next_start[chains], quota, lo[chains], hi[chains])
-        placed[chains] += more
-        failed[chains] |= bad
+    by_side = placed.reshape(2, rows)  # (side, row); [::-1] pairs each chain with its partner
+    # Only where a chain fell short (failed or not) can its partner continue.
+    if placed.min(initial=half) < half:
+        failed_by_side = failed.reshape(2, rows)
+        chains = ((by_side == half) & (by_side[::-1] < half) & ~failed_by_side[::-1]).ravel().nonzero()[0]
+        if chains.size:
+            quota = half - by_side[::-1].ravel()[chains]
+            order = np.argsort(-quota, kind="stable")  # longest quota first, ties in chain order
+            chains, quota = chains[order], quota[order]
+            more, _, bad = solve(chains, half, next_start[chains], quota, lo[chains], hi[chains])
+            placed[chains] += more
+            failed[chains] |= bad
     n_right, n_left = by_side
     return n_left, n_right, failed[rows:], n_left + n_right == n
 
@@ -372,23 +380,27 @@ def _refine(
     :func:`_place` over the M waveguides' 2M chains, one :func:`_solve` call
     per phase over the chains of both sides, whose offsets and shifts are
     kept.  The first waveguide in layout order whose PAs do not all fit
-    raises :class:`FeasibilityError`.  Gaps, largest spacings and alignment
-    residuals are computed over the whole array at once.  The positions are
-    ascending, spaced and in range by construction, so the matrix is not
-    validated again (:func:`model._trusted_pinching`).
+    raises :class:`FeasibilityError`.  A waveguide's ascending row is one
+    slice copy per chain, its left chain reversed and then its right one;
+    gaps, largest spacings and alignment residuals are computed over the
+    whole (M, N) array at once.  The positions are ascending, spaced and in
+    range by construction, so the matrix is not validated again
+    (:func:`model._trusted_pinching`), and the records, whose values have
+    their fields' types, are set past the frozen constructor in the same way.
     """
     n, m, spacing = params.num_pas, len(layout), params.min_spacing_m
+    n_eff, lam = params.n_eff, params.wavelength_m
     feed_x, max_x = layout.field("feed_x"), layout.field("max_x")
     h_eff = layout.elevations(user)
-    per_chain = _chains(h_eff, params.n_eff, params.wavelength_m)[1]
+    per_chain = _chains(h_eff, n_eff, lam)[1]
     # Each chain's offsets (kept[0]) and shifts (kept[1]) from the user,
     # innermost first, in :func:`_chains`' order.
     kept = np.zeros((2, 2 * m, n))
 
     def solve(chains, col, start, quota, lo, hi):
         f, v, placed, failed = _solve(
-            tuple(a[chains] for a in per_chain), start, quota, (lo, hi),
-            params.n_eff, params.wavelength_m, spacing,
+            tuple(a[chains] for a in per_chain) if col else per_chain, start, quota, (lo, hi),
+            n_eff, lam, spacing,
         )
         kept[0, chains, col : col + f.shape[1]] = f
         kept[1, chains, col : col + f.shape[1]] = v
@@ -405,29 +417,33 @@ def _refine(
             f"[{wg.feed_x:.6g}, {wg.max_x:.6g}] around x_u={user.x:.6g}"
         )
 
-    # Ascending rows, offsets and shifts in one gather: the left chain
-    # reversed, then the right one; x_u + (-f) is x_u - f bit for bit.
+    # Ascending rows of offsets and shifts, one slice copy per chain: the left
+    # chain reversed (its PAs are the last n_left columns of the reversed
+    # view, outermost first), then the right one; x_u + (-f) is x_u - f bit
+    # for bit.
     np.negative(kept[0, m:], out=kept[0, m:])
-    take = ((2 * np.arange(m) + 1) * n - n_left)[:, None] + np.arange(n)
-    offsets, row_shifts = np.concatenate([kept[:, m:, ::-1], kept[:, :m]], axis=2).reshape(2, -1)[:, take]
-    positions = user.x + offsets
+    reversed_left, rows = kept[:, m:, ::-1], np.empty((2, m, n))
+    lefts, rights = n_left.tolist(), n_right.tolist()
+    for i, (left, right) in enumerate(zip(lefts, rights)):
+        rows[:, i, :left] = reversed_left[:, i, n - left :]
+        rows[:, i, left:] = kept[:, i, :right]
+    positions, row_shifts = rows
+    positions += user.x
     max_spacing = (positions[:, 1:] - positions[:, :-1]).max(axis=1)
 
     # Max circular deviation of (r + n_eff x) mod lambda across each row;
     # h_eff**2 stays a Python float power, as in the one-waveguide form.
-    lam, h_effs = params.wavelength_m, h_eff.tolist()
+    h_effs = h_eff.tolist()
     h2 = np.array([h**2 for h in h_effs])[:, None]
-    res = np.mod(np.sqrt((positions - user.x) ** 2 + h2) + params.n_eff * positions, lam)
+    res = np.mod(np.sqrt((positions - user.x) ** 2 + h2) + n_eff * positions, lam)
     dev = np.abs(res - res[:, :1])
     residual = np.minimum(dev, lam - dev).max(axis=1)
 
-    results = [
-        RefinementResult(*row)
-        for row in zip(
-            positions, row_shifts, max_spacing.tolist(), residual.tolist(), n_left.tolist(),
-            n_right.tolist(), h_effs,
-        )
-    ]
+    results = []
+    for row in zip(positions, row_shifts, max_spacing.tolist(), residual.tolist(), lefts, rights, h_effs):
+        result = object.__new__(RefinementResult)  # frozen: set the fields past __setattr__
+        result.__dict__.update(zip(_RESULT_FIELDS, row))
+        results.append(result)
     return _trusted_pinching(positions, spacing, feed_x, max_x), results
 
 

@@ -227,6 +227,52 @@ def ref_solve(
 
 
 
+# --- Reference: refine_all's row assembly before one slice copy per chain, copied verbatim --
+# Its rows came from one fancy-index gather over both chains of every waveguide,
+# and its records through the frozen constructor.
+
+
+def ref_gather_refine(params, layout, user):
+    n, m, spacing = params.num_pas, len(layout), params.min_spacing_m
+    feed_x, max_x = layout.field("feed_x"), layout.field("max_x")
+    h_eff = layout.elevations(user)
+    per_chain = placement._chains(h_eff, params.n_eff, params.wavelength_m)[1]
+    kept = np.zeros((2, 2 * m, n))
+
+    def solve(chains, col, start, quota, lo, hi):
+        f, v, placed, failed = placement._solve(
+            tuple(a[chains] for a in per_chain), start, quota, (lo, hi),
+            params.n_eff, params.wavelength_m, spacing,
+        )
+        kept[0, chains, col : col + f.shape[1]] = f
+        kept[1, chains, col : col + f.shape[1]] = v
+        return placed, f[:, -1] + spacing, failed
+
+    n_left, n_right, failed, fits = placement._place(solve, n, spacing, user.x, feed_x, max_x)
+    assert fits.all()
+
+    np.negative(kept[0, m:], out=kept[0, m:])
+    take = ((2 * np.arange(m) + 1) * n - n_left)[:, None] + np.arange(n)
+    offsets, row_shifts = np.concatenate([kept[:, m:, ::-1], kept[:, :m]], axis=2).reshape(2, -1)[:, take]
+    positions = user.x + offsets
+    max_spacing = (positions[:, 1:] - positions[:, :-1]).max(axis=1)
+
+    lam, h_effs = params.wavelength_m, h_eff.tolist()
+    h2 = np.array([h**2 for h in h_effs])[:, None]
+    res = np.mod(np.sqrt((positions - user.x) ** 2 + h2) + params.n_eff * positions, lam)
+    dev = np.abs(res - res[:, :1])
+    residual = np.minimum(dev, lam - dev).max(axis=1)
+
+    results = [
+        RefinementResult(*row)
+        for row in zip(
+            positions, row_shifts, max_spacing.tolist(), residual.tolist(), n_left.tolist(),
+            n_right.tolist(), h_effs,
+        )
+    ]
+    return PinchingConfig(positions, spacing, feed_x, max_x), results
+
+
 # --- Reference: the per-waveguide gain loops of snr_bounds, copied verbatim --
 
 
@@ -641,6 +687,50 @@ class TestRefineAll:
         assert assert_same_placement(params, layout, user)
         _, results = refine_all(params, layout, user)
         assert any(r.n_left != r.n_right for r in results)
+
+    @pytest.mark.parametrize("n_eff", [1.4, 2.0])
+    @pytest.mark.parametrize("n", [2, 16, 64])
+    @pytest.mark.parametrize("x", [-25.0, -24.99, 0.0, 3.3, 24.99, 25.0])
+    def test_rows_equal_the_one_gather(self, x, n, n_eff):
+        """One slice copy per chain gives the rows of the one gather it replaced,
+        also where a side is empty: every split is (0, N) at x = -25 and (N, 0)
+        at x = 25."""
+        params = SystemParams(kappa_db_per_m=0.0, n_eff=n_eff, num_pas=n)
+        layout = WaveguideLayout.from_params(params)
+        user = UserPosition(x, 3.0)
+        pin, results = refine_all(params, layout, user)
+        ref_pin, ref_results = ref_gather_refine(params, layout, user)
+        assert np.array_equal(pin.positions, ref_pin.positions)
+        for a, b in zip(results, ref_results, strict=True):
+            assert_same_result(a, b)
+        if abs(x) == 25.0:
+            split = (0, n) if x < 0 else (n, 0)
+            assert [(r.n_left, r.n_right) for r in results] == [split] * len(layout)
+
+    def test_records_are_the_constructors(self):
+        """``refine_all`` builds its records past the frozen ``__init__``: each holds
+        what the constructor would, with the same types, and stays frozen."""
+        params = SystemParams(kappa_db_per_m=0.0, num_pas=16)
+        layout = WaveguideLayout.from_params(params)
+        names = [f.name for f in dataclasses.fields(RefinementResult)]
+        for user in (UserPosition(0.0, 0.0), UserPosition(24.99, 3.0), UserPosition(-25.0, -1.0)):
+            for res in refine_all(params, layout, user)[1]:
+                built = RefinementResult(*(getattr(res, name) for name in names))
+                assert list(vars(res)) == list(vars(built)) == names
+                assert repr(res) == repr(built)
+                for name in ("positions", "shifts"):
+                    value = getattr(res, name)
+                    assert type(value) is np.ndarray and value.dtype == np.float64
+                    assert value.shape == (params.num_pas,)
+                for name in ("max_spacing_m", "alignment_residual_m", "h_eff_m"):
+                    assert type(getattr(res, name)) is float
+                assert type(res.n_left) is int and type(res.n_right) is int
+                copy = dataclasses.replace(res, n_left=res.n_left)
+                assert type(copy) is RefinementResult and repr(copy) == repr(res)
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    res.n_left = 0
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    del res.h_eff_m
 
     @pytest.mark.parametrize("x", [0.0, 3.7, -11.2])
     def test_residual_keeps_the_python_float_square(self, x):

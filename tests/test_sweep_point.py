@@ -190,3 +190,36 @@ def test_off_grid_fixed_user_takes_the_complex_path(channel_calls, case):
         for rep in reports:
             snr = ref[rep.mode.split("_")[0]]
             assert abs(rep.snr - snr) <= 1e-12 * snr, (value, rep.mode)
+
+
+@pytest.mark.parametrize(
+    "user_x, splits",
+    [(3.3, {(8, 8)}), (24.99, {(15, 1)})],
+    ids=["even-split", "uneven-split"],
+)
+def test_fixed_point_calls_the_traced_layers_once(monkeypatch, user_x, splits):
+    """A benchmark tracer times ``placement.refine_all`` and ``analysis.snr_bounds``
+    by replacing them on their modules, and reads each waveguide's ``n_left`` /
+    ``n_right`` from ``refine_all``'s records.  One fixed-user point must call
+    each once, through its module, and return records that carry the split."""
+    outputs = {"refine_all": [], "snr_bounds": []}
+    for module, name in ((placement, "refine_all"), (analysis, "snr_bounds")):
+        original = getattr(module, name)
+
+        def traced(*args, _name=name, _original=original, **kwargs):
+            out = _original(*args, **kwargs)
+            outputs[_name].append(out)
+            return out
+
+        monkeypatch.setattr(module, name, traced)
+    config = ExperimentConfig(
+        user="fixed", user_x=user_x, user_y=3.0, sweep="N", sweep_values=(16,),
+        modes=("single", "multi"),
+    )
+    reports = run_sweep(config)
+    assert [len(out) for out in outputs.values()] == [1, 1]
+    (pin, results), = outputs["refine_all"]
+    assert len(results) == pin.positions.shape[0] == config.num_waveguides
+    assert {(r.n_left, r.n_right) for r in results} == splits
+    bounds, = outputs["snr_bounds"]
+    assert [rep.snr_lower for rep in reports] == [bounds.snr1_lower, bounds.snr2_lower]

@@ -34,3 +34,24 @@ class A:
 '''
     # X's two lines, class, def, return, 1 and the closing bracket
     assert load("code_lines").code_lines(source) == 7
+
+
+def test_point_stages_times_every_stage_and_restores_the_library(capsys):
+    stages = load("point_stages")
+
+    def looked_up(owner, attr):  # what a call finds: a class's own entry, or a module's name
+        return vars(owner)[attr] if isinstance(owner, type) else getattr(owner, attr)
+
+    originals = [(owner, attr, looked_up(owner, attr)) for _, owner, attr in stages.STAGES]
+    assert stages.main(["--n", "4", "--user", "3.3", "-2", "--calls", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "# N = 4, user (3.3, -2), median of 3 points"
+    medians = {line[:22].strip(): float(line[22:]) for line in lines[1:]}
+    assert list(medians) == [
+        "params", "layout", "refine_all", "_fixed_columns", "of which snr_bounds",
+        "amplitudes", "_snrs", "reports", "point", "render_sweep_csv",
+    ]
+    assert all(value > 0.0 for value in medians.values())
+    assert medians["of which snr_bounds"] < medians["_fixed_columns"] < medians["point"]
+    for owner, attr, original in originals:
+        assert looked_up(owner, attr) is original
