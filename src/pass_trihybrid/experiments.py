@@ -220,14 +220,14 @@ def _point_reports(
             else:
                 inner = amplitude.sum(axis=1)[None]
         snrs = _snrs(params, inner, np.array([user.x]), np.array([user.y]), modes, elements)
-        draws, feasible = 1, slice(None)
+        draws, feasible = 1, slice(None)  # its one draw, feasible (or raised)
     else:
         user_x = (units[:, 0] - 0.5) * params.dx_m
         user_y = (units[:, 1] - 0.5) * params.dy_m
         snrs, feasible = draw_snrs(params, layout, user_x, user_y, modes, elements)
         draws, columns = feasible.size, {}
     # (modes, feasible draws): every mode's SNR and capacity means at once
-    snr = np.array([snrs[mode] for mode in modes])[:, feasible]
+    snr = np.array([snrs[mode][feasible] for mode in modes])
     infeasible = draws - snr.shape[1]
     scenario = f"{config.sweep}={_cell(value)}"
     return [

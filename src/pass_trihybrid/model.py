@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,7 +170,6 @@ class Waveguide:
 
 
 _WAVEGUIDE_FIELDS = tuple(f.name for f in dataclasses.fields(Waveguide))
-_WAVEGUIDE_VALUES = operator.attrgetter(*_WAVEGUIDE_FIELDS)  # a waveguide's field values, in order
 
 
 @dataclass(frozen=True)
@@ -186,8 +184,7 @@ class WaveguideLayout:
     waveguides: tuple[Waveguide, ...]
 
     def __post_init__(self) -> None:
-        values = [_WAVEGUIDE_VALUES(w) for w in self.waveguides]
-        arrays = np.array(values).reshape(-1, len(_WAVEGUIDE_FIELDS)).T  # (fields, M)
+        arrays = np.array([[getattr(w, name) for w in self.waveguides] for name in _WAVEGUIDE_FIELDS])
         arrays.flags.writeable = False  # and so every row
         object.__setattr__(self, "_arrays", dict(zip(_WAVEGUIDE_FIELDS, arrays)))
 

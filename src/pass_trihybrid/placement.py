@@ -58,7 +58,7 @@ from .model import (
 # Tolerance (in wavelength units) under which a path already on the grid is
 # treated as exact, so v = 0 instead of a full extra wavelength of shift.
 _GRID_EPS = 1e-12
-_EPS = float(np.finfo(float).eps)
+_EPS = float(np.finfo(float).eps)  # looked up once, not per call
 _SIDES = np.array([1.0, -1.0])  # right of the user, left of it
 _UNREACHABLE = "no reachable alignment point on the feed side"
 # Entries per block of :func:`refine_batch`'s walk, large enough that a fold's
@@ -359,8 +359,8 @@ def _place(solve: Callable, n: int, spacing: float, user_x, feed_x: np.ndarray, 
     by_side = placed.reshape(2, rows)  # (side, row); [::-1] pairs each chain with its partner
     # Only where a chain fell short (failed or not) can its partner continue.
     if placed.min(initial=half) < half:
-        failed_by_side = failed.reshape(2, rows)
-        chains = ((by_side == half) & (by_side[::-1] < half) & ~failed_by_side[::-1]).ravel().nonzero()[0]
+        partner_failed = failed.reshape(2, rows)[::-1]
+        chains = ((by_side == half) & (by_side[::-1] < half) & ~partner_failed).ravel().nonzero()[0]
         if chains.size:
             quota = half - by_side[::-1].ravel()[chains]
             order = np.argsort(-quota, kind="stable")  # longest quota first, ties in chain order
@@ -398,6 +398,7 @@ def _refine(
     kept = np.zeros((2, 2 * m, n))
 
     def solve(chains, col, start, quota, lo, hi):
+        # the first phase (col 0) takes every chain
         f, v, placed, failed = _solve(
             tuple(a[chains] for a in per_chain) if col else per_chain, start, quota, (lo, hi),
             n_eff, lam, spacing,
@@ -440,7 +441,9 @@ def _refine(
     residual = np.minimum(dev, lam - dev).max(axis=1)
 
     results = []
-    for row in zip(positions, row_shifts, max_spacing.tolist(), residual.tolist(), lefts, rights, h_effs):
+    for row in zip(
+        positions, row_shifts, max_spacing.tolist(), residual.tolist(), lefts, rights, h_effs
+    ):
         result = object.__new__(RefinementResult)  # frozen: set the fields past __setattr__
         result.__dict__.update(zip(_RESULT_FIELDS, row))
         results.append(result)
