@@ -653,6 +653,23 @@ def reference_refine_batch(params, h_eff, user_x, feed_x, max_x, fold, continued
     return reference_place(walk, params.num_pas, params.min_spacing_m, user_x, feed_x, max_x)[-1]
 
 
+def reference_pa_amplitudes(params, xs, wg_y, wg_height, feed_x, user_x, user_y):
+    """The amplitude kernel as it stood with its distance r, copied verbatim (with the distance)."""
+    dx, dy, dz = xs - user_x, wg_y - user_y, wg_height
+    r = np.sqrt(dx * dx + dy * dy + dz * dz)
+    amplitude = math.sqrt(params.eta_m2 / params.num_pas) / r
+    if params.kappa_db_per_m == 0.0:
+        return amplitude, r
+    # sqrt(10^(-kappa run / 10)) = e^(-kappa ln(10) run / 20), run the PA's distance from the feed
+    return amplitude * np.exp(-params.kappa_db_per_m * math.log(10.0) / 20.0 * (xs - feed_x)), r
+
+
+def reference_off_grid(params, r, xs, x_u):
+    """Each PA's distance from the wavelength grid as it was measured apart, copied verbatim."""
+    cycles = (r + params.n_eff * (xs - x_u)) / params.wavelength_m
+    return np.abs(cycles - np.rint(cycles))
+
+
 def reference_draw_snrs(
     params, layout, user_x, user_y, modes, baseline_elements=None, continued=None
 ):
@@ -668,7 +685,7 @@ def reference_draw_snrs(
 
         def fold(chains, xs, placed):
             rows = chains[1]
-            amplitude, _ = experiments.pa_amplitudes(
+            amplitude, _ = reference_pa_amplitudes(
                 params, xs, wg_y[rows], height[rows], feed_x[rows], ux[rows], uy[rows],
             )
             inner[chains] += np.where(placed, amplitude, 0.0)
@@ -681,6 +698,7 @@ def reference_draw_snrs(
 
 
 MC_REGION_EDGE = SystemParams(dx_m=10.0, num_pas=4)
+MC_DENSE = SystemParams(dx_m=4.0, num_pas=256)
 
 
 def near_edge_users(params, draws=60):
@@ -705,9 +723,12 @@ def near_edge_users(params, draws=60):
         (SystemParams(num_pas=16), None, users(SystemParams(), 13, 300), 3),
         # the mc_region shape: every continuation (quotas of at most 2) fits in one block
         (MC_REGION_EDGE, None, near_edge_users(MC_REGION_EDGE), None),
+        # the mc_dense shape: 17-step closed-form blocks, which take more than one pass of
+        # placement._steps, and a closed-form continuation
+        (MC_DENSE, None, None, None),
     ],
     ids=["dense", "edge-overflow", "ragged-dense", "unit-index", "block-of-one", "ragged-block",
-         "mc-region-edge"],
+         "mc-region-edge", "mc-dense"],
 )
 def test_blocked_fold_is_bit_identical_to_one_step_per_call(monkeypatch, params, layout, at, block):
     """Every chain is summed in the same order as one step per fold call would sum it."""
