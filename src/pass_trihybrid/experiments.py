@@ -53,12 +53,6 @@ def _fixed_user(config: ExperimentConfig, params: SystemParams) -> UserPosition:
 _COPHASED = 3e-7
 
 
-def _off_grid(params: SystemParams, r: np.ndarray, xs: np.ndarray, x_u) -> np.ndarray:
-    """Each PA's distance, in wavelengths, of its path r + n_eff (x - x_u) from the grid."""
-    cycles = (r + params.n_eff * (xs - x_u)) / params.wavelength_m
-    return np.abs(cycles - np.rint(cycles))
-
-
 _BATCH_SNR = {"single": beamforming.single_rf_snr, "multi": beamforming.multi_rf_snr}
 
 
@@ -93,15 +87,20 @@ def draw_snrs(
     The batched engine: :func:`placement.refine_batch` runs the placement
     policy that :func:`placement.refine_all` runs, over the D·M (draw,
     waveguide) rows tiled here, one chain step at a time.  ``fold(chains,
-    xs, placed)`` gets a block of those steps at once.  The refined PAs of a
-    waveguide are co-phased at the user, so the magnitude of its inner
-    product is the sum of the PAs' real amplitudes (:func:`pa_amplitudes`,
-    one call per block): each placed PA's amplitude is added to its chain's
-    accumulator one step at a time, so every chain is summed from 0.0 in
-    chain order whatever the block size, and a row's entry is its right
-    chain's sum plus its left chain's.  The same pass takes each placed PA's
-    distance of r + n_eff (x - x_u) from the wavelength grid; a feasible
-    draw with a PA farther than :data:`_COPHASED` wavelengths from it is not
+    xs, placed)`` gets a block of those steps at once.  Both arrays belong
+    to the walk, which overwrites them with the next block, so the fold
+    keeps neither; it moves the unplaced steps of ``xs`` to the feed in
+    place.  The refined PAs of a waveguide are co-phased at the
+    user, so the magnitude of its inner product is the sum of the PAs' real
+    amplitudes (:func:`pa_amplitudes`, one call per block, on the per-row
+    squares across the waveguide taken once per call here): each placed
+    PA's amplitude is added to its chain's accumulator one step at a time,
+    so every chain is summed from 0.0 in chain order whatever the block
+    size, and a row's entry is its right chain's sum plus its left chain's.
+    The same kernel call gives each PA's distance of r + n_eff (x - x_u)
+    from the wavelength grid, whose worst placed one per chain the fold
+    keeps; a feasible draw with a PA farther than :data:`_COPHASED`
+    wavelengths from it is not
     summed as co-phased but re-evaluated through :func:`placement.refine_all`
     and the complex :func:`effective_channel`.  The closed-form SNRs then
     read the rows; no placement is kept.  ``feasible`` is False where a
@@ -116,22 +115,25 @@ def draw_snrs(
         wg_y, height, feed_x, max_x = (
             np.tile(layout.field(k), user_x.size) for k in ("y", "height", "feed_x", "max_x")
         )
+        dy = wg_y - uy
+        dy2, dz2 = dy * dy, height * height  # per row, squared once per call
         # Per (side, row) chain: its sum, and its placed PAs' worst distance
         # from the grid, in wavelengths.
         inner, off_grid = np.zeros((2, ux.size)), np.zeros((2, ux.size))
 
         def fold(chains, xs, placed):
             rows = chains[1]
-            x_u = ux[rows]
+            feed = feed_x[rows]
             # An unplaced step may lie far past the feed (n_eff near 1), where
             # case 2's loss overflows; take it at the feed, as it is dropped.
-            xs = np.where(placed, xs, feed_x[rows])
-            amplitude, r = pa_amplitudes(
-                params, xs, wg_y[rows], height[rows], feed_x[rows], x_u, uy[rows]
-            )
-            miss = np.where(placed, _off_grid(params, r, xs, x_u), 0.0)
-            off_grid[chains] = np.maximum(off_grid[chains], miss.max(axis=0))
-            terms = np.where(placed, amplitude, 0.0)
+            np.copyto(xs, feed, where=~placed)
+            amplitude, miss = pa_amplitudes(params, xs, ux[rows], feed, dy2[rows], dz2[rows])
+            # Every miss and amplitude is now finite, and every miss >= 0 and
+            # every amplitude > 0, so times placed each is np.where(placed, it,
+            # 0.0): the misses' worst placed one or 0.0, the amplitudes' terms.
+            worst = np.multiply(miss, placed, out=miss).max(axis=0)
+            off_grid[chains] = np.maximum(off_grid[chains], worst)
+            terms = np.multiply(amplitude, placed, out=amplitude)
             acc = inner[chains]
             for term in terms:  # step by step: each chain's sum in chain order
                 acc += term
@@ -198,8 +200,8 @@ def _point_reports(
     also carry the closed-form bounds and the placement diagnostics.  Its
     effective row sums the real amplitudes of :func:`pa_amplitudes` over
     ``refine_all``'s positions, as the engine does, unless a PA lies farther
-    than :data:`_COPHASED` wavelengths from the grid (:func:`_off_grid`, the
-    engine's test); then it is ``|inner|`` of the complex
+    than :data:`_COPHASED` wavelengths from the grid (the kernel's
+    off-grid distance, the engine's test); then it is ``|inner|`` of the complex
     :func:`effective_channel`.
     """
     params = config.params_for_case(value)
@@ -212,10 +214,11 @@ def _point_reports(
             pin, results = placement.refine_all(params, layout, user)
             columns = _fixed_columns(params, layout, user, results)
             wg_y, height, feed_x = (layout.field(k)[:, None] for k in ("y", "height", "feed_x"))
-            amplitude, r = pa_amplitudes(
-                params, pin.positions, wg_y, height, feed_x, user.x, user.y
+            dy = wg_y - user.y
+            amplitude, miss = pa_amplitudes(
+                params, pin.positions, user.x, feed_x, dy * dy, height * height
             )
-            if _off_grid(params, r, pin.positions, user.x).max() > _COPHASED:
+            if miss.max() > _COPHASED:
                 inner = effective_channel(params, layout, pin, user).gains[None]
             else:
                 inner = amplitude.sum(axis=1)[None]

@@ -300,7 +300,18 @@ def distance(dx, dy, dz):
     Same operations, in the same order, as ``np.linalg.norm(v, axis=-1)`` on
     stacked 3-vectors, so both give identical bits.
     """
-    return np.sqrt(dx * dx + dy * dy + dz * dz)
+    return _length(dx, dy * dy, dz * dz)
+
+
+def _length(dx, dy2, dz2, out=None):
+    """:func:`distance` from dx and the squares ``dy2``, ``dz2`` of the other two legs.
+
+    sqrt((dx dx + dy2) + dz2), each operation one pass into ``out`` if given
+    (dx must then have the broadcast shape), else into new arrays.
+    """
+    r = np.multiply(dx, dx, out=out)
+    r = np.add(r, dy2, out=out)
+    return np.sqrt(np.add(r, dz2, out=out), out=out)
 
 
 def free_space_coefficient(params: SystemParams, r):
@@ -347,22 +358,39 @@ def waveguide_vector(
     return _in_waveguide(params, np.maximum(run, 0.0), xs.size)
 
 
-def pa_amplitudes(params: SystemParams, xs, wg_y, wg_height, feed_x, user_x, user_y):
-    """Amplitudes sqrt(eta alpha_n) / r_n of PAs at x = ``xs``, and their distances r_n.
+def pa_amplitudes(params: SystemParams, xs, user_x, feed_x, dy2, dz2):
+    """(amplitudes, off-grid distances) of PAs at x = ``xs`` for a user at x = ``user_x``.
 
-    The magnitude of each PA's term of :func:`effective_channel`'s inner
-    product, with no phase.  Where a waveguide's PAs are co-phased at the
-    user, as the refined placement puts them, the magnitude of that inner
-    product is the plain sum of these amplitudes; both draw paths of
-    :mod:`experiments` sum them.  Every argument but ``params`` broadcasts;
-    the ``params.num_pas`` PAs of a waveguide share its feed power.
+    The amplitude sqrt(eta alpha_n) / r_n is the magnitude of each PA's term
+    of :func:`effective_channel`'s inner product, with no phase.  Where a
+    waveguide's PAs are co-phased at the user, as the refined placement puts
+    them, the magnitude of that inner product is the plain sum of these
+    amplitudes; both draw paths of :mod:`experiments` sum them.  The
+    off-grid distance is how far, in wavelengths, a PA's path
+    r_n + n_eff (x_n - x_u) lies from the wavelength grid, the test of that
+    co-phasing.  ``dy2`` and ``dz2`` are the squares of the PAs' offsets
+    from the user across the waveguide, (y_wg - y_u)^2 and the height^2, so
+    a caller that evaluates one waveguide row many times squares them once.
+    Every argument but ``params`` broadcasts to the shape of ``xs`` - x_u;
+    the ``params.num_pas`` PAs of a waveguide share its feed power.  Each
+    operation is one pass into one of three arrays of that shape, none of
+    them an argument.
     """
-    r = distance(xs - user_x, wg_y - user_y, wg_height)
-    amplitude = math.sqrt(params.eta_m2 / params.num_pas) / r
-    if params.kappa_db_per_m == 0.0:
-        return amplitude, r
-    # sqrt(10^(-kappa run / 10)) = e^(-kappa ln(10) run / 20), run the PA's distance from the feed
-    return amplitude * np.exp(-params.kappa_db_per_m * math.log(10.0) / 20.0 * (xs - feed_x)), r
+    dx = np.subtract(xs, user_x)
+    r = _length(dx, dy2, dz2, out=np.empty_like(dx))
+    # (r + n_eff dx) / lambda, in the array of dx
+    cycles = np.multiply(dx, params.n_eff, out=dx)
+    np.divide(np.add(r, cycles, out=cycles), params.wavelength_m, out=cycles)
+    nearest = np.rint(cycles)
+    off_grid = np.abs(np.subtract(cycles, nearest, out=cycles), out=cycles)
+    amplitude = np.divide(math.sqrt(params.eta_m2 / params.num_pas), r, out=r)
+    if params.kappa_db_per_m != 0.0:
+        # sqrt(10^(-kappa run / 10)) = e^(-kappa ln(10) run / 20), run the PA's distance
+        # from the feed, in the array of the nearest grid lines
+        loss = np.subtract(xs, feed_x, out=nearest)
+        np.multiply(loss, -params.kappa_db_per_m * math.log(10.0) / 20.0, out=loss)
+        np.multiply(amplitude, np.exp(loss, out=loss), out=amplitude)
+    return amplitude, off_grid
 
 
 def effective_channel(

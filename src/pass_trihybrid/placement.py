@@ -101,19 +101,25 @@ def _grid_index(h_eff, delta, sn, sl) -> np.ndarray:
     return np.ceil((sn * delta + np.hypot(h_eff, delta)) / sl - _GRID_EPS)
 
 
-def _aligned_offset(h2s, st, n_eff: float, ss) -> np.ndarray:
+def _aligned_offset(h2s, st, n_eff: float, ss, out=None) -> np.ndarray:
     """Offset (st n_eff - sqrt(st^2 + h^2 s)) / ss on the signed target ``st`` = side lambda I.
 
     ``h2s`` and ``ss`` are the chains' h^2 s and side s from :func:`_chains`;
     the sign of ``ss`` is a chain's side.  For n_eff = 1 the offset is
     (st^2 - h^2) / (ss st), and NaN on the feed side (ss < 0) where st <= 0:
     that path only decays asymptotically to zero, so a non-positive grid
-    line is never reached.
+    line is never reached.  Given ``out``, an array of the shape of ``st``
+    (which must then be the broadcast shape), each operation is one pass
+    into ``out`` or into ``st``, which is overwritten; the offsets are
+    returned in ``out``.
     """
     if n_eff == 1.0:
         st = np.where((ss < 0.0) & (st <= 0.0), np.nan, st)
-        return (st * st - h2s) / (ss * st)
-    return (st * n_eff - np.sqrt(st * st + h2s)) / ss
+        return np.divide(st * st - h2s, ss * st, out=out)
+    root = np.multiply(st, st, out=out)
+    root = np.sqrt(np.add(root, h2s, out=out), out=out)
+    t = np.multiply(st, n_eff, out=None if out is None else st)
+    return np.divide(np.subtract(t, root, out=out), ss, out=out)
 
 
 def _one_shift(h_eff: float, delta: float, n_eff: float, wavelength: float, outward: bool) -> float:
@@ -223,24 +229,29 @@ def _closed_form(chains: tuple, start, quota, hi, n_eff: float, wavelength: floa
     return index, _on_lines(h, reach, sl > 0, largest, n_eff, wavelength, spacing)
 
 
-def _steps(d: np.ndarray, start, spacing: float) -> tuple[np.ndarray, np.ndarray]:
+def _steps(d: np.ndarray, start, spacing: float, out=None) -> tuple[np.ndarray, np.ndarray]:
     """The walk's (offsets, shifts) of (steps, chains) aligned offsets ``d`` on known lines.
 
     The walk stores f_k = delta_k + max(d_k - delta_k, 0), delta_0 = ``start``,
     delta_k = f_{k-1} + ``spacing``.  A pass of that recurrence over the guess
     f = d is exact one step past its first wrong entry, so repeating it until
-    it changes nothing gives the walk's bits, with no square root.
+    it changes nothing gives the walk's bits, with no square root.  ``out``,
+    if given, is three arrays of the shape of ``d``: two take the guesses in
+    turn, each pass writing its delta and then its f over the one that does
+    not hold the current guess, and the third takes the shifts.  Each
+    operation is one pass into them, ``d`` is left as it is, and the offsets
+    and shifts are returned in two of them.
     """
+    spare, delta, shifts = (np.empty_like(d) for _ in range(3)) if out is None else out
     f = d
-    delta = np.empty_like(d)
-    delta[0] = start
     while True:
+        delta[0] = start
         np.add(f[:-1], spacing, out=delta[1:])
-        shifts = np.maximum(d - delta, 0.0)
-        new_f = delta + shifts
+        np.maximum(np.subtract(d, delta, out=shifts), 0.0, out=shifts)
+        new_f = np.add(delta, shifts, out=delta)
         if not (new_f != f).any():
             return new_f, shifts
-        f = new_f
+        f, delta = new_f, f if f is not d else spare
 
 
 def _solve(
@@ -521,8 +532,15 @@ def refine_batch(
     both sides; a continuation block is as many steps (at least one) as
     make about :data:`_BLOCK_ENTRIES` entries over the chains whose steps
     reach it, so blocks grow as chains end; the last block is what is left.
-    Both arrays may be overwritten by the next call.  So the fold sees each
-    chain's PAs in chain order, outward from the user, its continuation last.
+    So the fold sees each chain's PAs in chain order, outward from the
+    user, its continuation last.
+
+    Each phase allocates its block arrays once, and every block is a view
+    of their first entries: ``xs`` and ``placed``, which the fold owns until
+    it returns and may overwrite (nothing reads them after it), and in
+    closed form the signed targets, aligned offsets and shifts, which
+    :func:`_aligned_offset` and :func:`_steps` write one pass per operation.
+    The next block overwrites them all, so a fold keeps neither array.
     The result is False where :func:`refine_all` raises :class:`FeasibilityError`.
     """
     n_eff, wavelength, spacing = params.n_eff, params.wavelength_m, params.min_spacing_m
@@ -561,9 +579,12 @@ def refine_batch(
             quota = None
         if (lo <= delta).all():
             lo = None
-        # Each block's (steps, chains) positions and placed flags
-        xs = np.empty(max(min(block, steps) * size, _BLOCK_ENTRIES))
-        live = np.empty(xs.shape, dtype=bool)
+        # Each block's (steps, chains) positions and placed flags, and in closed
+        # form its signed targets, aligned offsets and shifts: one array each
+        # per call, every block a view of its first entries.
+        entries = max(min(block, steps) * size, _BLOCK_ENTRIES)
+        xs, live = np.empty(entries), np.empty(entries, dtype=bool)
+        work = np.empty((3, entries)) if closed else ()
         placed = np.zeros(size, dtype=int)
         failed = np.zeros(size, dtype=bool)
         n = size  # the chains walked
@@ -578,23 +599,27 @@ def refine_batch(
             count = stop - first
             pa_x, pa_live = (a[: count * n].reshape(count, n) for a in (xs, live))
             if closed:  # every step on its known line, I_0 + k
-                k = np.arange(first, stop)[:, None]
-                pa_x, _ = _steps(_aligned_offset(hh, sl * (index + k), n_eff, ss), delta, spacing)
-                delta = pa_x[-1] + spacing
+                st, d, shifts = (a[: count * n].reshape(count, n) for a in work)
+                np.add(index, np.arange(first, stop, dtype=float)[:, None], out=st)  # I_0 + k
+                _aligned_offset(hh, np.multiply(st, sl, out=st), n_eff, ss, out=d)
+                # the targets are spent: their array and the positions' take the guesses
+                f, _ = _steps(d, delta, spacing, out=(st, pa_x, shifts))
+                delta = f[-1] + spacing
             else:
                 # One step per PA.  A feed-side step with no alignment point
                 # (n_eff = 1) is NaN, and so is every step after it.
                 for k in range(count):
                     d = _aligned_offset(hh, sl * _grid_index(h, delta, sn, sl), n_eff, ss)
                     delta = np.add(delta, np.maximum(d - delta, 0.0), out=pa_x[k]) + spacing
+                f = pa_x
             # The block pass.  Offsets only grow (or stay NaN), so a chain's
             # PAs are a prefix of its steps: those up to hi (NaN is not),
             # within the quota, of a chain whose first PA is not below lo
             # (else it places none).
-            np.less_equal(pa_x, hi, out=pa_live)
+            np.less_equal(f, hi, out=pa_live)
             if lo is not None:
                 if first == 0:
-                    lo = lo <= pa_x[0]
+                    lo = lo <= f[0]
                 pa_live &= lo
             if quota is not None:
                 pa_live &= np.arange(first, stop)[:, None] < quota
@@ -602,14 +627,13 @@ def refine_batch(
             if n_eff == 1.0:
                 # A chain that entered the block live fails where its first
                 # unplaced step is its first NaN step, within its quota.
-                nan = np.count_nonzero(np.isnan(pa_x), axis=0)
+                nan = np.count_nonzero(np.isnan(f), axis=0)
                 fail = (placed[:n] == first) & (nan > 0) & (ends == count - nan)
                 failed[:n] |= fail if quota is None else fail & (first + ends < quota)
             placed[:n] += ends
             # Offsets to positions x_u + side offset: x_u + (-f) is x_u - f bit for bit
-            pa_x, pa_live = (a.reshape((count,) + sign.shape) for a in (pa_x, pa_live))
-            np.multiply(pa_x, sign, out=pa_x)
-            np.add(pa_x, ux, out=pa_x)
+            f, pa_x, pa_live = (a.reshape((count,) + sign.shape) for a in (f, pa_x, pa_live))
+            np.add(np.multiply(f, sign, out=pa_x), ux, out=pa_x)
             fold(key, pa_x, pa_live)
         return placed, delta, failed
 

@@ -8,6 +8,7 @@ earlier walk, which handed its fold one chain step per call.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from pass_trihybrid import (
     render_sweep_csv,
     run_sweep,
 )
-from pass_trihybrid import beamforming, experiments, invariants, placement
+from pass_trihybrid import beamforming, experiments, invariants, model, placement
 from pass_trihybrid.sampler import uniform_pairs
 
 ALL_MODES = ("single", "multi", "baseline")
@@ -731,7 +732,11 @@ def near_edge_users(params, draws=60):
          "mc-region-edge", "mc-dense"],
 )
 def test_blocked_fold_is_bit_identical_to_one_step_per_call(monkeypatch, params, layout, at, block):
-    """Every chain is summed in the same order as one step per fold call would sum it."""
+    """Every chain is summed in the same order as one step per fold call would sum it.
+
+    On every block the fold gets, the amplitude kernel gives the bits of the
+    verbatim amplitude and off-grid references.
+    """
     layout = WaveguideLayout.from_params(params) if layout is None else layout
     ux, uy = users(params, 3, 60) if at is None else at
     rows = ux.size * len(layout)
@@ -740,11 +745,24 @@ def test_blocked_fold_is_bit_identical_to_one_step_per_call(monkeypatch, params,
         assert block == 1 or (params.num_pas // 2) % block != 0
     shapes = []
     original = placement.refine_batch
+    wg_y, height = (np.tile(layout.field(k), ux.size) for k in ("y", "height"))
+    row_y = np.repeat(uy, len(layout))
 
     def recording(params, h_eff, user_x, feed_x, max_x, fold):
         def record(chains, xs, placed):
             assert xs.shape == placed.shape
             shapes.append(xs.shape)
+            r = chains[1]
+            at_feed = np.where(placed, xs, feed_x[r])
+            dy = wg_y[r] - row_y[r]
+            amplitude, off_grid = model.pa_amplitudes(
+                params, at_feed, user_x[r], feed_x[r], dy * dy, height[r] * height[r]
+            )
+            want, distance = reference_pa_amplitudes(
+                params, at_feed, wg_y[r], height[r], feed_x[r], user_x[r], row_y[r]
+            )
+            assert np.array_equal(amplitude, want)
+            assert np.array_equal(off_grid, reference_off_grid(params, distance, at_feed, user_x[r]))
             fold(chains, xs, placed)
 
         return original(params, h_eff, user_x, feed_x, max_x, record)
@@ -774,6 +792,32 @@ def test_blocked_fold_is_bit_identical_to_one_step_per_call(monkeypatch, params,
     # A call of more than one step never takes more than 2 x _BLOCK_ENTRIES entries.
     assert all(shape[0] == 1 or math.prod(shape) <= 2 * placement._BLOCK_ENTRIES
                for shape in shapes)
+
+
+# The traced peak of one draw_snrs call at the mc_region shape, in KiB above its start:
+# it read 926.5 to 926.7 (the Python objects alive around the call vary), and 1003.2
+# before the amplitude kernel and the fold wrote in place.
+MC_REGION_PEAK_KIB = 927.0
+
+
+def test_draw_snrs_transient_peak_at_the_mc_region_shape():
+    """One call's traced allocations peak at most MC_REGION_PEAK_KIB above its start.
+
+    500 draws, N = 4, M = 4, case 2, every mode; after a first call, so that
+    nothing it sets up once is counted.
+    """
+    params = SystemParams(dx_m=10.0, num_pas=4)
+    layout = WaveguideLayout.from_params(params)
+    ux, uy = users(params, 424242, 500)
+    experiments.draw_snrs(params, layout, ux, uy, ALL_MODES)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        experiments.draw_snrs(params, layout, ux, uy, ALL_MODES)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - start) / 1024 <= MC_REGION_PEAK_KIB
 
 
 @pytest.fixture

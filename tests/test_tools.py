@@ -36,22 +36,44 @@ class A:
     assert load("code_lines").code_lines(source) == 7
 
 
+def looked_up(owner, attr):  # what a call finds: a class's own entry, or a module's name
+    return vars(owner)[attr] if isinstance(owner, type) else getattr(owner, attr)
+
+
+def stage_medians(stages, capsys, argv):
+    """The header line and {label: median} of one run of ``point_stages`` with ``argv``,
+    checking that every stage of either user model is restored afterwards."""
+    originals = [
+        (owner, attr, looked_up(owner, attr))
+        for model in stages.STAGES.values() for _, owner, attr in model
+    ]
+    assert stages.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    for owner, attr, original in originals:
+        assert looked_up(owner, attr) is original
+    return lines[0], {line[:22].strip(): float(line[22:]) for line in lines[1:]}
+
+
 def test_point_stages_times_every_stage_and_restores_the_library(capsys):
     stages = load("point_stages")
-
-    def looked_up(owner, attr):  # what a call finds: a class's own entry, or a module's name
-        return vars(owner)[attr] if isinstance(owner, type) else getattr(owner, attr)
-
-    originals = [(owner, attr, looked_up(owner, attr)) for _, owner, attr in stages.STAGES]
-    assert stages.main(["--n", "4", "--user", "3.3", "-2", "--calls", "3"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "# N = 4, user (3.3, -2), median of 3 points"
-    medians = {line[:22].strip(): float(line[22:]) for line in lines[1:]}
+    header, medians = stage_medians(stages, capsys, ["--n", "4", "--user", "3.3", "-2", "--calls", "3"])
+    assert header == "# N = 4, user (3.3, -2), median of 3 points"
     assert list(medians) == [
         "params", "layout", "refine_all", "_fixed_columns", "of which snr_bounds",
         "amplitudes", "_snrs", "reports", "point", "render_sweep_csv",
     ]
     assert all(value > 0.0 for value in medians.values())
     assert medians["of which snr_bounds"] < medians["_fixed_columns"] < medians["point"]
-    for owner, attr, original in originals:
-        assert looked_up(owner, attr) is original
+
+
+def test_point_stages_times_the_monte_carlo_point(capsys):
+    stages = load("point_stages")
+    config = TOOLS.parent / "configs" / "capacity_vs_region_width.cfg"
+    header, medians = stage_medians(stages, capsys, ["--config", str(config), "--n", "4", "--calls", "3"])
+    assert header == "# N = 4, 10000 uniform users, seed 424242, median of 3 points"
+    assert list(medians) == [
+        "uniform_pairs", "params", "layout", "refine_batch", "of which amplitudes", "_snrs",
+        "reports", "point", "render_sweep_csv",
+    ]
+    assert all(value > 0.0 for value in medians.values())
+    assert medians["of which amplitudes"] < medians["refine_batch"] < medians["point"]
