@@ -242,7 +242,9 @@ def _steps(d: np.ndarray, start, spacing: float, out=None) -> tuple[np.ndarray, 
     operation is one pass into them, ``d`` is left as it is, and the offsets
     and shifts are returned in two of them.
     """
-    spare, delta, shifts = (np.empty_like(d) for _ in range(3)) if out is None else out
+    if out is None:
+        out = np.empty_like(d), np.empty_like(d), np.empty_like(d)
+    spare, delta, shifts = out
     f = d
     while True:
         delta[0] = start

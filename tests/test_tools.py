@@ -56,7 +56,8 @@ def stage_medians(stages, capsys, argv):
 
 def test_point_stages_times_every_stage_and_restores_the_library(capsys):
     stages = load("point_stages")
-    header, medians = stage_medians(stages, capsys, ["--n", "4", "--user", "3.3", "-2", "--calls", "3"])
+    argv = ["--n", "4", "--user", "3.3", "-2", "--calls", "3"]
+    header, medians = stage_medians(stages, capsys, argv)
     assert header == "# N = 4, user (3.3, -2), median of 3 points"
     assert list(medians) == [
         "params", "layout", "refine_all", "_fixed_columns", "of which snr_bounds",
@@ -69,7 +70,8 @@ def test_point_stages_times_every_stage_and_restores_the_library(capsys):
 def test_point_stages_times_the_monte_carlo_point(capsys):
     stages = load("point_stages")
     config = TOOLS.parent / "configs" / "capacity_vs_region_width.cfg"
-    header, medians = stage_medians(stages, capsys, ["--config", str(config), "--n", "4", "--calls", "3"])
+    argv = ["--config", str(config), "--n", "4", "--calls", "3"]
+    header, medians = stage_medians(stages, capsys, argv)
     assert header == "# N = 4, 10000 uniform users, seed 424242, median of 3 points"
     assert list(medians) == [
         "uniform_pairs", "params", "layout", "refine_batch", "of which amplitudes", "_snrs",

@@ -127,9 +127,10 @@ def main(argv: list[str]) -> int:
         doc = doc.replace(user_x=args.user[0], user_y=args.user[1])
     medians, absent = time_point(doc, args.calls)
     if doc.user == "fixed":
-        print(f"# N = {args.n}, user ({doc.user_x:g}, {doc.user_y:g}), median of {args.calls} points")
+        users = f"user ({doc.user_x:g}, {doc.user_y:g})"
     else:
-        print(f"# N = {args.n}, {doc.draws} uniform users, seed {doc.seed}, median of {args.calls} points")
+        users = f"{doc.draws} uniform users, seed {doc.seed}"
+    print(f"# N = {args.n}, {users}, median of {args.calls} points")
     order = [stage for stage, _, _ in STAGES[doc.user]] + ["reports", "point", "render_sweep_csv"]
     for stage in order:
         label = f"  of which {stage}" if stage in NESTED[doc.user] else stage
