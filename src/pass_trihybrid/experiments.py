@@ -128,9 +128,9 @@ def draw_snrs(
             # case 2's loss overflows; take it at the feed, as it is dropped.
             np.copyto(xs, feed, where=~placed)
             amplitude, miss = pa_amplitudes(params, xs, ux[rows], feed, dy2[rows], dz2[rows])
-            # Every miss and amplitude is now finite, and every miss >= 0 and
-            # every amplitude > 0, so times placed each is np.where(placed, it,
-            # 0.0): the misses' worst placed one or 0.0, the amplitudes' terms.
+            # Every miss and amplitude is now finite and >= 0, so times placed
+            # each is np.where(placed, it, 0.0): the misses' worst placed one
+            # or 0.0, and the amplitudes' terms.
             worst = np.multiply(miss, placed, out=miss).max(axis=0)
             off_grid[chains] = np.maximum(off_grid[chains], worst)
             terms = np.multiply(amplitude, placed, out=amplitude)
