@@ -71,14 +71,9 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        config = _apply_overrides(load_config(args.config), args)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-
     ok = True
     try:
+        config = _apply_overrides(load_config(args.config), args)
         if args.command == "sweep":
             text = experiments.render_sweep_csv(config, experiments.run_sweep(config))
         elif args.command == "placement":

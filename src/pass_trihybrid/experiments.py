@@ -53,6 +53,24 @@ def _fixed_user(config: ExperimentConfig, params: SystemParams) -> UserPosition:
 _COPHASED = 3e-7
 
 
+def _user_row(params: SystemParams, layout: WaveguideLayout, user: UserPosition):
+    """(row, records): one user's effective row (M,) and :func:`placement.refine_all`'s records.
+
+    The row sums the real amplitudes of :func:`pa_amplitudes` over each
+    waveguide's placed PAs, unless a PA lies farther than :data:`_COPHASED`
+    wavelengths from the grid (the kernel's off-grid distance); then it is
+    ``|inner|`` of the complex :func:`effective_channel`.  Raises
+    :class:`FeasibilityError` where the PAs do not fit.
+    """
+    pin, results = placement.refine_all(params, layout, user)
+    wg_y, height, feed_x = (layout.field(k)[:, None] for k in ("y", "height", "feed_x"))
+    dy = wg_y - user.y
+    amplitude, miss = pa_amplitudes(params, pin.positions, user.x, feed_x, dy * dy, height * height)
+    if miss.max() > _COPHASED:
+        return effective_channel(params, layout, pin, user).gains, results
+    return amplitude.sum(axis=1), results
+
+
 _BATCH_SNR = {"single": beamforming.single_rf_snr, "multi": beamforming.multi_rf_snr}
 
 
@@ -100,10 +118,11 @@ def draw_snrs(
     The same kernel call gives each PA's distance of r + n_eff (x - x_u)
     from the wavelength grid, whose worst placed one per chain the fold
     keeps; a feasible draw with a PA farther than :data:`_COPHASED`
-    wavelengths from it is not
-    summed as co-phased but re-evaluated through :func:`placement.refine_all`
-    and the complex :func:`effective_channel`.  The closed-form SNRs then
-    read the rows; no placement is kept.  ``feasible`` is False where a
+    wavelengths from it takes the per-user row (:func:`_user_row`) instead.
+    Its PAs are the engine's bit for bit and the kernel works entry by entry,
+    so its own test repeats the verdict, and the row is ``|inner|`` of the
+    complex :func:`effective_channel`.  The closed-form SNRs then read the
+    rows; no placement is kept.  ``feasible`` is False where a
     waveguide's PAs do not all fit, i.e. where :func:`placement.refine_all`
     raises :class:`FeasibilityError`; those draws' SNRs mean nothing.
     """
@@ -145,13 +164,10 @@ def draw_snrs(
         inner = (inner[0] + inner[1]).reshape(-1, m)
         off_grid = off_grid.max(axis=0).reshape(-1, m).max(axis=1)
         for d in np.flatnonzero(feasible & (off_grid > _COPHASED)):
-            user = UserPosition(user_x[d], user_y[d])
             try:
-                pin, _ = placement.refine_all(params, layout, user)
+                inner[d] = _user_row(params, layout, UserPosition(user_x[d], user_y[d]))[0]
             except FeasibilityError:  # not expected: the engine's fits are refine_all's
                 feasible[d] = False
-                continue
-            inner[d] = effective_channel(params, layout, pin, user).gains
     return _snrs(params, inner, user_x, user_y, modes, baseline_elements), feasible
 
 
@@ -192,17 +208,12 @@ def _point_reports(
 
     ``units`` are the uniform users' unit-square samples, or None for the
     fixed user.  Both user models end in the same SNR step (:func:`_snrs`)
-    and the same reports.  The fixed user is one draw placed by
-    :func:`placement.refine_all` (a batch of one through the engine yields
-    no largest spacing or residual, and it walks, 7 to 9 times slower, at
+    and the same reports.  The fixed user is one draw, whose effective row
+    is :func:`_user_row`'s (a batch of one through the engine yields no
+    largest spacing or residual, and it walks, 7 to 9 times slower, at
     N = 1024) unless no tri-hybrid mode is asked for; it raises
     :class:`FeasibilityError` if its PAs do not fit, and its tri-hybrid rows
-    also carry the closed-form bounds and the placement diagnostics.  Its
-    effective row sums the real amplitudes of :func:`pa_amplitudes` over
-    ``refine_all``'s positions, as the engine does, unless a PA lies farther
-    than :data:`_COPHASED` wavelengths from the grid (the kernel's
-    off-grid distance, the engine's test); then it is ``|inner|`` of the complex
-    :func:`effective_channel`.
+    also carry the closed-form bounds and the placement diagnostics.
     """
     params = config.params_for_case(value)
     layout = WaveguideLayout.from_params(params)
@@ -211,17 +222,8 @@ def _point_reports(
         user = _fixed_user(config, params)
         inner, columns = None, {}
         if any(mode != "baseline" for mode in modes):
-            pin, results = placement.refine_all(params, layout, user)
-            columns = _fixed_columns(params, layout, user, results)
-            wg_y, height, feed_x = (layout.field(k)[:, None] for k in ("y", "height", "feed_x"))
-            dy = wg_y - user.y
-            amplitude, miss = pa_amplitudes(
-                params, pin.positions, user.x, feed_x, dy * dy, height * height
-            )
-            if miss.max() > _COPHASED:
-                inner = effective_channel(params, layout, pin, user).gains[None]
-            else:
-                inner = amplitude.sum(axis=1)[None]
+            row, results = _user_row(params, layout, user)
+            inner, columns = row[None], _fixed_columns(params, layout, user, results)
         snrs = _snrs(params, inner, np.array([user.x]), np.array([user.y]), modes, elements)
         draws, feasible = 1, slice(None)  # its one draw, feasible (or raised)
     else:

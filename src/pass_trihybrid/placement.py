@@ -268,19 +268,19 @@ def _solve(
     failed): (R, max quota) arrays whose first ``placed[r]`` entries are chain
     r's PAs, and where it stopped at a feed-side NaN step.
 
-    The guess puts step k on grid line I_0 + k (:func:`_closed_form`).  Each
-    chain it guarantees takes :func:`_solve_closed`, and only the others take
-    the verify passes of :func:`_solve_verified`, each group as whole arrays.
-    The chains are independent columns, so each gets the walk's bits in
-    either group; the two groups' rows are joined in chain order.
+    The guess puts step k on grid line I_0 + k (:func:`_closed_form`).  A
+    call whose chains it all guarantees takes :func:`_solve_closed` whole.
+    Otherwise each chain it guarantees takes :func:`_solve_closed`, and only
+    the others take the verify passes of :func:`_solve_verified`, each group
+    (either may be empty) as whole arrays.  The chains are independent
+    columns, so each gets the walk's bits in either group; the two groups'
+    rows are joined in chain order.
     """
     lo, hi = bounds
     index, closed = _closed_form(chains, start, quota, hi, n_eff, wavelength, min_spacing)
     cols = np.arange(int(quota.max()) + 1)[:, None]  # one step more, where every chain has ended
-    guaranteed = closed.all()
-    if guaranteed or not closed.any():
-        kernel = _solve_closed if guaranteed else _solve_verified
-        return kernel(chains, index, start, quota, lo, hi, cols, n_eff, min_spacing)
+    if closed.all():
+        return _solve_closed(chains, index, start, quota, lo, hi, cols, n_eff, min_spacing)
     rows, steps = quota.size, cols.size - 1
     out = np.empty((rows, steps)), np.empty((rows, steps)), np.empty(rows, dtype=int), np.empty(rows, dtype=bool)
     for group, kernel in ((closed, _solve_closed), (~closed, _solve_verified)):
@@ -411,10 +411,8 @@ def _refine(
     kept = np.zeros((2, 2 * m, n))
 
     def solve(chains, col, start, quota, lo, hi):
-        # the first phase (col 0) takes every chain
         f, v, placed, failed = _solve(
-            tuple(a[chains] for a in per_chain) if col else per_chain, start, quota, (lo, hi),
-            n_eff, lam, spacing,
+            tuple(a[chains] for a in per_chain), start, quota, (lo, hi), n_eff, lam, spacing
         )
         kept[0, chains, col : col + f.shape[1]] = f
         kept[1, chains, col : col + f.shape[1]] = v
@@ -529,13 +527,15 @@ def refine_batch(
     its chain, i.e. the chain has not yet hit its quota or left its bounds.
     The offset of a step that is not placed may be NaN or lie past the
     bounds, so a fold must mask it with ``placed``, as
-    :func:`experiments.draw_snrs`' fold does.  A first-phase block is
-    :data:`_BLOCK_ENTRIES` // R steps (at least one), one fold call over
-    both sides; a continuation block is as many steps (at least one) as
-    make about :data:`_BLOCK_ENTRIES` entries over the chains whose steps
-    reach it, so blocks grow as chains end; the last block is what is left.
-    So the fold sees each chain's PAs in chain order, outward from the
-    user, its continuation last.
+    :func:`experiments.draw_snrs`' fold does.  Both phases cut their blocks
+    by one schedule: a block is as many steps (at least one) as make about
+    a budget of entries over the chains whose steps reach it, so blocks
+    grow as chains end; the last block is what is left.  The budget is
+    :data:`_BLOCK_ENTRIES` in the continuation and twice that in the first
+    phase, whose 2R chains share one quota, so a first-phase block is
+    :data:`_BLOCK_ENTRIES` // R steps, one fold call over both sides.  So
+    the fold sees each chain's PAs in chain order, outward from the user,
+    its continuation last.
 
     Each phase allocates its block arrays once, and every block is a view
     of their first entries: ``xs`` and ``placed``, which the fold owns until
@@ -557,34 +557,32 @@ def refine_batch(
         if closed:
             index, closed = _closed_form(chain, delta, quota, hi, n_eff, wavelength, spacing)
             closed = closed.all()
-        # A first-phase block is _BLOCK_ENTRIES // R steps of both sides'
-        # chains; a continuation's first block walks all of its chains.
-        block = max(1, _BLOCK_ENTRIES // max(rows if col == 0 else size, 1))
-        # (first step, end step, chains walked) of each block
-        if col == 0:  # every chain, as (steps, 2, R) blocks
-            blocks = [(first, min(first + block, steps), size) for first in range(0, steps, block)]
-            key, sign, ux = (slice(None), slice(None)), side.reshape(2, rows), user_x
-        else:
-            # The chains whose steps reach a block are a prefix (longest quota
-            # first); a block takes about _BLOCK_ENTRIES entries over them, so
-            # blocks grow as chains end.
-            blocks, first = [], 0
-            while first < steps:
-                n = int(np.count_nonzero(quota > first))
-                blocks.append((first, min(first + max(1, _BLOCK_ENTRIES // n), steps), n))
-                first = blocks[-1][1]
-            key = divmod(chains, rows)
-            sign, ux = side[chains], user_x[key[1]]
         # The quota test matters only where a quota is shorter than the walk,
         # the lower bound only where a chain starts below it (offsets only grow).
         if quota.min(initial=steps) == steps:
             quota = None
         if (lo <= delta).all():
             lo = None
+        # (first step, end step, chains walked) of each block.  The chains whose
+        # steps reach a block are a prefix (longest quota first), all of them
+        # where no quota is shorter; a block takes about ``budget`` entries over
+        # them, so blocks grow as chains end.  A first-phase block is one fold
+        # call over both sides' equal quotas: _BLOCK_ENTRIES // R steps.
+        budget = _BLOCK_ENTRIES if col else 2 * _BLOCK_ENTRIES
+        blocks, first = [], 0
+        while first < steps:
+            n = size if quota is None else int(np.count_nonzero(quota > first))
+            blocks.append((first, min(first + max(1, budget // n), steps), n))
+            first = blocks[-1][1]
+        if col == 0:  # every chain, as (steps, 2, R) blocks
+            key, sign, ux = (slice(None), slice(None)), side.reshape(2, rows), user_x
+        else:
+            key = divmod(chains, rows)
+            sign, ux = side[chains], user_x[key[1]]
         # Each block's (steps, chains) positions and placed flags, and in closed
         # form its signed targets, aligned offsets and shifts: one array each
-        # per call, every block a view of its first entries.
-        entries = max(min(block, steps) * size, _BLOCK_ENTRIES)
+        # per call, sized by the first block, every block a view of its first entries.
+        entries = max(blocks[0][1] * size if blocks else 0, _BLOCK_ENTRIES)
         xs, live = np.empty(entries), np.empty(entries, dtype=bool)
         work = np.empty((3, entries)) if closed else ()
         placed = np.zeros(size, dtype=int)

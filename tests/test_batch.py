@@ -384,10 +384,11 @@ def test_closed_form_chains_are_the_one_step_walk(n_eff, spacing, height, dy, dx
 
 
 def chain_kinds(monkeypatch, params, draws=60):
-    """(closed-form chains, walked chains) over the engine's placement phases.
+    """(closed-form chains, walked chains, guarantees) over the engine's placement phases.
 
     A phase's chains take the closed form when :func:`placement._on_lines`
-    guarantees all of them; every other phase walks its chains.
+    guarantees all of them; every other phase walks its chains.  ``guarantees``
+    holds (guaranteed chains, chains) of each phase that set up the closed form.
     """
     phases, guarantees = [], {}
     original_place, original_lines = placement._place, placement._on_lines
@@ -408,7 +409,8 @@ def chain_kinds(monkeypatch, params, draws=60):
     ux, uy = users(params, 424242, draws)
     experiments.draw_snrs(params, WaveguideLayout.from_params(params), ux, uy, ("single",))
     closed = sum(size for i, size in enumerate(phases) if i in guarantees and guarantees[i].all())
-    return closed, sum(phases) - closed
+    counts = [(int(g.sum()), g.size) for _, g in sorted(guarantees.items())]
+    return closed, sum(phases) - closed, counts
 
 
 @pytest.mark.parametrize(
@@ -418,16 +420,22 @@ def chain_kinds(monkeypatch, params, draws=60):
         (DENSE, True),
         (SystemParams(dx_m=4.0, num_pas=64, min_spacing_m=SystemParams().wavelength_m), False),
         (SystemParams(dx_m=4.0, num_pas=64, n_eff=1.0), False),
+        (SystemParams(num_pas=1024), False),
     ],
-    ids=["mc_dense", "dense", "one-wavelength-spacing", "unit-index"],
+    ids=["mc_dense", "dense", "one-wavelength-spacing", "unit-index", "default-n1024"],
 )
 def test_closed_form_and_walked_chain_counts(monkeypatch, params, closed_form):
     """Every chain of the ``mc_dense`` geometry takes the closed form; at a spacing of
     one wavelength (a step moves the path by more than one) and at n_eff = 1 every
-    chain is walked.  Each case continues some chains, so both phases count."""
-    closed, walked = chain_kinds(monkeypatch, params)
+    chain is walked.  In the default geometry at N = 1024 most chains of each phase
+    are guaranteed but not all (a right chain reaching past e/r = 0.6 may step two
+    grid lines), so both phases walk.  Each case continues some chains, so both
+    phases count."""
+    closed, walked, guarantees = chain_kinds(monkeypatch, params)
     assert closed + walked > 2 * 60 * params.num_waveguides  # a continuation phase ran
     assert (closed, walked) == ((closed + walked, 0) if closed_form else (0, closed + walked))
+    if params.num_pas == 1024:
+        assert guarantees == [(430, 480), (46, 59)]
 
 
 @pytest.mark.parametrize("dense", [False, True], ids=["default", "dense"])
@@ -554,12 +562,13 @@ def test_continuation_walk_hands_the_fold_only_live_rows(monkeypatch):
     but the last gets between half and all of :data:`placement._BLOCK_ENTRIES`
     entries, and every chain's steps are on known grid lines: the placement
     evaluates :func:`placement._grid_index` once per phase (the first lines),
-    where a walk of one step per PA evaluated it N times.
+    where a walk of one step per PA evaluated it N times.  Every first-phase
+    block but the last is :data:`placement._BLOCK_ENTRIES` // R steps.
     """
     params = SystemParams(dx_m=4.0, num_pas=256)
     ux, uy = users(params, 424242, 200)
     calls = recorded_place(monkeypatch)
-    blocks, grid = [], []
+    blocks, grid, first_phase = [], [], []
     original_batch, original_grid = placement.refine_batch, placement._grid_index
 
     def counting_grid(*args):
@@ -571,6 +580,8 @@ def test_continuation_walk_hands_the_fold_only_live_rows(monkeypatch):
             sides, rows = chains
             if isinstance(rows, np.ndarray):  # the continuation phase's chains
                 blocks.append((sides * user_x.size + rows, xs.shape[0]))
+            else:
+                first_phase.append(xs.shape)
             fold(chains, xs, placed)
 
         return original_batch(params, h_eff, user_x, feed_x, max_x, record)
@@ -593,6 +604,10 @@ def test_continuation_walk_hands_the_fold_only_live_rows(monkeypatch):
     entries = sum(block_chains.size * steps for block_chains, steps in blocks)
     assert entries <= 31_000  # every chain walked to the longest quota: 49 094
     assert len(grid) == 2
+    # The first phase's 128 steps of R = 800 rows: every block _BLOCK_ENTRIES // R steps
+    # of both sides' chains (5 at 4096 entries), the last one the steps left (3).
+    steps = placement._BLOCK_ENTRIES // 800
+    assert first_phase == [(steps, 2, 800)] * (128 // steps) + [(128 % steps, 2, 800)]
 
 
 # --- Reference: the one-step-per-call walk and the real-amplitude fold -------
@@ -834,10 +849,22 @@ def refine_all_users(monkeypatch):
     return calls
 
 
-def shift_one_pa_off_the_grid(monkeypatch, row):
+def shift_one_pa_off_the_grid(monkeypatch, row, user=None):
     """Moves the first PA right of the user on row ``row`` a quarter wavelength before the
-    engine folds it."""
+    engine folds it; given the row's ``user`` (x, y), also in ``refine_all``'s placement of
+    that user, the same bits."""
     original = placement.refine_batch
+    if user is not None:
+        original_all = placement.refine_all
+
+        def shifted_all(params, layout, at):
+            pin, results = original_all(params, layout, at)
+            if (at.x, at.y) == user:
+                w = row % len(layout)
+                pin.positions[w, results[w].n_left] += params.wavelength_m / 4.0
+            return pin, results
+
+        monkeypatch.setattr(placement, "refine_all", shifted_all)
 
     def shifting(params, h_eff, user_x, feed_x, max_x, fold):
         first = []
@@ -864,9 +891,18 @@ class TestCophasedGuard:
         params = SystemParams()
         layout = WaveguideLayout.from_params(params)
         ux, uy = users(params, 3, 30)
-        shift_one_pa_off_the_grid(monkeypatch, row=5)  # draw 1, waveguide 1
+        # draw 1, waveguide 1, off the grid in the engine and in the per-user placement
+        shift_one_pa_off_the_grid(monkeypatch, row=5, user=(ux[1], uy[1]))
+        channel_users = []
+        original = experiments.effective_channel
+
+        def counting(params, layout, pin, user):
+            channel_users.append((user.x, user.y))
+            return original(params, layout, pin, user)
+
+        monkeypatch.setattr(experiments, "effective_channel", counting)
         _, feasible = experiments.draw_snrs(params, layout, ux, uy, ALL_MODES)
-        assert refine_all_users == [(ux[1], uy[1])]
+        assert refine_all_users == channel_users == [(ux[1], uy[1])]
         assert feasible.all()
         assert invariants.draw_mismatches(params, layout, ux, uy, ALL_MODES) == []
 

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from pass_trihybrid import sampler
+from pass_trihybrid import cli, sampler
 from pass_trihybrid.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, main
 
 MINI_SWEEP = "\n".join(
@@ -144,17 +144,20 @@ class TestErrors:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "error",
-        [MemoryError("Unable to allocate 16.0 GiB for an array with shape (4294967296, 2)"),
-         MemoryError()],
-        ids=["numpy-message", "bare"],
+        "error, owner, name",
+        [(MemoryError("Unable to allocate 16.0 GiB for an array with shape (4294967296, 2)"),
+          sampler, "uniform_pairs"),
+         (MemoryError(), sampler, "uniform_pairs"),
+         (MemoryError(), cli, "load_config")],
+        ids=["numpy-message", "bare", "loading-the-config"],
     )
-    def test_out_of_memory_exit_code(self, mini_config, monkeypatch, capsys, error):
-        # e.g. draws = 4294967296 with user = uniform: the samples need 16 GiB
-        def no_memory(seed, draws):
+    def test_out_of_memory_exit_code(self, mini_config, monkeypatch, capsys, error, owner, name):
+        # e.g. draws = 4294967296 with user = uniform: the samples need 16 GiB;
+        # the config is loaded inside the same error map
+        def no_memory(*args):
             raise error
 
-        monkeypatch.setattr(sampler, "uniform_pairs", no_memory)
+        monkeypatch.setattr(owner, name, no_memory)
         assert main(["sweep", "--config", mini_config]) == EXIT_CONFIG
         captured = capsys.readouterr()
         assert captured.out == ""
