@@ -268,19 +268,19 @@ def _solve(
     failed): (R, max quota) arrays whose first ``placed[r]`` entries are chain
     r's PAs, and where it stopped at a feed-side NaN step.
 
-    The guess puts step k on grid line I_0 + k (:func:`_closed_form`).  A
-    call whose chains it all guarantees takes :func:`_solve_closed` whole.
-    Otherwise each chain it guarantees takes :func:`_solve_closed`, and only
-    the others take the verify passes of :func:`_solve_verified`, each group
-    (either may be empty) as whole arrays.  The chains are independent
-    columns, so each gets the walk's bits in either group; the two groups'
-    rows are joined in chain order.
+    The guess puts step k on grid line I_0 + k (:func:`_closed_form`).  Each
+    chain it guarantees takes :func:`_solve_closed`, and only the others take
+    the verify passes of :func:`_solve_verified`, each group as whole arrays;
+    a call whose chains all fall in one group passes them to that kernel
+    unsplit.  The chains are independent columns, so each gets the walk's
+    bits in either group; the two groups' rows are joined in chain order.
     """
     lo, hi = bounds
     index, closed = _closed_form(chains, start, quota, hi, n_eff, wavelength, min_spacing)
     cols = np.arange(int(quota.max()) + 1)[:, None]  # one step more, where every chain has ended
-    if closed.all():
-        return _solve_closed(chains, index, start, quota, lo, hi, cols, n_eff, min_spacing)
+    if closed.all() or not closed.any():  # one group: no split
+        kernel = _solve_closed if closed.all() else _solve_verified
+        return kernel(chains, index, start, quota, lo, hi, cols, n_eff, min_spacing)
     rows, steps = quota.size, cols.size - 1
     out = np.empty((rows, steps)), np.empty((rows, steps)), np.empty(rows, dtype=int), np.empty(rows, dtype=bool)
     for group, kernel in ((closed, _solve_closed), (~closed, _solve_verified)):
