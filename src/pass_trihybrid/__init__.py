@@ -14,7 +14,7 @@ from .analysis import (
     surrogate_max_spacing,
 )
 from .baseline import FixedArray, baseline_capacity, fixed_array
-from .beamforming import BeamformerSolution, capacity, multi_rf_solution, single_rf_solution
+from .beamforming import BeamformerSolution, CapacityReport, capacity, multi_rf_solution, single_rf_solution
 from .config import ConfigError, ExperimentConfig, load_config, parse_config_text
 from .experiments import bounds_table, dump_placement, render_sweep_csv, run_sweep, selftest
 from .model import (
@@ -30,6 +30,7 @@ from .model import (
     los_coefficient,
     waveguide_vector,
 )
+from .oracle import direct_phase_chain, grid_search_gain
 from .placement import (
     RefinementResult,
     refine_all,
@@ -37,18 +38,8 @@ from .placement import (
     refine_shift_outward,
     refine_waveguide,
 )
-from .reporting import CapacityReport
 
 __version__ = "0.1.0"
-
-def __getattr__(name: str):
-    # ``oracle`` is a brute-force verifier that needs mpmath; import it only
-    # when one of its functions is asked for (PEP 562).
-    if name in ("direct_phase_chain", "grid_search_gain"):
-        from . import oracle
-
-        return getattr(oracle, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 __all__ = [

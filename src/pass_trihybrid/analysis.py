@@ -54,23 +54,29 @@ def _approx(params: SystemParams, h_eff, n: int, spacing):
     )
 
 
+def _checked_spacing(params: SystemParams, h_eff: float, n: int, spacing: float | None) -> float:
+    """``spacing`` (default: the minimum spacing) of one waveguide's gain sum,
+    after checking N, the spacing and the elevation; a NaN fails too."""
+    _check_even(n)
+    s = params.min_spacing_m if spacing is None else spacing
+    if not (s > 0 and h_eff > 0):
+        raise ValueError("spacing and effective elevation must be positive")
+    return s
+
+
 def gain_upper(
     params: SystemParams, h_eff: float, n: int, spacing: float | None = None
 ) -> float:
     """Upper bound on one waveguide's coherent gain: N/2 antennas per side
     packed at uniform ``spacing`` (default: the minimum spacing), phases
     perfectly aligned."""
-    _check_even(n)
-    s = params.min_spacing_m if spacing is None else spacing
-    if s <= 0 or h_eff <= 0:
-        raise ValueError("spacing and effective elevation must be positive")
-    return float(_upper_sum(params, h_eff, n, s))
+    return float(_upper_sum(params, h_eff, n, _checked_spacing(params, h_eff, n, spacing)))
 
 
 def gain_lower(params: SystemParams, h_eff: float, n: int, max_spacing: float) -> float:
     """Lower bound on the refined gain: same sum with the placement's largest
     realized spacing instead of the minimum."""
-    if max_spacing < params.min_spacing_m:
+    if not (max_spacing >= params.min_spacing_m):
         raise ValueError("largest realized spacing cannot be below the minimum spacing")
     return gain_upper(params, h_eff, n, spacing=max_spacing)
 
@@ -79,10 +85,7 @@ def gain_approx(
     params: SystemParams, h_eff: float, n: int, spacing: float | None = None
 ) -> float:
     """Integral approximation of :func:`gain_upper`, accurate for spacing << h_eff."""
-    _check_even(n)
-    s = params.min_spacing_m if spacing is None else spacing
-    if s <= 0 or h_eff <= 0:
-        raise ValueError("spacing and effective elevation must be positive")
+    s = _checked_spacing(params, h_eff, n, spacing)
     if s / h_eff >= 0.1:
         warnings.warn(
             f"spacing/elevation ratio {s / h_eff:.3g} >= 0.1; integral "
@@ -163,7 +166,7 @@ def snr_bounds(
     # Row 0 the minimum spacing (upper bound), row 1 the largest (lower bound).
     spacing = np.full((2, m), params.min_spacing_m)
     spacing[1] = surrogate_max_spacing(params) if surrogate else max_spacing
-    if spacing[1].min() < params.min_spacing_m:
+    if not (spacing[1].min() >= params.min_spacing_m):  # a NaN fails too
         raise ValueError("largest realized spacing cannot be below the minimum spacing")
 
     # One evaluation of both bounds over all M waveguides.  Unlike

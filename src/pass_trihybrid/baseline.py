@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beamforming import capacity
+from .beamforming import CapacityReport, capacity
 from .model import SystemParams, UserPosition, distance
-from .reporting import CapacityReport
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@ phase shifter cancels the phase of its waveguide's effective channel entry,
 so the per-waveguide magnitudes add coherently.  With two or more RF chains
 the analog/digital cascade can synthesize the matched filter exactly, which
 turns the received SNR from (P / M sigma^2) (sum_m |c_m|)^2 into
-(P / sigma^2) sum_m |c_m|^2.
+(P / sigma^2) sum_m |c_m|^2.  :class:`CapacityReport` is the result record
+of one evaluated scenario that the baseline and the experiment runner share.
 """
 
 from __future__ import annotations
@@ -44,6 +45,37 @@ def capacity(snr: float) -> float:
     if snr < 0:
         raise ValueError("SNR must be nonnegative")
     return math.log2(1.0 + snr)
+
+
+@dataclass(frozen=True)
+class CapacityReport:
+    """SNR, capacity, and optional certificates for one evaluated scenario.
+
+    Bound and placement-diagnostic fields stay ``None`` when they do not
+    apply (e.g. the fixed-array baseline, or Monte-Carlo averages).  For
+    averaged scenarios ``snr`` is the mean linear SNR over the counted draws
+    and ``draws`` / ``infeasible_draws`` record the accounting.
+    """
+
+    scenario: str
+    mode: str
+    case: int
+    snr: float
+    capacity_bits: float
+    snr_lower: float | None = None
+    snr_upper: float | None = None
+    capacity_lower: float | None = None
+    capacity_upper: float | None = None
+    snr_linear_law: float | None = None
+    max_spacing_m: float | None = None
+    alignment_residual_m: float | None = None
+    draws: int | None = None
+    infeasible_draws: int | None = None
+
+    @property
+    def snr_db(self) -> float:
+        """``snr`` in dB: -inf for a nonpositive SNR, NaN for a NaN one."""
+        return -math.inf if self.snr <= 0 else 10.0 * math.log10(self.snr)
 
 
 def single_rf_snr(inner: np.ndarray, params: SystemParams) -> np.ndarray:

@@ -14,6 +14,7 @@ import operator
 import numpy as np
 
 from . import analysis, baseline, beamforming, placement, sampler
+from .beamforming import CapacityReport
 from .config import SCHEMA_VERSION, ConfigError, ExperimentConfig
 from .model import (
     FeasibilityError,
@@ -25,7 +26,6 @@ from .model import (
     elevation,
     pa_amplitudes,
 )
-from .reporting import CapacityReport
 
 
 def _baseline_mode(params: SystemParams) -> str:
@@ -352,7 +352,7 @@ def selftest(config: ExperimentConfig | None = None) -> tuple[bool, list[str]]:
     The checks the tests run too are measured by :mod:`invariants`; only the
     stacking identity and the seeded CSV are checked here alone.
     """
-    from . import invariants  # with the brute-force oracle (mpmath); loaded only here
+    from . import invariants  # loaded only here, so `import pass_trihybrid` loads no verifier
 
     if config is None:
         config = ExperimentConfig()

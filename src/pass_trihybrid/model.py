@@ -159,9 +159,10 @@ class Waveguide:
     max_x: float
 
     def __post_init__(self) -> None:
-        if self.max_x <= self.feed_x:
+        # Written so that a NaN fails too.
+        if not (self.max_x > self.feed_x):
             raise ValueError("deployment range must extend beyond the feed point")
-        if self.height <= 0:
+        if not (self.height > 0):
             raise ValueError("waveguide height must be positive")
 
     def effective_elevation(self, user: UserPosition) -> float:
@@ -236,7 +237,7 @@ class PinchingConfig:
         object.__setattr__(self, "positions", pos)
         lo = np.reshape(self.feed_x, (-1, 1)) - self._SLACK
         hi = np.reshape(self.max_x, (-1, 1)) + self._SLACK
-        outside = (pos < lo) | (pos > hi)
+        outside = ~((pos >= lo) & (pos <= hi))  # a NaN position is outside too
         if outside.any():
             m = int(np.argmax(outside.any(axis=1)))
             k = m if lo.size > 1 else 0  # one shared range or one per row
@@ -245,7 +246,7 @@ class PinchingConfig:
                 f"[{np.ravel(self.feed_x)[k]}, {np.ravel(self.max_x)[k]}]"
             )
         gaps = np.diff(np.sort(pos, axis=1), axis=1)
-        if gaps.size and gaps.min() < self.min_spacing_m - self._SLACK:
+        if gaps.size and not (gaps.min() >= self.min_spacing_m - self._SLACK):
             m = int(np.argmin(gaps.min(axis=1)))
             raise FeasibilityError(
                 f"waveguide {m}: PA spacing {gaps[m].min():.6g} m below the "

@@ -5,13 +5,15 @@ search enumerates every feasible position tuple on a uniform grid and takes
 a literal maximum, and the phase-chain check redoes the alignment arithmetic
 in high-precision (50-digit) floating point.  Exponential enumeration cost
 is accepted; the search is scoped to 2 or 4 antennas on a single waveguide.
+Both are exported by the package; mpmath is imported by
+:func:`direct_phase_chain` on its first call, so importing the package does
+not load it.
 """
 
 from __future__ import annotations
 
 import math
 
-import mpmath
 import numpy as np
 
 from .model import (
@@ -106,6 +108,8 @@ def direct_phase_chain(
     Returns the maximum circular deviation (meters) of
     (r + n_eff x) mod lambda across the antennas, relative to the first.
     """
+    import mpmath  # on first call, not at package import
+
     with mpmath.workdps(50):
         lam = mpmath.mpf(params.wavelength_m)
         n_eff = mpmath.mpf(params.n_eff)

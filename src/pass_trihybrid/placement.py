@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -129,9 +129,9 @@ def _one_shift(h_eff: float, delta: float, n_eff: float, wavelength: float, outw
     ``outward``) of :func:`_chains`; the shift is max(d - delta, 0) for the
     :func:`_aligned_offset` d on its :func:`_grid_index` line.
     """
-    if h_eff <= 0:
+    if not (h_eff > 0):  # written so that NaN fails too
         raise ValueError("effective elevation must be positive")
-    if delta < 0:
+    if not (delta >= 0):
         raise ValueError("offset must be nonnegative")
     # Right of the user at n_eff = 1, an elevation and offset below about
     # 1e-12 lambda round to grid line 0, where the offset root divides by 0.
@@ -185,9 +185,6 @@ class RefinementResult:
     n_left: int
     n_right: int
     h_eff_m: float
-
-
-_RESULT_FIELDS = tuple(f.name for f in fields(RefinementResult))
 
 
 def _on_lines(h_eff, reach, right, largest: float, n_eff: float, wavelength: float, spacing: float):
@@ -398,8 +395,8 @@ def _refine(
     gaps, largest spacings and alignment residuals are computed over the
     whole (M, N) array at once.  The positions are ascending, spaced and in
     range by construction, so the matrix is not validated again
-    (:func:`model._trusted_pinching`), and the records, whose values have
-    their fields' types, are set past the frozen constructor in the same way.
+    (:func:`model._trusted_pinching`); the records come from the
+    :class:`RefinementResult` constructor.
     """
     n, m, spacing = params.num_pas, len(layout), params.min_spacing_m
     n_eff, lam = params.n_eff, params.wavelength_m
@@ -451,14 +448,8 @@ def _refine(
     dev = np.abs(res - res[:, :1])
     residual = np.minimum(dev, lam - dev).max(axis=1)
 
-    results = []
-    for row in zip(
-        positions, row_shifts, max_spacing.tolist(), residual.tolist(), lefts, rights, h_effs
-    ):
-        result = object.__new__(RefinementResult)  # frozen: set the fields past __setattr__
-        result.__dict__.update(zip(_RESULT_FIELDS, row))
-        results.append(result)
-    return _trusted_pinching(positions, spacing, feed_x, max_x), results
+    values = zip(positions, row_shifts, max_spacing.tolist(), residual.tolist(), lefts, rights, h_effs)
+    return _trusted_pinching(positions, spacing, feed_x, max_x), [RefinementResult(*v) for v in values]
 
 
 def refine_waveguide(

@@ -94,7 +94,10 @@ class TestGainBounds:
         with pytest.raises(ValueError):
             gain_upper(LOSSLESS, 3.0, 7)
 
-    @pytest.mark.parametrize("h_eff, spacing", [(3.0, 0.0), (3.0, -0.01), (0.0, None), (-3.0, 0.01)])
+    @pytest.mark.parametrize(
+        "h_eff, spacing",
+        [(3.0, 0.0), (3.0, -0.01), (0.0, None), (-3.0, 0.01), (math.nan, None), (3.0, math.nan)],
+    )
     def test_non_positive_geometry_rejected(self, h_eff, spacing):
         for gain in (gain_upper, gain_approx):
             with pytest.raises(ValueError, match="spacing and effective elevation must be positive"):
@@ -218,6 +221,24 @@ class TestSnrBounds:
         assert params.kappa_db_per_m > 0.0
         layout = WaveguideLayout.from_params(params)
         assert invariants.sandwich_violations(params, layout, USER, (2, 1024)) == []
+
+
+@pytest.mark.parametrize(
+    "bound",
+    [
+        lambda layout: gain_lower(LOSSLESS, 3.0, 4, math.nan),
+        lambda layout: snr_bounds(LOSSLESS, layout, USER, 4, max_spacing=math.nan),
+        lambda layout: snr_bounds(
+            LOSSLESS, layout, USER, 4, max_spacing=np.array([1.0, math.nan, 1.0, 1.0]) * LAM
+        ),
+    ],
+    ids=["gain-lower", "snr-bounds", "snr-bounds-one-waveguide"],
+)
+def test_nan_largest_spacing_rejected(bound):
+    """The largest-spacing checks fail for a NaN too (the gain checks:
+    ``TestGainBounds.test_non_positive_geometry_rejected``)."""
+    with pytest.raises(ValueError, match="cannot be below the minimum spacing"):
+        bound(WaveguideLayout.from_params(LOSSLESS))
 
 
 class TestSnrLinear:

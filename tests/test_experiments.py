@@ -440,12 +440,19 @@ class TestSelftest:
         assert all(line.startswith("[PASS]") for line in lines)
 
     def test_package_import_loads_no_verifier(self):
+        """Neither the import nor reading an oracle function loads mpmath or
+        ``invariants``; the oracle's first call loads mpmath."""
         code = (
-            "import sys, pass_trihybrid; "
-            "print('mpmath' in sys.modules, 'pass_trihybrid.invariants' in sys.modules)"
+            "import sys, pass_trihybrid as pt\n"
+            "def loaded(): print('mpmath' in sys.modules, 'pass_trihybrid.invariants' in sys.modules)\n"
+            "loaded()\n"
+            "chain = pt.direct_phase_chain\n"
+            "loaded()\n"
+            "chain([0.0, 0.01], pt.UserPosition(), pt.Waveguide(-1.0, 0.0, 3.0, 1.0), pt.SystemParams())\n"
+            "loaded()\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["False", "False"]
+        assert proc.stdout.split() == ["False", "False"] * 2 + ["True", "False"]

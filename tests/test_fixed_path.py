@@ -708,8 +708,8 @@ class TestRefineAll:
             assert [(r.n_left, r.n_right) for r in results] == [split] * len(layout)
 
     def test_records_are_the_constructors(self):
-        """``refine_all`` builds its records past the frozen ``__init__``: each holds
-        what the constructor would, with the same types, and stays frozen."""
+        """``refine_all``'s records hold what the constructor would build from
+        their fields, with the fields' types, and stay frozen."""
         params = SystemParams(kappa_db_per_m=0.0, num_pas=16)
         layout = WaveguideLayout.from_params(params)
         names = [f.name for f in dataclasses.fields(RefinementResult)]

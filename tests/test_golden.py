@@ -8,6 +8,7 @@ of its case, e.g. ``pass-trihybrid sweep --config configs/snr_vs_pa_count.cfg
 a change that must alter the bytes bumps the banner and writes them again.
 """
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -17,24 +18,25 @@ from pass_trihybrid import load_config, run_sweep
 from pass_trihybrid.cli import EXIT_OK, main
 
 ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
 SNR_VS_N = str(ROOT / "configs" / "snr_vs_pa_count.cfg")
 CAPACITY = str(ROOT / "configs" / "capacity_vs_region_width.cfg")
 # Geometries the shipped configs leave out, recorded beside their outputs:
 # an x-edge user whose chains continue, and two where no chain takes the closed form.
-EDGE_USER = str(ROOT / "tests" / "golden" / "edge_user.cfg")
-ONE_WAVELENGTH = str(ROOT / "tests" / "golden" / "one_wavelength_spacing.cfg")
-UNIT_INDEX = str(ROOT / "tests" / "golden" / "unit_index.cfg")
+EDGE_USER = str(GOLDEN / "edge_user.cfg")
+ONE_WAVELENGTH = str(GOLDEN / "one_wavelength_spacing.cfg")
+UNIT_INDEX = str(GOLDEN / "unit_index.cfg")
 # n_eff = 1 next to the feed, where a left chain turns unreachable past its bound or within it.
-FEED_SIDE = str(ROOT / "tests" / "golden" / "feed_side.cfg")
+FEED_SIDE = str(GOLDEN / "feed_side.cfg")
 # An off-centre user whose first phase at N = 1024 mixes closed-form chains with one verified chain.
-ONE_CHAIN_VERIFIED = str(ROOT / "tests" / "golden" / "one_chain_verified.cfg")
+ONE_CHAIN_VERIFIED = str(GOLDEN / "one_chain_verified.cfg")
 # A user on the right x edge: every waveguide places all N PAs left of the user, none right.
-X_EDGE_USER = str(ROOT / "tests" / "golden" / "x_edge_user.cfg")
+X_EDGE_USER = str(GOLDEN / "x_edge_user.cfg")
 # Dense placements in a narrow region: overflow redistributed across both sides at N = 256.
-DENSE_MC = str(ROOT / "tests" / "golden" / "dense_mc.cfg")
+DENSE_MC = str(GOLDEN / "dense_mc.cfg")
 # N = 2..16384 in a 400 m region, past the simulated SNR's peak: centre and off-centre user.
-SCALING_LAW = str(ROOT / "tests" / "golden" / "scaling_law.cfg")
-SCALING_LAW_OFF_CENTRE = str(ROOT / "tests" / "golden" / "scaling_law_off_centre.cfg")
+SCALING_LAW = str(GOLDEN / "scaling_law.cfg")
+SCALING_LAW_OFF_CENTRE = str(GOLDEN / "scaling_law_off_centre.cfg")
 
 
 @pytest.mark.parametrize(
@@ -71,7 +73,43 @@ SCALING_LAW_OFF_CENTRE = str(ROOT / "tests" / "golden" / "scaling_law_off_centre
 def test_shipped_config_output_is_the_golden_copy(tmp_path, golden, args):
     out = tmp_path / golden
     assert main(args + ["--out", str(out)]) == EXIT_OK
-    assert out.read_bytes() == (ROOT / "tests" / "golden" / golden).read_bytes()
+    assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+def ci_golden_files() -> tuple[list[str], set[str]]:
+    """The ``tests/golden/`` CSVs that the CI workflow ``cmp``s, one entry per
+    ``cmp``, and the ``tests/golden/`` configs it names, with each one-line
+    ``for VAR in ...; do`` loop expanded over its values."""
+    cmps, cfgs, loop = [], set(), None
+    for line in (ROOT / ".github" / "workflows" / "tests.yml").read_text().splitlines():
+        line = line.strip()
+        if match := re.fullmatch(r"for (\w+) in ([^\"]+); do", line):
+            loop = match[1], match[2].split()
+            continue
+        if line == "done":
+            loop = None
+        var, values = loop or ("", [""])
+        for value in values:
+            text = line.replace("${%s}" % var, value).replace("$" + var, value) if var else line
+            if text.startswith("cmp "):
+                cmps += re.findall(r"tests/golden/(\w+\.csv)", text)
+            cfgs.update(re.findall(r"tests/golden/(\w+\.cfg)", text))
+    return cmps, cfgs
+
+
+def test_every_golden_file_is_checked():
+    """Each ``tests/golden/*.csv`` is one case of the table above and one ``cmp``
+    of the CI workflow, and each ``tests/golden/*.cfg`` is read by both."""
+    (mark,) = (m for m in test_shipped_config_output_is_the_golden_copy.pytestmark
+               if m.name == "parametrize")
+    cases = mark.args[1]
+    csvs = sorted(path.name for path in GOLDEN.glob("*.csv"))
+    cfgs = {path.name for path in GOLDEN.glob("*.cfg")}
+    cmps, ci_cfgs = ci_golden_files()
+    assert sorted(golden for golden, _ in cases) == csvs
+    assert sorted(cmps) == csvs
+    assert cfgs <= {Path(arg).name for _, args in cases for arg in args if arg.endswith(".cfg")}
+    assert cfgs <= ci_cfgs
 
 
 @pytest.mark.xfail(

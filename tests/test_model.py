@@ -125,6 +125,19 @@ class TestLayout:
         with pytest.raises(ValueError, match="waveguide height must be positive"):
             Waveguide(-1.0, 0.0, 0.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((math.nan, 0.0, 3.0, 1.0), "deployment range must extend beyond the feed"),
+            ((-1.0, 0.0, 3.0, math.nan), "deployment range must extend beyond the feed"),
+            ((-1.0, 0.0, math.nan, 1.0), "waveguide height must be positive"),
+        ],
+        ids=["nan-feed", "nan-max-x", "nan-height"],
+    )
+    def test_nan_waveguide_rejected(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            Waveguide(*args)
+
     def test_effective_elevation(self):
         wg = Waveguide(-25.0, 5.0, 3.0, 25.0)
         assert_allclose(wg.effective_elevation(UserPosition(0.0, 1.0)), 5.0, rtol=1e-15)
@@ -340,6 +353,20 @@ class TestPinchingConfig:
         PinchingConfig(np.array([[10.0, 20.0], [-4.0, 4.0]]), 0.5, feed, top)
         with pytest.raises(FeasibilityError, match="waveguide 1"):
             PinchingConfig(np.array([[-4.0, 4.0], [10.0, 20.0]]), 0.5, feed, top)
+
+    @pytest.mark.parametrize(
+        "positions, min_spacing, feed_x, max_x",
+        [
+            ([[0.0, math.nan]], 5e-3, -1.0, 1.0),
+            ([[0.0, 0.5]], 5e-3, math.nan, 1.0),
+            ([[0.0, 0.5]], 5e-3, -1.0, math.nan),
+            ([[0.0, 0.5]], math.nan, -1.0, 1.0),
+        ],
+        ids=["nan-position", "nan-feed", "nan-max-x", "nan-spacing"],
+    )
+    def test_nan_rejected(self, positions, min_spacing, feed_x, max_x):
+        with pytest.raises(FeasibilityError):
+            PinchingConfig(np.array(positions), min_spacing, feed_x, max_x)
 
     def test_one_dimensional_positions_rejected(self):
         with pytest.raises(ValueError, match="M x N matrix"):

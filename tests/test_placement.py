@@ -89,6 +89,20 @@ class TestRefineShift:
         with pytest.raises(ValueError):
             refine_shift(3.0, -0.1, 1.4, LAM)
 
+    @pytest.mark.parametrize("solve", [refine_shift, refine_shift_outward])
+    @pytest.mark.parametrize(
+        "h_eff, delta, message",
+        [
+            (math.nan, 0.1, "effective elevation must be positive"),
+            (3.0, math.nan, "offset must be nonnegative"),
+        ],
+        ids=["nan-elevation", "nan-offset"],
+    )
+    def test_nan_inputs_rejected(self, solve, h_eff, delta, message):
+        # the input's own error, not "no reachable alignment point"
+        with pytest.raises(ValueError, match=message):
+            solve(h_eff, delta, 1.4, LAM)
+
     @pytest.mark.parametrize("h", [1e-16, 1e-170])
     def test_path_on_grid_line_zero_is_unreachable(self, h):
         # n_eff = 1, elevation and offset far below 1e-12 lambda: the path

@@ -18,7 +18,7 @@ from pass_trihybrid import (
     run_sweep,
 )
 from pass_trihybrid import analysis, baseline, beamforming, experiments, invariants, placement
-from pass_trihybrid.reporting import CapacityReport
+from pass_trihybrid.beamforming import CapacityReport
 
 # --- Reference: the earlier fixed-user point --------------------------------
 
